@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GradedLieAlgebra, InputError, Subspace
-from .linalg import ZERO
+from .linalg import HALF, ZERO
 
 QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
 THREE_QUARTERS = Fraction(3, 4)
 
 

@@ -4,22 +4,20 @@ For nilpotency degree at most 2 the Baker-Campbell-Hausdorff series stops
 after the first bracket, so the product of exp(x) and exp(y) is
 exp(x + y + [x, y]/2) exactly and group elements can share the algebra's
 coordinates.  The scalable-lattice construction completes the halved
-brackets of first-layer basis vectors to a second-layer basis and checks
-the resulting integer span is closed under products and under the
-dilation by 2.
+brackets of first-layer basis vectors to a second-layer basis.  Its
+integer span is checked for closure under products, on the halved
+brackets of generator pairs, and under the dilation by 2, both against
+the generator matrix factored once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import linalg
 from .algebra import CheckResult, Dilation, GradedLieAlgebra, InputError, Subspace
-from .linalg import Matrix, Vector, ZERO
-
-HALF = Fraction(1, 2)
+from .linalg import HALF, Matrix, Vector
 
 
 def _require_two_step(algebra: GradedLieAlgebra) -> None:
@@ -83,21 +81,33 @@ def group_scaling(t, g: GroupElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Generating set whose integer span should be a scaled-in lattice."""
+    """Basis whose integer span should be a scaled-in lattice.
+
+    There are exactly ``dimension`` generators and they must span the
+    algebra, so the matrix with the generators as columns is invertible;
+    its inverse is computed once and gives every membership answer.
+    """
 
     algebra: GradedLieAlgebra
     generators: Matrix
+    _inverse: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_two_step(self.algebra)
-        if linalg.rank(self.generators) != self.algebra.dimension:
+        n = self.algebra.dimension
+        if len(self.generators) != n:
+            raise InputError(
+                "a lattice needs exactly %d generators, got %d"
+                % (n, len(self.generators))
+            )
+        inverse = linalg.inverse(tuple(zip(*self.generators, strict=True)))
+        if inverse is None:
             raise InputError("lattice generators must span the algebra")
+        object.__setattr__(self, "_inverse", inverse)
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
-        coeffs = linalg.solve_columns(self.generators, v)
-        if coeffs is None:
-            return None
+        coeffs = linalg.mat_vec(self._inverse, v)
         if any(c.denominator != 1 for c in coeffs):
             return None
         return coeffs
@@ -145,18 +155,31 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
 
 
 def check_group_closure(spec: LatticeSpec) -> CheckResult:
-    """Every product of generator exponentials stays in the integer span."""
+    """Every product of elements of the integer span stays in the span.
+
+    Generators g_i lie in the span, so g_i g_j = g_i + g_j + [g_i, g_j]/2
+    does exactly when [g_i, g_j]/2 does.  The bracket is antisymmetric, so
+    the pair (j, i) gives the same answer as (i, j) and (i, i) always
+    passes; only the pairs i < j are checked, in lexicographic order, and
+    the first failure is the first failing pair of the full sweep.  By
+    bilinearity [x, y]/2 = sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2
+    for x = sum a_i g_i and y = sum b_j g_j, an integer combination of the
+    checked vectors, so the verdict holds for the whole span.
+    """
     algebra = spec.algebra
-    elements = [GroupElement(algebra, g) for g in spec.generators]
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            product = x * y
-            if spec.membership(product.coords) is None:
-                return CheckResult(
-                    False,
-                    "product of generators %d and %d leaves the integer span: %s"
-                    % (i, j, algebra.describe(product.coords)),
-                )
+    generators = spec.generators
+    for i, x in enumerate(generators):
+        for j in range(i + 1, len(generators)):
+            y = generators[j]
+            half = tuple(HALF * c for c in algebra.bracket(x, y))
+            if linalg.is_zero(half) or spec.membership(half) is not None:
+                continue
+            product = GroupElement(algebra, x) * GroupElement(algebra, y)
+            return CheckResult(
+                False,
+                "product of generators %d and %d leaves the integer span: %s"
+                % (i, j, algebra.describe(product.coords)),
+            )
     return CheckResult(True)
 
 

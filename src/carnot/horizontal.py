@@ -18,9 +18,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import GradedLieAlgebra, InputError, Subspace
-from .linalg import Matrix, Vector, ZERO
-
-HALF = Fraction(1, 2)
+from .linalg import HALF, Matrix, Vector, ZERO
 
 
 class NoSolutionError(ValueError):

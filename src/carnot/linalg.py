@@ -15,6 +15,7 @@ Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def vector(entries: Iterable) -> Vector:
@@ -87,13 +88,7 @@ def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
 
 def in_row_span(reduced: Matrix, v: Sequence) -> bool:
     """Membership test against a matrix already in reduced form."""
-    rem = list(Fraction(e) for e in v)
-    for row in reduced:
-        p = next(j for j, e in enumerate(row) if e != 0)
-        if rem[p] != 0:
-            c = rem[p]
-            rem = [a - c * b for a, b in zip(rem, row)]
-    return all(e == 0 for e in rem)
+    return is_zero(reduce_against(reduced, v))
 
 
 def reduce_against(reduced: Matrix, v: Sequence) -> Vector:
@@ -105,6 +100,28 @@ def reduce_against(reduced: Matrix, v: Sequence) -> Vector:
             c = rem[p]
             rem = [a - c * b for a, b in zip(rem, row)]
     return tuple(rem)
+
+
+def inverse(rows: Sequence[Sequence]) -> Matrix | None:
+    """Inverse of a square matrix, from one elimination of ``[A | I]``.
+
+    None if the matrix is singular.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    reduced = rref(tuple(row) + unit_vector(n, i) for i, row in enumerate(rows))
+    if pivot_columns(reduced) != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def mat_vec(rows: Matrix, v: Sequence) -> Vector:
+    """The product ``A v``; v needs one entry per column of A."""
+    x = vector(v)
+    if any(len(row) != len(x) for row in rows):
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((a * b for a, b in zip(row, x) if a), ZERO) for row in rows)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:

@@ -2,8 +2,9 @@
 
 Nothing here imports the implementation routines it is meant to check:
 the differential oracle works straight from the defining alternating sum
-and calls only bracket and form evaluation, and the unipotent oracle
-multiplies actual matrices.
+and calls only bracket and form evaluation, the unipotent oracle
+multiplies actual matrices, and the lattice oracles solve a fresh column
+system for every query and sweep all n^2 generator products.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from carnot import linalg
 from carnot.algebra import GradedLieAlgebra
 
 
@@ -28,6 +30,31 @@ def naive_differential_value(form, vectors) -> Fraction:
     for f in range(2, p + 2):
         denom *= f
     return total / denom
+
+
+def naive_membership(generators, v):
+    """Integer coordinates of v in the generators by a fresh solve, or None."""
+    coeffs = linalg.solve_columns(generators, v)
+    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        return None
+    return coeffs
+
+
+def naive_group_closure(spec) -> tuple[bool, str]:
+    """(ok, detail) of the full sweep over every ordered generator product."""
+    algebra = spec.algebra
+    half = Fraction(1, 2)
+    for i, x in enumerate(spec.generators):
+        for j, y in enumerate(spec.generators):
+            product = tuple(
+                a + b + half * c for a, b, c in zip(x, y, algebra.bracket(x, y))
+            )
+            if naive_membership(spec.generators, product) is None:
+                return False, (
+                    "product of generators %d and %d leaves the integer span: %s"
+                    % (i, j, algebra.describe(product))
+                )
+    return True, ""
 
 
 def strict_upper_matrix(n: int, coords, algebra: GradedLieAlgebra):

@@ -15,9 +15,12 @@ from carnot import (
     build_scalable_lattice,
     check_group_closure,
     check_scaling_closure,
+    default_entries,
     group_scaling,
     multiply,
 )
+
+from helpers import naive_group_closure, naive_membership
 
 F = Fraction
 
@@ -148,11 +151,11 @@ def test_three_step_lattice_rejected():
         build_scalable_lattice(build("unipotent:4").algebra)
 
 
-def test_group_closure_catches_wrong_center_scale():
+def wide_center_spec():
     # 3/2 K instead of 1/2 K: dilation by 2 still lands in the span but
     # the product j1 * k1 needs -K/2, a third of the generator
     algebra = build("heisenberg_c:1").algebra
-    spec = LatticeSpec(
+    return LatticeSpec(
         algebra,
         (
             algebra.basis_vector("j1"),
@@ -160,13 +163,9 @@ def test_group_closure_catches_wrong_center_scale():
             tuple(F(3, 2) * c for c in algebra.basis_vector("K")),
         ),
     )
-    group = check_group_closure(spec)
-    assert not group.ok
-    assert "integer span" in group.detail
-    assert check_scaling_closure(spec).ok
 
 
-def test_scaling_closure_catches_skewed_generator():
+def skewed_spec():
     # j1 + K/3 absorbs products fine but squares to j1-coefficient 2 and
     # K-coefficient 4/3 under the dilation, off the integer span
     algebra = build("heisenberg_c:1").algebra
@@ -174,7 +173,7 @@ def test_scaling_closure_catches_skewed_generator():
         a + F(1, 3) * b
         for a, b in zip(algebra.basis_vector("j1"), algebra.basis_vector("K"))
     )
-    spec = LatticeSpec(
+    return LatticeSpec(
         algebra,
         (
             skew,
@@ -182,7 +181,120 @@ def test_scaling_closure_catches_skewed_generator():
             tuple(F(1, 2) * c for c in algebra.basis_vector("K")),
         ),
     )
+
+
+def sheared_spec():
+    # j1, j2, k1, K/2, (k1 + k2)/2: [j1, (k1 + k2)/2]/2 = -K/4 is off the
+    # span of K/2, so the first failing pair is (0, 4), with the last generator
+    algebra = build("heisenberg_c:2").algebra
+    k1, k2 = algebra.basis_vector("k1"), algebra.basis_vector("k2")
+    return LatticeSpec(
+        algebra,
+        (
+            algebra.basis_vector("j1"),
+            algebra.basis_vector("j2"),
+            k1,
+            tuple(F(1, 2) * c for c in algebra.basis_vector("K")),
+            tuple(F(1, 2) * (a + b) for a, b in zip(k1, k2)),
+        ),
+    )
+
+
+def test_group_closure_catches_wrong_center_scale():
+    spec = wide_center_spec()
+    group = check_group_closure(spec)
+    assert not group.ok
+    assert "integer span" in group.detail
+    assert check_scaling_closure(spec).ok
+
+
+def test_scaling_closure_catches_skewed_generator():
+    spec = skewed_spec()
     assert check_group_closure(spec).ok
     scaling = check_scaling_closure(spec)
     assert not scaling.ok
     assert "dilation" in scaling.detail
+
+
+def test_sheared_first_layer_fails_at_pair_0_4():
+    group = check_group_closure(sheared_spec())
+    assert not group.ok
+    assert group.detail.startswith("product of generators 0 and 4 ")
+
+
+def test_redundant_generators_rejected():
+    # a spanning set with a spare generator used to be accepted, and its
+    # membership fixed the free coordinate at zero: K/6 = K/2 - K/3 came
+    # back as not in the span
+    algebra = build("heisenberg_c:1").algebra
+    K = algebra.basis_vector("K")
+    with pytest.raises(InputError, match="exactly 3 generators"):
+        LatticeSpec(
+            algebra,
+            (
+                algebra.basis_vector("j1"),
+                algebra.basis_vector("k1"),
+                tuple(F(1, 2) * c for c in K),
+                tuple(F(1, 3) * c for c in K),
+            ),
+        )
+
+
+def test_membership_rejects_wrong_length():
+    spec = build_scalable_lattice(build("heisenberg_c:1").algebra)
+    with pytest.raises(ValueError):
+        spec.membership((F(1), F(1)))
+    with pytest.raises(ValueError):
+        spec.membership((F(1), F(1), F(0), F(0)))
+
+
+# -- agreement with the full product sweep -------------------------------------------
+
+_O2_DIMENSION = build("heisenberg_o:2").algebra.dimension
+ORACLE_KEYS = [
+    e.key
+    for e in default_entries()
+    if e.algebra.declared_degree <= 2 and e.algebra.dimension <= _O2_DIMENSION
+]
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [lambda key=key: build_scalable_lattice(build(key).algebra) for key in ORACLE_KEYS]
+    + [wide_center_spec, skewed_spec, sheared_spec],
+    ids=ORACLE_KEYS + ["wide_center", "skewed", "sheared"],
+)
+def test_group_closure_matches_full_sweep(make_spec):
+    spec = make_spec()
+    group = check_group_closure(spec)
+    assert (group.ok, group.detail) == naive_group_closure(spec)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        lambda: build_scalable_lattice(build("heisenberg_h:1").algebra),
+        lambda: build_scalable_lattice(build("heisenberg_o:1").algebra),
+        wide_center_spec,
+        skewed_spec,
+        sheared_spec,
+    ],
+    ids=["heisenberg_h:1", "heisenberg_o:1", "wide_center", "skewed", "sheared"],
+)
+def test_membership_matches_fresh_solve(make_spec):
+    spec = make_spec()
+    n = spec.algebra.dimension
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(60):
+        combo = [rng.randint(-3, 3) for _ in range(n)]
+        v = tuple(
+            sum((a * g[r] for a, g in zip(combo, spec.generators)), F(0))
+            for r in range(n)
+        )
+        if rng.random() < 0.5:
+            v = tuple(c + F(rng.randint(-2, 2), rng.randint(1, 4)) for c in v)
+        got = spec.membership(v)
+        assert got == naive_membership(spec.generators, v)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}

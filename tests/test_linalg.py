@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,18 @@ def test_solve_columns():
     cols = [(1, 0, 0), (1, 1, 0)]
     assert linalg.solve_columns(cols, (3, 2, 0)) == (F(1), F(2))
     assert linalg.solve_columns(cols, (0, 0, 1)) is None
+
+
+def test_inverse_and_mat_vec():
+    rows = [(2, 1), (1, 1)]
+    inv = linalg.inverse(rows)
+    assert inv == ((F(1), F(-1)), (F(-1), F(2)))
+    assert linalg.mat_vec(inv, (3, 2)) == (F(1), F(1))
+    assert linalg.inverse([(1, 2), (2, 4)]) is None
+    with pytest.raises(ValueError):
+        linalg.inverse([(1, 2, 3), (4, 5, 6)])
+    with pytest.raises(ValueError):
+        linalg.mat_vec(inv, (1, 2, 3))
 
 
 def test_nullspace_dimension():
@@ -113,3 +126,17 @@ def test_solve_solutions_substitute(rows, coeffs):
     assert solution is not None
     for row, want in zip(rows, rhs):
         assert sum(Fraction(r) * x for r, x in zip(row, solution)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_inverse_inverts(rows):
+    n = len(rows[0])
+    square = rows[:n] + [linalg.unit_vector(n, i) for i in range(len(rows), n)]
+    inv = linalg.inverse(square)
+    if linalg.rank(square) < n:
+        assert inv is None
+        return
+    for i in range(n):
+        column = linalg.mat_vec(square, [row[i] for row in inv])
+        assert column == linalg.unit_vector(n, i)
