@@ -1,15 +1,17 @@
 """Stratified nilpotent Lie algebras with exact rational structure constants.
 
 A graded algebra is described by a basis, an ordered partition of that basis
-into layers V_1, ..., V_d, and a table of brackets on basis pairs.  The table
-stores each unordered pair once (lower basis index first); the other
-orientation follows by antisymmetry and unlisted pairs bracket to zero.
-Coefficients are Fractions throughout, so every decision this module makes
-(ranks, spans, equalities) is exact.
+into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
+constants are held once, as a sparse adjacency ``ad[u][v] = {w: c}`` for
+[b_u, b_v] = sum of c b_w, with both orientations stored and pairs that
+bracket to zero absent; the bracket, the structure pairs and single
+constants are all read from it.  Coefficients are Fractions throughout, so
+every decision this module makes (ranks, spans, equalities) is exact.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -37,13 +39,45 @@ class CheckResult:
         return self.ok
 
 
-def _coefficient(value) -> Fraction:
+_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def parse_coefficient(text) -> Fraction:
+    """Exact value of an integer or ``p/q`` string, as the JSON formats write
+    coefficients; anything else raises InputError."""
+    if not isinstance(text, str) or not _COEFF_RE.match(text):
+        raise InputError(
+            "coefficient must be an integer or p/q string, got %r" % (text,)
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError("zero denominator in %r" % text) from None
+
+
+def coefficient(value) -> Fraction:
+    """Exact value of an int, a Fraction or a coefficient string.
+
+    Floats are rejected rather than converted, since their binary expansion
+    is not the number the caller wrote.
+    """
+    if isinstance(value, str):
+        return parse_coefficient(value)
     if isinstance(value, float):
         raise InputError("floating point coefficient rejected: %r" % (value,))
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad coefficient %r" % (value,)) from exc
+
+
+def require_two_step(algebra: GradedLieAlgebra, what: str) -> None:
+    """Raise InputError unless ``algebra`` has at most two layers."""
+    if algebra.declared_degree > 2:
+        raise InputError(
+            "%s needs a 2-step algebra, got %d layers"
+            % (what, algebra.declared_degree)
+        )
 
 
 class GradedLieAlgebra:
@@ -94,30 +128,26 @@ class GradedLieAlgebra:
                 weights[i] = depth
         self.weights = tuple(weights)
 
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        oriented: set[tuple[int, int]] = set()
+        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in self.basis]
+        listed: set[tuple[int, int]] = set()
         for (left, right), result in brackets.items():
             u, v = self.index(left), self.index(right)
             if u == v:
                 raise InputError("bracket of %r with itself listed" % left)
-            if (u, v) in oriented or (v, u) in oriented:
+            if (u, v) in listed or (v, u) in listed:
                 raise InputError(
                     "bracket pair (%s, %s) listed twice" % (left, right)
                 )
-            oriented.add((u, v))
-            sign = 1
-            if u > v:
-                u, v, sign = v, u, -1
+            listed.add((u, v))
             entry: dict[int, Fraction] = {}
             for label, coeff in result.items():
                 w = self.index(label)
-                c = sign * _coefficient(coeff)
-                if c != 0:
-                    entry[w] = entry.get(w, ZERO) + c
+                entry[w] = entry.get(w, ZERO) + coefficient(coeff)
             entry = {w: c for w, c in entry.items() if c != 0}
             if entry:
-                table[(u, v)] = entry
-        self._table = table
+                ad[u][v] = entry
+                ad[v][u] = {w: -c for w, c in entry.items()}
+        self._ad = ad
 
     # -- basic accessors -------------------------------------------------
 
@@ -143,9 +173,13 @@ class GradedLieAlgebra:
         return self.weights[i]
 
     def structure_pairs(self) -> tuple[tuple[int, int, dict[int, Fraction]], ...]:
-        """Stored bracket entries as (u, v, {w: coeff}) with u < v."""
+        """Nonzero brackets of basis pairs as (u, v, {w: coeff}) with u < v,
+        in lexicographic order of (u, v)."""
         return tuple(
-            (u, v, dict(entry)) for (u, v), entry in sorted(self._table.items())
+            (u, v, dict(entry))
+            for u, row in enumerate(self._ad)
+            for v, entry in sorted(row.items())
+            if u < v
         )
 
     # -- vectors ---------------------------------------------------------
@@ -160,7 +194,7 @@ class GradedLieAlgebra:
     def vector(self, coefficients: Mapping[str, object]) -> Vector:
         out = [ZERO] * self.dimension
         for label, coeff in coefficients.items():
-            out[self.index(label)] += _coefficient(coeff)
+            out[self.index(label)] += coefficient(coeff)
         return tuple(out)
 
     def describe(self, v: Sequence[Fraction]) -> str:
@@ -180,28 +214,27 @@ class GradedLieAlgebra:
 
     def bracket_basis(self, u: int, v: int) -> dict[int, Fraction]:
         """Sparse [b_u, b_v] for basis positions."""
-        if u == v:
-            return {}
-        if u < v:
-            return dict(self._table.get((u, v), {}))
-        entry = self._table.get((v, u), {})
-        return {w: -c for w, c in entry.items()}
+        return dict(self._ad[u].get(v, {}))
+
+    def structure_constant(self, u: int, v: int, w: int) -> Fraction:
+        """Coefficient of b_w in [b_u, b_v]."""
+        return self._ad[u].get(v, {}).get(w, ZERO)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the bracket table."""
+        """Bilinear extension: the sum of x_u y_v [b_u, b_v] over the
+        adjacency rows of the support of ``x``."""
         out = [ZERO] * self.dimension
-        for (u, v), entry in self._table.items():
-            coeff = x[u] * y[v] - x[v] * y[u]
-            if coeff == 0:
+        for u, row in enumerate(self._ad):
+            if not row or x[u] == 0:
                 continue
-            for w, c in entry.items():
-                out[w] += coeff * c
+            xu = x[u]
+            for v, entry in row.items():
+                coeff = xu * y[v]
+                if coeff == 0:
+                    continue
+                for w, c in entry.items():
+                    out[w] += coeff * c
         return tuple(out)
-
-    def layer_projection(self, v: Sequence[Fraction], depth: int) -> Vector:
-        return tuple(
-            c if self.weights[i] == depth else ZERO for i, c in enumerate(v)
-        )
 
     def layer_span(self, depth: int) -> "Subspace":
         rows = [self.basis_vector(i) for i in self.layers[depth - 1]]
@@ -214,7 +247,7 @@ class GradedLieAlgebra:
             self.name == other.name
             and self.basis == other.basis
             and self.layers == other.layers
-            and self._table == other._table
+            and self._ad == other._ad
         )
 
     def __hash__(self):
@@ -422,7 +455,7 @@ class Dilation:
     """Grading automorphism: multiplies layer j by t**j."""
 
     def __init__(self, algebra: GradedLieAlgebra, t: Fraction) -> None:
-        t = _coefficient(t)
+        t = coefficient(t)
         if t == 0:
             raise InputError("dilation parameter must be nonzero")
         self.algebra = algebra

@@ -9,13 +9,16 @@ by the certification examples, and free-form notes.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import GradedLieAlgebra, InputError, Subspace, hausdorff_dimension
-
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+from .algebra import (
+    GradedLieAlgebra,
+    InputError,
+    Subspace,
+    hausdorff_dimension,
+    parse_coefficient,
+)
 
 
 @dataclass(frozen=True)
@@ -223,17 +226,6 @@ def algebra_to_dict(algebra: GradedLieAlgebra) -> dict:
     }
 
 
-def _parse_coefficient(text) -> Fraction:
-    if not isinstance(text, str) or not _COEFF_RE.match(text):
-        raise InputError(
-            "coefficient must be an integer or p/q string, got %r" % (text,)
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputError("zero denominator in %r" % text) from None
-
-
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
     try:
         name = data["name"]
@@ -266,7 +258,7 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
                 raise InputError("bracket result terms need basis and coeff") from exc
             if label not in known:
                 raise InputError("bracket result references unknown label %r" % label)
-            entry[label] = entry.get(label, Fraction(0)) + _parse_coefficient(coeff)
+            entry[label] = entry.get(label, Fraction(0)) + parse_coefficient(coeff)
         pairs[(left, right)] = entry
     for layer in layers:
         for label in layer:

@@ -22,9 +22,10 @@ from .algebra import (
     Subspace,
     hausdorff_dimension,
     jacobi_check,
+    parse_coefficient,
     stratification_check,
 )
-from .catalog import CatalogEntry, _parse_coefficient
+from .catalog import CatalogEntry
 from .curvature import trichotomy_report
 from .forms import (
     differential,
@@ -69,7 +70,7 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
                     "subspace row has %d entries, expected %d"
                     % (len(row), entry.algebra.dimension)
                 )
-            parsed.append(tuple(_parse_coefficient(e) for e in row))
+            parsed.append(tuple(parse_coefficient(e) for e in row))
         return Subspace(entry.algebra, parsed)
     if entry.designated_subspace is not None:
         return entry.designated_subspace

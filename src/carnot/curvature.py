@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import GradedLieAlgebra, InputError, Subspace
+from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
 from .linalg import HALF, ZERO
 
 QUARTER = Fraction(1, 4)
 THREE_QUARTERS = Fraction(3, 4)
-
-
-def _alpha(algebra: GradedLieAlgebra, u: int, v: int, w: int) -> Fraction:
-    return algebra.bracket_basis(u, v).get(w, ZERO)
 
 
 def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
@@ -36,13 +32,14 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
+    alpha = algebra.structure_constant
     total = ZERO
     for k in range(algebra.dimension):
-        a_ijk = _alpha(algebra, i, j, k)
-        a_jki = _alpha(algebra, j, k, i)
-        a_kij = _alpha(algebra, k, i, j)
-        a_kii = _alpha(algebra, k, i, i)
-        a_kjj = _alpha(algebra, k, j, j)
+        a_ijk = alpha(i, j, k)
+        a_jki = alpha(j, k, i)
+        a_kij = alpha(k, i, j)
+        a_kii = alpha(k, i, i)
+        a_kjj = alpha(k, j, j)
         total += (
             HALF * a_ijk * (-a_ijk + a_jki + a_kij)
             - QUARTER * (a_ijk - a_jki + a_kij) * (a_ijk + a_jki - a_kij)
@@ -58,8 +55,7 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
     layer: +1/4 times the squared column of structure constants.  Both in
     the second layer: zero.
     """
-    if algebra.declared_degree > 2:
-        raise InputError("closed forms hold for 2-step algebras only")
+    require_two_step(algebra, "the closed forms")
     i = u if isinstance(u, int) else algebra.index(u)
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
@@ -77,7 +73,7 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
         i, j = j, i
     # i horizontal, j in the second layer
     return QUARTER * sum(
-        (_alpha(algebra, k, i, j) ** 2 for k in first), start=ZERO
+        (algebra.structure_constant(k, i, j) ** 2 for k in first), start=ZERO
     )
 
 
@@ -109,8 +105,7 @@ def trichotomy_report(
     item is reported as not evaluated); every second-layer direction spans
     a positively curved plane with some vector of ``s``.
     """
-    if algebra.declared_degree > 2:
-        raise InputError("trichotomy applies to 2-step algebras")
+    require_two_step(algebra, "the curvature trichotomy")
     labels = s.coordinate_labels()
     if labels is None:
         raise InputError("trichotomy needs a span of basis vectors")

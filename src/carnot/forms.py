@@ -25,7 +25,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .algebra import GradedLieAlgebra, InputError, Subspace
+from .algebra import (
+    GradedLieAlgebra,
+    InputError,
+    Subspace,
+    coefficient,
+    parse_coefficient,
+    require_two_step,
+)
 from .linalg import Vector, ZERO
 
 Monomial = tuple[int, ...]
@@ -78,7 +85,7 @@ class InvariantForm:
                 raise InputError("monomial index out of range in %r" % (mono,))
             if any(a >= b for a, b in zip(mono, mono[1:])):
                 raise InputError("monomial %r is not strictly increasing" % (mono,))
-            c = Fraction(coeff)
+            c = coefficient(coeff)
             if c != 0:
                 clean[mono] = clean.get(mono, ZERO) + c
         self.terms = {m: c for m, c in sorted(clean.items()) if c != 0}
@@ -130,7 +137,7 @@ class InvariantForm:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "InvariantForm":
-        c = Fraction(scalar)
+        c = coefficient(scalar)
         return InvariantForm(
             self.algebra, self.degree, {m: c * v for m, v in self.terms.items()}
         )
@@ -332,8 +339,7 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     abelian) algebra; the kernel dimension counts independent closed
     2-forms of this shape.
     """
-    if algebra.declared_degree > 2:
-        raise InputError("pittet kernel is defined for 2-step algebras")
+    require_two_step(algebra, "the pittet kernel")
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
     v1 = algebra.layers[0]
     pairs = []
@@ -369,8 +375,6 @@ def form_to_dict(form: InvariantForm) -> dict:
 
 
 def form_from_dict(algebra: GradedLieAlgebra, data: dict) -> InvariantForm:
-    from .catalog import _parse_coefficient
-
     try:
         degree = int(data["degree"])
         raw_terms = data["terms"]
@@ -380,7 +384,7 @@ def form_from_dict(algebra: GradedLieAlgebra, data: dict) -> InvariantForm:
     for item in raw_terms:
         try:
             mono = tuple(int(i) for i in item["indices"])
-            coeff = _parse_coefficient(item["coeff"])
+            coeff = parse_coefficient(item["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("form terms need indices and coeff") from exc
         terms[mono] = terms.get(mono, ZERO) + coeff

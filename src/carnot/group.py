@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import linalg
-from .algebra import CheckResult, Dilation, GradedLieAlgebra, InputError, Subspace
+from .algebra import (
+    CheckResult,
+    Dilation,
+    GradedLieAlgebra,
+    InputError,
+    coefficient,
+    require_two_step,
+)
 from .linalg import HALF, Matrix, Vector
-
-
-def _require_two_step(algebra: GradedLieAlgebra) -> None:
-    if algebra.declared_degree > 2:
-        raise InputError(
-            "group coordinates need nilpotency degree <= 2, got %d layers"
-            % algebra.declared_degree
-        )
 
 
 class GroupElement:
@@ -34,9 +33,9 @@ class GroupElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: GradedLieAlgebra, coords: Sequence) -> None:
-        _require_two_step(algebra)
+        require_two_step(algebra, "group coordinates")
         self.algebra = algebra
-        self.coords: Vector = linalg.vector(coords)
+        self.coords: Vector = tuple(coefficient(c) for c in coords)
         if len(self.coords) != algebra.dimension:
             raise InputError("coordinate length does not match the algebra")
 
@@ -93,7 +92,7 @@ class LatticeSpec:
     _inverse: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _require_two_step(self.algebra)
+        require_two_step(self.algebra, "a lattice")
         n = self.algebra.dimension
         if len(self.generators) != n:
             raise InputError(
@@ -116,41 +115,40 @@ class LatticeSpec:
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     """Generators: first-layer basis plus a completion of halved brackets.
 
-    Candidate second-layer generators are the vectors [a, b]/2 over
-    first-layer basis pairs in lexicographic order, each normalised to a
-    positive leading coefficient, keeping those that grow the span; any
-    second-layer direction still missing is padded with half the catalog
-    basis vector.  The result is deterministic.
+    The candidate second-layer generators are, in this order, the nonzero
+    vectors [a, b]/2 over first-layer basis pairs in lexicographic order,
+    each normalised to a positive leading coefficient, and then half of each
+    second-layer basis vector.  A candidate is kept when it is not in the
+    span of the candidates kept before it, and the walk stops once the kept
+    candidates span the second layer.  The result is deterministic.
     """
-    _require_two_step(algebra)
+    require_two_step(algebra, "a scalable lattice")
     v1 = algebra.layers[0]
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
-    generators: list[Vector] = [algebra.basis_vector(i) for i in v1]
+
+    def candidates():
+        for a_pos, a in enumerate(v1):
+            for b in v1[a_pos + 1:]:
+                half = tuple(
+                    HALF * c
+                    for c in algebra.bracket(algebra.basis_vector(a), algebra.basis_vector(b))
+                )
+                if not linalg.is_zero(half):
+                    lead = next(c for c in half if c != 0)
+                    yield half if lead > 0 else tuple(-c for c in half)
+        for i in v2:
+            yield tuple(HALF * c for c in algebra.basis_vector(i))
+
+    layer_two = linalg.rref(algebra.basis_vector(i) for i in v2)
     second: list[Vector] = []
-    for a_pos in range(len(v1)):
-        for b_pos in range(a_pos + 1, len(v1)):
-            candidate = algebra.bracket(
-                algebra.basis_vector(v1[a_pos]), algebra.basis_vector(v1[b_pos])
-            )
-            candidate = tuple(HALF * c for c in candidate)
-            if all(c == 0 for c in candidate):
-                continue
-            lead = next(c for c in candidate if c != 0)
-            if lead < 0:
-                candidate = tuple(-c for c in candidate)
-            if linalg.rank(second + [candidate]) > len(second):
-                second.append(candidate)
-            if len(second) == len(v2):
+    span: Matrix = ()
+    for candidate in candidates():
+        if not linalg.in_row_span(span, candidate):
+            second.append(candidate)
+            span = linalg.rref(span + (candidate,))
+            if span == layer_two:
                 break
-        else:
-            continue
-        break
-    covered = linalg.rref(second)
-    for i in v2:
-        basis_vec = algebra.basis_vector(i)
-        if not linalg.in_row_span(covered, basis_vec):
-            second.append(tuple(HALF * c for c in basis_vec))
-            covered = linalg.rref(second)
+    generators = [algebra.basis_vector(i) for i in v1]
     return LatticeSpec(algebra, tuple(generators + second))
 
 

@@ -100,19 +100,6 @@ class CurvatureForm:
         bracket = self.algebra.bracket(x, y)
         return tuple(HALF * bracket[t] for t in self.targets)
 
-    def matrix(self, i: int) -> Matrix:
-        """Component ``i`` as a matrix over the first-layer basis."""
-        rows = []
-        for a in self.v1:
-            ea = self.algebra.basis_vector(a)
-            rows.append(
-                tuple(
-                    HALF * self.algebra.bracket(ea, self.algebra.basis_vector(b))[self.targets[i]]
-                    for b in self.v1
-                )
-            )
-        return tuple(rows)
-
 
 def curvature_form(algebra: GradedLieAlgebra) -> CurvatureForm:
     return CurvatureForm(algebra)
@@ -140,15 +127,15 @@ def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     form = CurvatureForm(algebra)
-    rows = []
-    for i in range(len(form.targets)):
-        for q in range(s.dim):
-            xq = s.rows[q]
-            row = []
-            for u in form.v1:
-                row.append(form.component(i, algebra.basis_vector(u), xq))
-            rows.append(tuple(row))
-    return tuple(rows)
+    values = [
+        [form.evaluate(algebra.basis_vector(u), xq) for u in form.v1]
+        for xq in s.rows
+    ]
+    return tuple(
+        tuple(value[i] for value in values[q])
+        for i in range(len(form.targets))
+        for q in range(s.dim)
+    )
 
 
 def is_regular(algebra: GradedLieAlgebra, s: Subspace) -> RegularityResult:

@@ -30,18 +30,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
 def is_zero(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
@@ -55,7 +43,6 @@ def rref(rows: Iterable[Sequence]) -> Matrix:
     for row in work:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    pivot_rows: list[list[Fraction]] = []
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
@@ -71,8 +58,7 @@ def rref(rows: Iterable[Sequence]) -> Matrix:
         r += 1
         if r == len(work):
             break
-    pivot_rows = [row for row in work[:r]]
-    return tuple(tuple(row) for row in pivot_rows)
+    return tuple(tuple(row) for row in work[:r])
 
 
 def rank(rows: Iterable[Sequence]) -> int:

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here imports the implementation routines it is meant to check:
-the differential oracle works straight from the defining alternating sum
-and calls only bracket and form evaluation, the unipotent oracle
-multiplies actual matrices, and the lattice oracles solve a fresh column
-system for every query and sweep all n^2 generator products.
+the bracket oracle sums straight over the label-keyed input table, the
+differential oracle works from the defining alternating sum and calls only
+bracket and form evaluation, the unipotent oracle multiplies actual
+matrices, and the lattice oracles solve a fresh column system for every
+query and sweep all n^2 generator products.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ from fractions import Fraction
 
 from carnot import linalg
 from carnot.algebra import GradedLieAlgebra
+
+
+def naive_bracket(table, basis, x, y) -> tuple:
+    """[x, y] from a label-keyed table {(left, right): {label: coeff}}:
+    the double sum over listed pairs and their result terms, with each pair
+    contributing through both orientations."""
+    position = {label: i for i, label in enumerate(basis)}
+    out = [Fraction(0)] * len(basis)
+    for (left, right), result in table.items():
+        u, v = position[left], position[right]
+        for label, c in result.items():
+            out[position[label]] += (x[u] * y[v] - x[v] * y[u]) * Fraction(c)
+    return tuple(out)
 
 
 def naive_differential_value(form, vectors) -> Fraction:

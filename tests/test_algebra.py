@@ -1,5 +1,7 @@
 """Structure validation: brackets, Jacobi, gradings, dilations."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from carnot import (
     InputError,
     NotNilpotentError,
     Subspace,
+    algebra_from_dict,
+    algebra_to_dict,
     build,
     dilation,
     hausdorff_dimension,
@@ -21,7 +25,12 @@ from carnot import (
     stratification_check,
     unipotent,
 )
-from helpers import matrix_commutator, matrix_to_coords, strict_upper_matrix
+from helpers import (
+    matrix_commutator,
+    matrix_to_coords,
+    naive_bracket,
+    strict_upper_matrix,
+)
 
 F = Fraction
 
@@ -61,12 +70,69 @@ def test_rejects_float_coefficients():
         )
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", " 1", "1/0", ""])
+def test_rejects_coefficient_strings_outside_the_json_format(text):
+    algebra = build("heisenberg_c:1").algebra
+    with pytest.raises(InputError):
+        algebra.vector({"K": text})
+
+
+def test_accepts_integer_and_ratio_strings():
+    algebra = build("heisenberg_c:1").algebra
+    assert algebra.vector({"j1": "-2", "K": "3/2"}) == (F(-2), F(0), F(3, 2))
+
+
 def test_bracket_antisymmetry_and_linearity():
     algebra = build("heisenberg_c:1").algebra
     j1, k1 = algebra.basis_vector("j1"), algebra.basis_vector("k1")
     assert algebra.bracket(j1, k1) == algebra.vector({"K": -1})
     assert algebra.bracket(k1, j1) == algebra.vector({"K": 1})
     assert algebra.bracket(j1, j1) == algebra.zero()
+
+
+def random_table(rng, n):
+    """Antisymmetric table on n labels: each listed pair in a random
+    orientation, results sharing targets, zero coefficients allowed, no
+    Jacobi identity."""
+    basis = ["e%d" % i for i in range(n)]
+    table = {}
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            continue
+        key = (basis[u], basis[v]) if rng.random() < 0.5 else (basis[v], basis[u])
+        targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+        table[key] = {
+            basis[w]: F(rng.randint(-4, 4), rng.randint(1, 3)) for w in targets
+        }
+    return basis, table
+
+
+def random_vector(rng, n):
+    return tuple(
+        F(0) if rng.random() < 0.3 else F(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(n)
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bracket_matches_naive_sum_on_random_tables(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    basis, table = random_table(rng, n)
+    algebra = GradedLieAlgebra("random", basis, [basis], table)
+    for _ in range(10):
+        x, y = random_vector(rng, n), random_vector(rng, n)
+        assert algebra.bracket(x, y) == naive_bracket(table, basis, x, y)
+    for u in range(n):
+        for v in range(n):
+            bu, bv = algebra.basis_vector(u), algebra.basis_vector(v)
+            want = naive_bracket(table, basis, bu, bv)
+            assert algebra.bracket_basis(u, v) == {w: c for w, c in enumerate(want) if c}
+            assert algebra.bracket_basis(u, v) == {
+                w: -c for w, c in algebra.bracket_basis(v, u).items()
+            }
+            assert all(algebra.structure_constant(u, v, w) == want[w] for w in range(n))
+    assert algebra_from_dict(algebra_to_dict(algebra)) == algebra
 
 
 # -- unipotent family against the matrix commutator oracle ------------------

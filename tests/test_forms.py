@@ -72,6 +72,14 @@ def test_form_arithmetic():
     assert (-2 * a).evaluate([algebra.basis_vector("x1")]) == -2
 
 
+def test_form_rejects_float_coefficients():
+    algebra = build("abelian:3").algebra
+    with pytest.raises(InputError):
+        InvariantForm(algebra, 1, {(0,): 0.1})
+    with pytest.raises(InputError):
+        0.1 * dual(algebra, "x1")
+
+
 small_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 

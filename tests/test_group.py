@@ -34,6 +34,12 @@ def element(algebra, coords):
 # -- group law ---------------------------------------------------------------------
 
 
+def test_element_rejects_float_coordinates():
+    algebra = build("heisenberg_c:1").algebra
+    with pytest.raises(InputError):
+        GroupElement(algebra, [0.1, 0, 0])
+
+
 def test_product_picks_up_half_bracket():
     algebra = build("heisenberg_c:1").algebra
     x = element(algebra, (3, 0, 0))

@@ -1,5 +1,6 @@
 """Curvature form, isotropy, regularity, and the subspace search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from carnot import (
     Subspace,
     build,
     curvature_form,
+    default_entries,
     gromov_dimension_bound,
     is_isotropic,
     is_regular,
@@ -106,6 +108,40 @@ def test_regularity_matrix_shape():
     m = regularity_matrix(algebra, s)
     assert len(m) == 3 * 2
     assert all(len(row) == 8 for row in m)
+
+
+def component_oracle(algebra, s):
+    """The regularity matrix entry by entry from CurvatureForm.component."""
+    form = curvature_form(algebra)
+    return tuple(
+        tuple(form.component(i, algebra.basis_vector(u), row) for u in form.v1)
+        for i in range(len(form.targets))
+        for row in s.rows
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in default_entries() if e.designated_subspace is not None],
+    ids=lambda e: e.key,
+)
+def test_regularity_matrix_matches_components_on_designated(entry):
+    s = entry.designated_subspace
+    assert regularity_matrix(entry.algebra, s) == component_oracle(entry.algebra, s)
+
+
+def test_regularity_matrix_matches_components_on_dense_rational_subspace():
+    algebra = build("heisenberg_h:2").algebra
+    rng = random.Random(7)
+    rows = []
+    for _ in range(2):
+        row = [F(0)] * algebra.dimension
+        for i in algebra.layers[0]:
+            row[i] = F(rng.randint(-9, 9), rng.randint(1, 7))
+        rows.append(tuple(row))
+    s = Subspace(algebra, rows)
+    assert s.dim == 2
+    assert regularity_matrix(algebra, s) == component_oracle(algebra, s)
 
 
 def test_unipotent_checkerboard_is_isotropic_but_not_regular():
