@@ -216,6 +216,10 @@ class GradedLieAlgebra:
         """Sparse [b_u, b_v] for basis positions."""
         return dict(self._ad[u].get(v, {}))
 
+    def bracket_partners(self, u: int):
+        """The positions v with [b_u, b_v] nonzero, as a read-only view."""
+        return self._ad[u].keys()
+
     def structure_constant(self, u: int, v: int, w: int) -> Fraction:
         """Coefficient of b_w in [b_u, b_v]."""
         return self._ad[u].get(v, {}).get(w, ZERO)
@@ -271,11 +275,11 @@ class Subspace:
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
         self.algebra = algebra
-        reduced = linalg.rref(rows)
-        for row in reduced:
+        rows = list(rows)
+        for row in rows:
             if len(row) != algebra.dimension:
                 raise InputError("row length does not match algebra dimension")
-        self.rows: Matrix = reduced
+        self.rows: Matrix = linalg.rref(rows)
 
     @classmethod
     def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":

@@ -25,16 +25,24 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     """Curvature of the plane spanned by two distinct basis vectors.
 
     Arguments may be labels or indices.  The basis is treated as
-    orthonormal; the value is a sum over all basis directions of quadratic
-    expressions in the structure constants.
+    orthonormal; the value is a sum over the basis directions k of
+    quadratic expressions in the structure constants.  Every term has a
+    factor alpha_ijk, alpha_jki, alpha_kij, alpha_kii or alpha_kjj, and
+    each of those vanishes unless k brackets nontrivially with e_i or e_j
+    or lies in the support of [e_i, e_j], so only those k are summed.
     """
     i = u if isinstance(u, int) else algebra.index(u)
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
     alpha = algebra.structure_constant
+    ks = (
+        algebra.bracket_partners(i)
+        | algebra.bracket_partners(j)
+        | algebra.bracket_basis(i, j).keys()
+    )
     total = ZERO
-    for k in range(algebra.dimension):
+    for k in ks:
         a_ijk = alpha(i, j, k)
         a_jki = alpha(j, k, i)
         a_kij = alpha(k, i, j)

@@ -112,7 +112,9 @@ class InvariantForm:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.degree, tuple(self.terms.items())))
+        # a nonzero form's monomials carry its degree; zero forms of every
+        # degree compare equal, so they must hash alike
+        return hash(tuple(self.terms.items()))
 
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
         if other.algebra is not self.algebra:

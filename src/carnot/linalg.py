@@ -3,6 +3,9 @@
 All routines work on tuples of Fraction and never touch floating point.
 Matrices are row tuples; canonical form is the reduced row echelon form
 with zero rows dropped, which doubles as a canonical basis of a row span.
+Elimination is sparse inside and dense at the interface: ``rref`` holds
+each row as ``{column: Fraction}`` without its zeros, so its cost follows
+the nonzeros rather than the shape, and densifies only its result.
 """
 
 from __future__ import annotations
@@ -35,30 +38,57 @@ def is_zero(x: Vector) -> bool:
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form, zero rows dropped, rows ordered by pivot."""
-    work = [list(Fraction(e) for e in row) for row in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    for row in work:
-        if len(row) != ncols:
+    """Reduced row echelon form, zero rows dropped, rows ordered by pivot.
+
+    Rows are added one at a time to a reduced basis keyed by pivot column:
+    each is reduced by the pivots in its support, normalised on its leading
+    column, and that column is cleared from the earlier pivot rows.  The
+    reduced form is unique, so the order of elimination does not show.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    ncols = None
+    for row in rows:
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
             raise ValueError("ragged matrix")
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
+        new = {}
+        for j, e in enumerate(row):
+            if not isinstance(e, Fraction):
+                e = Fraction(e)
+            if e:
+                new[j] = e
+        # a pivot row is zero on every other pivot column, so one pass over
+        # the pivots in the starting support clears them all
+        for p in [j for j in new if j in pivots]:
+            _subtract(new, new[p], pivots[p])
+        if not new:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [inv * e for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r])
+        lead = min(new)
+        inv = ONE / new[lead]
+        if inv != 1:
+            new = {j: inv * e for j, e in new.items()}
+        for q in pivots.values():
+            if lead in q:
+                _subtract(q, q[lead], new)
+        pivots[lead] = new
+    out = []
+    for p in sorted(pivots):
+        dense = [ZERO] * ncols
+        for j, e in pivots[p].items():
+            dense[j] = e
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def _subtract(target: dict, c: Fraction, row: dict) -> None:
+    """target -= c * row on sparse rows, dropping the entries that cancel."""
+    for j, b in row.items():
+        e = target.get(j, ZERO) - c * b
+        if e:
+            target[j] = e
+        else:
+            del target[j]
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -145,14 +175,15 @@ def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Vector | None:
 def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
     """Canonical basis of the right kernel, one vector per free column.
 
-    ``ncols`` must be supplied when ``rows`` may be empty (no constraints).
+    The column count is read from the rows when there are any; ``ncols``
+    must be supplied when ``rows`` may be empty (no constraints).
     """
+    rows = list(rows)
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        return ()
     reduced = rref(rows)
-    if not reduced:
-        if ncols is None:
-            return ()
-        return tuple(unit_vector(ncols, i) for i in range(ncols))
-    ncols = len(reduced[0])
     pivots = pivot_columns(reduced)
     pivot_set = set(pivots)
     basis = []

@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here imports the implementation routines it is meant to check:
-the bracket oracle sums straight over the label-keyed input table, the
-differential oracle works from the defining alternating sum and calls only
-bracket and form evaluation, the unipotent oracle multiplies actual
-matrices, and the lattice oracles solve a fresh column system for every
-query and sweep all n^2 generator products.
+the bracket and curvature oracles sum straight over the label-keyed input
+table, the elimination oracle is a dense Gauss-Jordan loop on lists of
+Fractions that does not use ``carnot.linalg``, the differential oracle
+works from the defining alternating sum and calls only bracket and form
+evaluation, the unipotent oracle multiplies actual matrices, and the
+lattice oracles solve a fresh column system for every query and sweep all
+n^2 generator products.
 """
 
 from __future__ import annotations
@@ -28,6 +30,109 @@ def naive_bracket(table, basis, x, y) -> tuple:
         for label, c in result.items():
             out[position[label]] += (x[u] * y[v] - x[v] * y[u]) * Fraction(c)
     return tuple(out)
+
+
+def random_table(rng, n):
+    """Antisymmetric table on n labels: each listed pair in a random
+    orientation, results sharing targets, zero coefficients allowed, no
+    Jacobi identity."""
+    basis = ["e%d" % i for i in range(n)]
+    table = {}
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            continue
+        key = (basis[u], basis[v]) if rng.random() < 0.5 else (basis[v], basis[u])
+        targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+        table[key] = {
+            basis[w]: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for w in targets
+        }
+    return basis, table
+
+
+def naive_sectional_curvature(table, basis, i, j) -> Fraction:
+    """Milnor's plane curvature of (e_i, e_j) for the orthonormal basis,
+    summed over every k, with alpha_uvw read from the label-keyed table."""
+    position = {label: p for p, label in enumerate(basis)}
+    alpha = {}
+    for (left, right), result in table.items():
+        u, v = position[left], position[right]
+        for label, c in result.items():
+            w = position[label]
+            alpha[u, v, w] = alpha.get((u, v, w), Fraction(0)) + Fraction(c)
+            alpha[v, u, w] = alpha.get((v, u, w), Fraction(0)) - Fraction(c)
+
+    def a(u, v, w):
+        return alpha.get((u, v, w), Fraction(0))
+
+    total = Fraction(0)
+    for k in range(len(basis)):
+        total += (
+            Fraction(1, 2) * a(i, j, k) * (-a(i, j, k) + a(j, k, i) + a(k, i, j))
+            - Fraction(1, 4)
+            * (a(i, j, k) - a(j, k, i) + a(k, i, j))
+            * (a(i, j, k) + a(j, k, i) - a(k, i, j))
+            - a(k, i, i) * a(k, j, j)
+        )
+    return total
+
+
+def naive_rref(rows) -> tuple:
+    """Dense Gauss-Jordan elimination on lists of Fractions: reduced row
+    echelon form, zero rows dropped, rows ordered by pivot."""
+    work = [list(Fraction(e) for e in row) for row in rows]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    for row in work:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [inv * e for e in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r])
+
+
+def naive_nullspace(rows, ncols) -> tuple:
+    """Right-kernel basis read off ``naive_rref``: one vector per free
+    column, with a 1 there and minus the free column at the pivots."""
+    reduced = naive_rref(rows)
+    pivots = [next(j for j, e in enumerate(row) if e != 0) for row in reduced]
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def naive_inverse(rows):
+    """Inverse of a square matrix from ``naive_rref`` of [A | I], or None."""
+    n = len(rows)
+    augmented = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    reduced = naive_rref(augmented)
+    if len(reduced) < n or any(row[i] != 1 for i, row in enumerate(reduced)):
+        return None
+    return tuple(row[n:] for row in reduced)
 
 
 def naive_differential_value(form, vectors) -> Fraction:

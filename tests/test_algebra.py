@@ -1,6 +1,5 @@
 """Structure validation: brackets, Jacobi, gradings, dilations."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ from helpers import (
     matrix_commutator,
     matrix_to_coords,
     naive_bracket,
+    random_table,
     strict_upper_matrix,
 )
 
@@ -88,23 +88,6 @@ def test_bracket_antisymmetry_and_linearity():
     assert algebra.bracket(j1, k1) == algebra.vector({"K": -1})
     assert algebra.bracket(k1, j1) == algebra.vector({"K": 1})
     assert algebra.bracket(j1, j1) == algebra.zero()
-
-
-def random_table(rng, n):
-    """Antisymmetric table on n labels: each listed pair in a random
-    orientation, results sharing targets, zero coefficients allowed, no
-    Jacobi identity."""
-    basis = ["e%d" % i for i in range(n)]
-    table = {}
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.random() < 0.4:
-            continue
-        key = (basis[u], basis[v]) if rng.random() < 0.5 else (basis[v], basis[u])
-        targets = rng.sample(range(n), rng.randint(1, min(3, n)))
-        table[key] = {
-            basis[w]: F(rng.randint(-4, 4), rng.randint(1, 3)) for w in targets
-        }
-    return basis, table
 
 
 def random_vector(rng, n):
@@ -301,6 +284,14 @@ def test_subspace_contains_and_horizontal():
     assert not s.contains(algebra.basis_vector("i1"))
     assert s.is_horizontal()
     assert not Subspace.from_labels(algebra, ["I"]).is_horizontal()
+
+
+def test_subspace_rejects_short_zero_row():
+    algebra = build("heisenberg_h:1").algebra
+    with pytest.raises(InputError):
+        Subspace(algebra, [[0, 0]])
+    with pytest.raises(InputError):
+        Subspace(algebra, [algebra.basis_vector("h1"), [0] * (algebra.dimension + 1)])
 
 
 def test_subspace_coordinate_labels():

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import (
+    GradedLieAlgebra,
     InputError,
     Subspace,
+    algebra_to_dict,
     build,
     sectional_curvature,
     trichotomy_report,
     two_step_closed_forms,
 )
+from helpers import naive_sectional_curvature, random_table
 
 F = Fraction
 
@@ -61,6 +64,37 @@ def test_closed_forms_agree_with_general_formula(key):
 def test_closed_forms_need_two_steps():
     with pytest.raises(InputError):
         two_step_closed_forms(build("unipotent:4").algebra, 0, 1)
+
+
+def label_table(algebra):
+    """The label-keyed bracket table of an algebra, from its JSON form."""
+    return {
+        (item["left"], item["right"]): {
+            term["basis"]: F(term["coeff"]) for term in item["result"]
+        }
+        for item in algebra_to_dict(algebra)["brackets"]
+    }
+
+
+@pytest.mark.parametrize("key", ["unipotent:5", "heisenberg_c:2"])
+def test_curvature_matches_full_sum_on_catalog(key):
+    algebra = build(key).algebra
+    table = label_table(algebra)
+    for u, v in itertools.permutations(range(algebra.dimension), 2):
+        assert sectional_curvature(algebra, u, v) == naive_sectional_curvature(
+            table, algebra.basis, u, v
+        ), (key, algebra.basis[u], algebra.basis[v])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_curvature_matches_full_sum_on_random_tables(seed):
+    rng = random.Random(seed)
+    basis, table = random_table(rng, rng.randint(2, 7))
+    algebra = GradedLieAlgebra("random", basis, [basis], table)
+    for u, v in itertools.permutations(range(len(basis)), 2):
+        assert sectional_curvature(algebra, u, v) == naive_sectional_curvature(
+            table, basis, u, v
+        )
 
 
 def test_abelian_is_flat():

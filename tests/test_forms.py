@@ -72,6 +72,15 @@ def test_form_arithmetic():
     assert (-2 * a).evaluate([algebra.basis_vector("x1")]) == -2
 
 
+def test_zero_forms_of_every_degree_hash_alike():
+    algebra = build("heisenberg_c:1").algebra
+    zeros = [InvariantForm(algebra, d, {}) for d in (1, 2, 3)]
+    assert zeros[1] == zeros[2]
+    assert len(set(zeros)) == 1
+    one = dual(algebra, "j1")
+    assert len({one, 1 * one, one - one + one}) == 1
+
+
 def test_form_rejects_float_coefficients():
     algebra = build("abelian:3").algebra
     with pytest.raises(InputError):

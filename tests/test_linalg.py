@@ -1,5 +1,6 @@
 """Exact linear algebra kernels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import linalg
+from helpers import naive_inverse, naive_nullspace, naive_rref
 
 F = Fraction
 
@@ -78,6 +80,60 @@ def test_nullspace_no_constraints_gives_identity():
         linalg.unit_vector(3, 1),
         linalg.unit_vector(3, 2),
     )
+
+
+def test_nullspace_of_zero_rows_is_everything():
+    identity = tuple(linalg.unit_vector(3, i) for i in range(3))
+    assert linalg.nullspace([(0, 0, 0)]) == identity
+    assert linalg.nullspace([(0, 0, 0), (0, 0, 0)], ncols=3) == identity
+
+
+def random_entry(rng, density):
+    """Zero with probability 1 - density, else a small rational written as
+    an int, a ``p/q`` string or a Fraction."""
+    if rng.random() >= density:
+        return rng.choice([0, "0", F(0)])
+    num, den = rng.choice([-3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return num * den
+    if kind == 1:
+        return "%d/%d" % (num, den)
+    return F(num, den)
+
+
+ORACLE_SHAPES = [(0, 0), (1, 1), (3, 5), (6, 6), (8, 5), (12, 12)]
+TALL_SHAPE = (300, 20)  # sparse only: the dense oracle is slow on it when full
+
+
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_elimination_matches_dense_oracle(seed, density):
+    rng = random.Random(seed * 1000 + int(density * 100))
+    shapes = ORACLE_SHAPES + ([TALL_SHAPE] if density <= 0.1 else [])
+    for nrows, ncols in shapes:
+        rows = [
+            [random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)
+        ]
+        reduced = linalg.rref(rows)
+        assert reduced == naive_rref(rows)
+        assert all(type(e) is Fraction for row in reduced for e in row)
+        kernel = linalg.nullspace(rows, ncols=ncols)
+        assert kernel == naive_nullspace(rows, ncols)
+        assert all(type(e) is Fraction for row in kernel for e in row)
+        square = [row[:ncols] for row in rows[:ncols]]
+        if len(square) == ncols:
+            inv = linalg.inverse(square)
+            assert inv == naive_inverse(square)
+            if inv is not None:
+                assert all(type(e) is Fraction for row in inv for e in row)
+
+
+def test_rref_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.rref([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.rref([(0, 0, 0), (0, 0)])
 
 
 def test_in_row_span_and_reduce():
