@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import catalog as _catalog
 from .algebra import (
     InputError,
-    NotNilpotentError,
     Subspace,
     hausdorff_dimension,
     jacobi_check,
@@ -56,6 +55,9 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
         labels = [part.strip() for part in args.subspace.split(",") if part.strip()]
         if not labels:
             raise InputError("--subspace needs at least one label")
+        repeated = next((l for i, l in enumerate(labels) if l in labels[:i]), None)
+        if repeated is not None:
+            raise InputError("--subspace lists %r twice" % repeated)
         return Subspace.from_labels(entry.algebra, labels)
     if getattr(args, "subspace_file", None):
         with open(args.subspace_file, "r", encoding="utf-8") as handle:
@@ -65,13 +67,18 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
             raise InputError('subspace file needs {"rows": [[...], ...]}')
         parsed = []
         for row in rows:
+            if not isinstance(row, list):
+                raise InputError("subspace row must be a JSON list, got %r" % (row,))
             if len(row) != entry.algebra.dimension:
                 raise InputError(
                     "subspace row has %d entries, expected %d"
                     % (len(row), entry.algebra.dimension)
                 )
             parsed.append(tuple(parse_coefficient(e) for e in row))
-        return Subspace(entry.algebra, parsed)
+        s = Subspace(entry.algebra, parsed)
+        if s.dim == 0:
+            raise InputError("subspace rows span the zero subspace")
+        return s
     if entry.designated_subspace is not None:
         return entry.designated_subspace
     raise InputError(
@@ -462,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotNilpotentError) as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

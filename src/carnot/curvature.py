@@ -125,14 +125,19 @@ def trichotomy_report(
     order = chosen + first + rest
     names = tuple(algebra.basis[i] for i in order)
 
-    planes = tuple(
-        (algebra.basis[a], algebra.basis[b], sectional_curvature(algebra, a, b))
+    # ``order`` puts ``s`` first, so every pair looked up below is a key
+    curvature = {
+        (a, b): sectional_curvature(algebra, a, b)
         for a, b in itertools.combinations(order, 2)
+    }
+    planes = tuple(
+        (algebra.basis[a], algebra.basis[b], value)
+        for (a, b), value in curvature.items()
     )
 
     flat_bad = []
     for a, b in itertools.combinations(chosen, 2):
-        value = sectional_curvature(algebra, a, b)
+        value = curvature[a, b]
         if value != 0:
             flat_bad.append((algebra.basis[a], algebra.basis[b], value))
     flat = TrichotomyItem(
@@ -149,7 +154,7 @@ def trichotomy_report(
         for j in targets:
             found = None
             for a in chosen:
-                value = sectional_curvature(algebra, a, j)
+                value = curvature[a, j]
                 if (value < 0) if want_negative else (value > 0):
                     found = (algebra.basis[a], algebra.basis[j], value)
                     break

@@ -32,6 +32,26 @@ def naive_bracket(table, basis, x, y) -> tuple:
     return tuple(out)
 
 
+def naive_jacobi(table, basis):
+    """First basis triple u < v < w, as labels, whose cyclic sum
+    [[u, v], w] + [[v, w], u] + [[w, u], v] is nonzero, or None; every
+    bracket is evaluated by ``naive_bracket``."""
+    n = len(basis)
+
+    def unit(i):
+        return tuple(Fraction(int(j == i)) for j in range(n))
+
+    def br(x, y):
+        return naive_bracket(table, basis, x, y)
+
+    for u, v, w in itertools.combinations(range(n), 3):
+        x, y, z = unit(u), unit(v), unit(w)
+        terms = (br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))
+        if any(sum(column) != 0 for column in zip(*terms)):
+            return basis[u], basis[v], basis[w]
+    return None
+
+
 def random_table(rng, n):
     """Antisymmetric table on n labels: each listed pair in a random
     orientation, results sharing targets, zero coefficients allowed, no

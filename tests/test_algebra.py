@@ -1,6 +1,8 @@
 """Structure validation: brackets, Jacobi, gradings, dilations."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from helpers import (
     matrix_commutator,
     matrix_to_coords,
     naive_bracket,
+    naive_jacobi,
     random_table,
     strict_upper_matrix,
 )
@@ -173,6 +176,76 @@ def test_stratification_rejects_weight_violation():
         {("x", "y"): {"z": 1}, ("x", "z"): {"y": 1}},
     )
     assert not stratification_check(algebra)
+
+
+def random_layered_table(rng, kind):
+    """Labels shuffled into 1 to 4 layers of 1 to 3 labels.  ``graded``
+    brackets a pair of layers s and t into random terms of layer s + t (a
+    pair may be left out); ``nearly`` adds one term off the grading to such
+    a table; ``ungraded`` is a ``random_table`` on the same labels."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    basis = ["e%d" % i for i in range(sum(sizes))]
+    shuffled = rng.sample(basis, len(basis))
+    layers = [shuffled[sum(sizes[:d]):sum(sizes[: d + 1])] for d in range(len(sizes))]
+    if kind == "ungraded":
+        return basis, layers, random_table(rng, len(basis))[1]
+    weight = {label: d for d, layer in enumerate(layers, start=1) for label in layer}
+    table = {}
+    for left, right in itertools.combinations(basis, 2):
+        target = weight[left] + weight[right]
+        if target > len(layers) or rng.random() < 0.3:
+            continue
+        terms = rng.sample(layers[target - 1], rng.randint(1, len(layers[target - 1])))
+        table[left, right] = {w: F(rng.randint(-3, 3), rng.randint(1, 2)) for w in terms}
+    if kind == "nearly" and len(basis) > 1:
+        left, right = rng.sample(basis, 2)
+        if (right, left) in table:
+            left, right = right, left
+        # layer 1 is never the target of a bracket
+        table.setdefault((left, right), {})[rng.choice(layers[0])] = F(1)
+    return basis, layers, table
+
+
+def test_jacobi_check_matches_naive_cyclic_sum():
+    outcomes = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        if seed % 2:
+            basis, layers, table = random_layered_table(rng, "graded")
+        else:
+            basis, table = random_table(rng, rng.randint(2, 6))
+            layers = [basis]
+        result = jacobi_check(GradedLieAlgebra("random", basis, layers, table))
+        failing = naive_jacobi(table, basis)
+        assert result.ok == (failing is None)
+        if failing is not None:
+            assert result.detail == "jacobi fails on (%s, %s, %s)" % failing
+        outcomes[result.ok] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+def test_stratification_legs_force_the_lower_central_series():
+    # grading and generation alone decide stratification: whenever both hold,
+    # the series has the declared layers as quotients
+    outcomes = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        kind = ("graded", "nearly", "ungraded")[seed % 3]
+        algebra = GradedLieAlgebra("random", *random_layered_table(rng, kind))
+        result = stratification_check(algebra)
+        if result:
+            sizes = [len(layer) for layer in algebra.layers]
+            want = [sum(sizes[j:]) for j in range(len(sizes) + 1)]
+            assert [s.dim for s in lower_central_series(algebra)] == want
+            assert nilpotency_degree(algebra) == algebra.declared_degree
+            outcomes["pass"] += 1
+        elif result.detail.startswith("bracket ["):
+            assert "grading requires layer" in result.detail
+            outcomes["grading"] += 1
+        else:
+            assert result.detail.startswith("[V_1, V_")
+            outcomes["generation"] += 1
+    assert min(outcomes[k] for k in ("pass", "grading", "generation")) >= 10
 
 
 def test_lower_central_series_dimensions():

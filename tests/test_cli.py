@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import carnot
 from carnot import GradedLieAlgebra, algebra_to_dict, save_algebra
 from carnot.cli import main
 
@@ -125,6 +127,42 @@ def test_certify_needs_some_subspace(capsys):
     code, _, err = run(capsys, "certify", "heisenberg_c:1")
     assert code == 2
     assert "designated" in err
+
+
+def assert_one_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def write_rows(tmp_path, rows):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("rows", [[5], ["100"]])
+def test_subspace_file_rows_must_be_lists(capsys, tmp_path, rows):
+    path = write_rows(tmp_path, rows)
+    code, out, err = run(capsys, "certify", "heisenberg_c:1", "--subspace-file", path)
+    assert_one_error(code, out, err)
+    assert "JSON list" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "predict"])
+def test_duplicated_subspace_label_is_rejected(capsys, command):
+    code, out, err = run(capsys, command, "heisenberg_c:2", "--subspace", "j1,j1")
+    assert_one_error(code, out, err)
+    assert "'j1' twice" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "predict"])
+def test_zero_subspace_file_is_rejected(capsys, tmp_path, command):
+    path = write_rows(tmp_path, [["0", "0", "0"]])
+    code, out, err = run(capsys, command, "heisenberg_c:1", "--subspace-file", path)
+    assert_one_error(code, out, err)
+    assert "zero subspace" in err
 
 
 # -- predict ------------------------------------------------------------------------
@@ -362,7 +400,10 @@ def test_cli_subprocess_determinism():
         "heisenberg_o:2",
         "--json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # run from the directory holding the package under test, so that
+    # ``-m`` finds it without PYTHONPATH
+    root = Path(carnot.__file__).parents[1]
+    first = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
+    second = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     assert first.stdout == second.stdout
     assert first.returncode == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnot import curvature
 from carnot import (
     GradedLieAlgebra,
     InputError,
@@ -140,6 +141,21 @@ def test_trichotomy_holds_for_quaternionic_plane():
     assert len(report.planes) == len(
         list(itertools.combinations(range(algebra.dimension), 2))
     )
+
+
+@pytest.mark.parametrize("key", ["heisenberg_h:2", "heisenberg_o:1"])
+def test_trichotomy_computes_each_plane_once(key, monkeypatch):
+    algebra, s = designated(key)
+    calls = []
+    compute = curvature.sectional_curvature
+
+    def counted(algebra, u, v):
+        calls.append((u, v))
+        return compute(algebra, u, v)
+
+    monkeypatch.setattr(curvature, "sectional_curvature", counted)
+    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    assert len(calls) == len(set(calls)) == len(report.planes)
 
 
 def test_trichotomy_on_a_line():
