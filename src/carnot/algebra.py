@@ -416,14 +416,12 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
     first = algebra.layers[0]
     for depth in range(1, algebra.declared_degree):
         column = {w: k for k, w in enumerate(algebra.layers[depth])}
-        images = []
-        for u in first:
-            for v in algebra.layers[depth - 1]:
-                image = [ZERO] * len(column)
-                for w, c in ad[u].get(v, {}).items():
-                    image[column[w]] = c
-                images.append(image)
-        generated = linalg.rank(images)
+        images = [
+            {column[w]: c for w, c in ad[u].get(v, {}).items()}
+            for u in first
+            for v in algebra.layers[depth - 1]
+        ]
+        generated = linalg.rank(images, len(column))
         if generated != len(column):
             return CheckResult(
                 False,

@@ -226,6 +226,10 @@ def algebra_to_dict(algebra: GradedLieAlgebra) -> dict:
     }
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
     try:
         name = data["name"]
@@ -234,6 +238,15 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         bracket_list = data["brackets"]
     except (KeyError, TypeError) as exc:
         raise InputError("algebra JSON needs name, basis, layers, brackets") from exc
+    # a string is a sequence too: "abc" must not pass as three labels
+    if not isinstance(name, str):
+        raise InputError("algebra name must be a string")
+    if not _is_string_list(basis):
+        raise InputError("basis must be a list of strings")
+    if not isinstance(layers, list) or not all(map(_is_string_list, layers)):
+        raise InputError("layers must be a list of lists of strings")
+    if not isinstance(bracket_list, list):
+        raise InputError("brackets must be a list")
     known = set(basis)
     pairs: dict[tuple[str, str], dict[str, Fraction]] = {}
     for item in bracket_list:

@@ -10,6 +10,7 @@ is still emitted), 2 malformed input or usage.  Output is deterministic;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -388,7 +389,10 @@ def cmd_forms_d(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    unchanged and every option default is immutable, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="carnot",
         description="Exact certification and growth predictions for stratified "

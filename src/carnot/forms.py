@@ -354,13 +354,12 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
                     InvariantForm.dual(algebra, y).wedge(InvariantForm.dual(algebra, x))
                 )
             )
-    monomials = sorted({m for g in generators for m in g.terms})
-    row_of = {m: r for r, m in enumerate(monomials)}
-    matrix = [[ZERO] * len(generators) for _ in monomials]
+    # one sparse row per monomial, in any order: the kernel basis is canonical
+    rows: dict[Monomial, dict[int, Fraction]] = {}
     for col, g in enumerate(generators):
         for m, c in g.terms.items():
-            matrix[row_of[m]][col] = c
-    kernel = linalg.nullspace(matrix, ncols=len(generators))
+            rows.setdefault(m, {})[col] = c
+    kernel = linalg.nullspace(rows.values(), ncols=len(generators))
     return PittetReport(tuple(pairs), len(kernel), kernel)
 
 

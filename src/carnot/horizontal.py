@@ -113,37 +113,40 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
-    form = CurvatureForm(algebra)
-    for a, b in itertools.combinations(range(s.dim), 2):
-        values = form.evaluate(s.rows[a], s.rows[b])
-        if any(c != 0 for c in values):
-            return IsotropyResult(False, (s.rows[a], s.rows[b]))
+    first = set(algebra.layers[0])
+    for x, y in itertools.combinations(s.rows, 2):
+        bracket = algebra.bracket(x, y)
+        if any(c and t not in first for t, c in enumerate(bracket)):
+            return IsotropyResult(False, (x, y))
     return IsotropyResult(True)
 
 
 def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
     """Stacked system matrix: rows (component i, spanning vector q), columns
-    over the first-layer basis; entry is component_i(b_u, X_q)."""
+    over the first-layer basis; entry is component_i(b_u, X_q), read from
+    the adjacency as half the sum of X_q[v] c_uv^t over v in the support of
+    X_q.  First-layer targets t, which only ungraded tables have, are skipped.
+    """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     form = CurvatureForm(algebra)
-    values = [
-        [form.evaluate(algebra.basis_vector(u), xq) for u in form.v1]
-        for xq in s.rows
-    ]
-    return tuple(
-        tuple(value[i] for value in values[q])
-        for i in range(len(form.targets))
-        for q in range(s.dim)
-    )
+    position = {t: i for i, t in enumerate(form.targets)}
+    out = [[ZERO] * len(form.v1) for _ in range(len(form.targets) * s.dim)]
+    for q, xq in enumerate(s.rows):
+        half = {v: HALF * c for v, c in enumerate(xq) if c}
+        for col, u in enumerate(form.v1):
+            for v in algebra.bracket_partners(u) & half.keys():
+                for t, c in algebra.bracket_basis(u, v).items():
+                    i = position.get(t)
+                    if i is not None:
+                        out[i * s.dim + q][col] += half[v] * c
+    return tuple(tuple(row) for row in out)
 
 
 def is_regular(algebra: GradedLieAlgebra, s: Subspace) -> RegularityResult:
     """Full row rank of the stacked system decides regularity."""
-    m = regularity_matrix(algebra, s)
-    form = CurvatureForm(algebra)
-    required = len(form.targets) * s.dim
-    rank = linalg.rank(m)
+    required = (algebra.dimension - len(algebra.layers[0])) * s.dim
+    rank = linalg.rank(regularity_matrix(algebra, s))
     return RegularityResult(rank == required, rank, required)
 
 
@@ -168,16 +171,14 @@ def solve_regularity(
     rhs = [sig[i][q] for i in range(len(form.targets)) for q in range(s.dim)]
     solution = linalg.solve(m, rhs)
     if solution is None:
-        reg = is_regular(algebra, s)
-        raise NoSolutionError(reg.rank, reg.required_rank)
+        raise NoSolutionError(linalg.rank(m), len(rhs))
     xi = [ZERO] * algebra.dimension
     for u, c in zip(form.v1, solution):
         xi[u] = c
     xi_vec = tuple(xi)
-    for i in range(len(form.targets)):
-        for q in range(s.dim):
-            if form.component(i, xi_vec, s.rows[q]) != sig[i][q]:
-                raise AssertionError("regularity solution failed re-evaluation")
+    for q, xq in enumerate(s.rows):
+        if form.evaluate(xi_vec, xq) != tuple(row[q] for row in sig):
+            raise AssertionError("regularity solution failed re-evaluation")
     return xi_vec
 
 

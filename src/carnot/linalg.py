@@ -3,9 +3,10 @@
 All routines work on tuples of Fraction and never touch floating point.
 Matrices are row tuples; canonical form is the reduced row echelon form
 with zero rows dropped, which doubles as a canonical basis of a row span.
-Elimination is sparse inside and dense at the interface: ``rref`` holds
-each row as ``{column: Fraction}`` without its zeros, so its cost follows
-the nonzeros rather than the shape, and densifies only its result.
+Elimination is sparse inside: ``rref`` takes rows dense or as
+``{column: value}`` dicts, holds each as ``{column: Fraction}`` without its
+zeros, so its cost follows the nonzeros rather than the shape, and
+densifies only its result.
 """
 
 from __future__ import annotations
@@ -37,23 +38,30 @@ def is_zero(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
-def rref(rows: Iterable[Sequence]) -> Matrix:
+def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
     """Reduced row echelon form, zero rows dropped, rows ordered by pivot.
 
+    A row is a dense sequence of ``ncols`` entries (by default the first
+    row's length) or a ``{column: value}`` dict, which needs ``ncols``.
     Rows are added one at a time to a reduced basis keyed by pivot column:
     each is reduced by the pivots in its support, normalised on its leading
     column, and that column is cleared from the earlier pivot rows.  The
     reduced form is unique, so the order of elimination does not show.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
-    ncols = None
     for row in rows:
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise ValueError("ragged matrix")
+        if isinstance(row, dict):
+            if ncols is None or (row and (min(row) < 0 or max(row) >= ncols)):
+                raise ValueError("sparse row needs ncols and columns in range(ncols)")
+            entries = row.items()
+        else:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ValueError("ragged matrix")
+            entries = enumerate(row)
         new = {}
-        for j, e in enumerate(row):
+        for j, e in entries:
             if not isinstance(e, Fraction):
                 e = Fraction(e)
             if e:
@@ -91,8 +99,8 @@ def _subtract(target: dict, c: Fraction, row: dict) -> None:
             del target[j]
 
 
-def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
+def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
+    return len(rref(rows, ncols))
 
 
 def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
@@ -163,27 +171,18 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:
     return tuple(solution)
 
 
-def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Vector | None:
-    """Coefficients x with ``sum(x_i * cols_i) = target``, or None."""
-    if not cols:
-        return () if all(Fraction(e) == 0 for e in target) else None
-    n = len(cols[0])
-    rows = tuple(tuple(Fraction(col[i]) for col in cols) for i in range(n))
-    return solve(rows, target)
-
-
-def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
+def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
     """Canonical basis of the right kernel, one vector per free column.
 
-    The column count is read from the rows when there are any; ``ncols``
-    must be supplied when ``rows`` may be empty (no constraints).
+    Without ``ncols`` the column count is read from the first row, which
+    must then be dense; with no rows and no ``ncols`` the kernel is empty.
     """
     rows = list(rows)
-    if rows:
+    if ncols is None and rows and not isinstance(rows[0], dict):
         ncols = len(rows[0])
-    elif ncols is None:
+    reduced = rref(rows, ncols)
+    if ncols is None:
         return ()
-    reduced = rref(rows)
     pivots = pivot_columns(reduced)
     pivot_set = set(pivots)
     basis = []

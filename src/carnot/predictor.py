@@ -121,6 +121,13 @@ class HypothesisBundle:
             raise InputError(
                 "asserted maximal isotropic dimension is below the certified one"
             )
+        # an isotropic subspace is horizontal, so it fits inside V1
+        n1 = len(algebra.layers[0])
+        if k1_max_isotropic is not None and k1_max_isotropic + 1 > n1:
+            raise InputError(
+                "asserted maximal isotropic dimension %d exceeds dim V1 = %d"
+                % (k1_max_isotropic + 1, n1)
+            )
         self.k1_max_isotropic = k1_max_isotropic
 
     @property

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from carnot import linalg
 from carnot.algebra import GradedLieAlgebra
 
 
@@ -68,6 +67,36 @@ def random_table(rng, n):
             for w in targets
         }
     return basis, table
+
+
+def random_layered_table(rng, kind):
+    """Labels shuffled into 1 to 4 layers of 1 to 3 labels.  ``graded``
+    brackets a pair of layers s and t into random terms of layer s + t (a
+    pair may be left out); ``nearly`` adds one term off the grading to such
+    a table; ``ungraded`` is a ``random_table`` on the same labels."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    basis = ["e%d" % i for i in range(sum(sizes))]
+    shuffled = rng.sample(basis, len(basis))
+    layers = [shuffled[sum(sizes[:d]):sum(sizes[: d + 1])] for d in range(len(sizes))]
+    if kind == "ungraded":
+        return basis, layers, random_table(rng, len(basis))[1]
+    weight = {label: d for d, layer in enumerate(layers, start=1) for label in layer}
+    table = {}
+    for left, right in itertools.combinations(basis, 2):
+        target = weight[left] + weight[right]
+        if target > len(layers) or rng.random() < 0.3:
+            continue
+        terms = rng.sample(layers[target - 1], rng.randint(1, len(layers[target - 1])))
+        table[left, right] = {
+            w: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for w in terms
+        }
+    if kind == "nearly" and len(basis) > 1:
+        left, right = rng.sample(basis, 2)
+        if (right, left) in table:
+            left, right = right, left
+        # layer 1 is never the target of a bracket
+        table.setdefault((left, right), {})[rng.choice(layers[0])] = Fraction(1)
+    return basis, layers, table
 
 
 def naive_sectional_curvature(table, basis, i, j) -> Fraction:
@@ -172,11 +201,20 @@ def naive_differential_value(form, vectors) -> Fraction:
 
 
 def naive_membership(generators, v):
-    """Integer coordinates of v in the generators by a fresh solve, or None."""
-    coeffs = linalg.solve_columns(generators, v)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    """Integer coordinates of v in the generators by a fresh solve, or None:
+    ``naive_rref`` of the column system [generators | v], free variables
+    set to zero."""
+    k = len(generators)
+    augmented = [[g[i] for g in generators] + [v[i]] for i in range(len(v))]
+    coeffs = [Fraction(0)] * k
+    for row in naive_rref(augmented):
+        p = next(j for j, e in enumerate(row) if e != 0)
+        if p == k:
+            return None
+        coeffs[p] = row[k]
+    if any(c.denominator != 1 for c in coeffs):
         return None
-    return coeffs
+    return tuple(coeffs)
 
 
 def naive_group_closure(spec) -> tuple[bool, str]:

@@ -1,6 +1,5 @@
 """Structure validation: brackets, Jacobi, gradings, dilations."""
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +30,7 @@ from helpers import (
     matrix_to_coords,
     naive_bracket,
     naive_jacobi,
+    random_layered_table,
     random_table,
     strict_upper_matrix,
 )
@@ -176,34 +176,6 @@ def test_stratification_rejects_weight_violation():
         {("x", "y"): {"z": 1}, ("x", "z"): {"y": 1}},
     )
     assert not stratification_check(algebra)
-
-
-def random_layered_table(rng, kind):
-    """Labels shuffled into 1 to 4 layers of 1 to 3 labels.  ``graded``
-    brackets a pair of layers s and t into random terms of layer s + t (a
-    pair may be left out); ``nearly`` adds one term off the grading to such
-    a table; ``ungraded`` is a ``random_table`` on the same labels."""
-    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-    basis = ["e%d" % i for i in range(sum(sizes))]
-    shuffled = rng.sample(basis, len(basis))
-    layers = [shuffled[sum(sizes[:d]):sum(sizes[: d + 1])] for d in range(len(sizes))]
-    if kind == "ungraded":
-        return basis, layers, random_table(rng, len(basis))[1]
-    weight = {label: d for d, layer in enumerate(layers, start=1) for label in layer}
-    table = {}
-    for left, right in itertools.combinations(basis, 2):
-        target = weight[left] + weight[right]
-        if target > len(layers) or rng.random() < 0.3:
-            continue
-        terms = rng.sample(layers[target - 1], rng.randint(1, len(layers[target - 1])))
-        table[left, right] = {w: F(rng.randint(-3, 3), rng.randint(1, 2)) for w in terms}
-    if kind == "nearly" and len(basis) > 1:
-        left, right = rng.sample(basis, 2)
-        if (right, left) in table:
-            left, right = right, left
-        # layer 1 is never the target of a bracket
-        table.setdefault((left, right), {})[rng.choice(layers[0])] = F(1)
-    return basis, layers, table
 
 
 def test_jacobi_check_matches_naive_cyclic_sum():

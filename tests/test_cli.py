@@ -234,6 +234,37 @@ def test_predict_max_isotropic_validation(capsys):
     assert "positive dimension" in err
 
 
+@pytest.mark.parametrize("value", ["9", "100"])
+def test_predict_max_isotropic_above_first_layer(capsys, value):
+    # dim V1 = 8 for heisenberg_h:2, and an isotropic subspace is horizontal
+    code, out, err = run(
+        capsys, "predict", "heisenberg_h:2", "--max-isotropic", value
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: asserted maximal isotropic dimension %s exceeds dim V1 = 8" % value
+    ]
+
+
+def test_predict_max_isotropic_at_first_layer_dimension(capsys):
+    code, out, _ = run(capsys, "predict", "heisenberg_h:2", "--max-isotropic", "8")
+    assert code == 0
+    assert "asserted maximal isotropic dimension: 8 (k1 = 7)" in out
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once per process; nothing parsed may carry over
+    run(capsys, "predict", "heisenberg_h:2", "--max-isotropic", "2")
+    code, out, _ = run(capsys, "predict", "heisenberg_h:2")
+    assert code == 0
+    assert "asserted maximal" not in out
+    run_json(capsys, "check", "heisenberg_h:2")
+    code, out, _ = run(capsys, "check", "heisenberg_h:2")
+    assert code == 0
+    assert out.startswith("source: heisenberg_h:2\n")
+
+
 # -- curvature ----------------------------------------------------------------------
 
 
@@ -371,6 +402,39 @@ def test_malformed_catalog_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("basis", "abc"),
+        ("layers", ["ab", "c"]),
+        ("layers", "abc"),
+        ("layers", 5),
+        ("basis", ["a", "b", 3]),
+        ("name", ["x"]),
+        ("brackets", {"left": "a"}),
+        ("brackets", "ab"),
+    ],
+)
+def test_algebra_file_rejects_strings_and_scalars_for_lists(
+    capsys, tmp_path, field, value
+):
+    data = {
+        "name": "strings",
+        "basis": ["a", "b", "c"],
+        "layers": [["a", "b"], ["c"]],
+        "brackets": [
+            {"left": "a", "right": "b", "result": [{"basis": "c", "coeff": "1"}]}
+        ],
+    }
+    data[field] = value
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_saved_entry_round_trips_through_cli(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Curvature form, isotropy, regularity, and the subspace search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from carnot import (
+    GradedLieAlgebra,
     InputError,
     NoSolutionError,
     SearchBudget,
@@ -20,6 +22,7 @@ from carnot import (
     search_certified_subspace,
     solve_regularity,
 )
+from helpers import naive_rref, random_layered_table
 
 F = Fraction
 
@@ -130,18 +133,70 @@ def test_regularity_matrix_matches_components_on_designated(entry):
     assert regularity_matrix(entry.algebra, s) == component_oracle(entry.algebra, s)
 
 
-def test_regularity_matrix_matches_components_on_dense_rational_subspace():
-    algebra = build("heisenberg_h:2").algebra
-    rng = random.Random(7)
+def random_horizontal_rows(rng, algebra, count):
+    """``count`` dense rational rows supported on the first layer."""
     rows = []
-    for _ in range(2):
+    for _ in range(count):
         row = [F(0)] * algebra.dimension
         for i in algebra.layers[0]:
             row[i] = F(rng.randint(-9, 9), rng.randint(1, 7))
         rows.append(tuple(row))
-    s = Subspace(algebra, rows)
+    return rows
+
+
+def test_regularity_matrix_matches_components_on_dense_rational_subspace():
+    algebra = build("heisenberg_h:2").algebra
+    s = Subspace(algebra, random_horizontal_rows(random.Random(7), algebra, 2))
     assert s.dim == 2
     assert regularity_matrix(algebra, s) == component_oracle(algebra, s)
+
+
+@pytest.mark.parametrize("kind", ["graded", "ungraded"])
+def test_certificates_match_components_on_random_tables(kind):
+    # ungraded tables give [b_u, X_q] first-layer components, which belong
+    # to no curvature component and must be skipped
+    outcomes = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        algebra = GradedLieAlgebra("random", *random_layered_table(rng, kind))
+        form = curvature_form(algebra)
+        k = rng.randint(1, len(algebra.layers[0]))
+        s = Subspace(algebra, random_horizontal_rows(rng, algebra, k))
+        oracle = component_oracle(algebra, s)
+        assert regularity_matrix(algebra, s) == oracle
+        result = is_regular(algebra, s)
+        assert result.rank == len(naive_rref(oracle))
+        assert result.required_rank == len(oracle)
+
+        offending = [
+            (x, y)
+            for a, x in enumerate(s.rows)
+            for y in s.rows[a + 1:]
+            if any(form.evaluate(x, y))
+        ]
+        isotropy = is_isotropic(algebra, s)
+        assert isotropy.isotropic == (not offending)
+        assert isotropy.witness == (offending[0] if offending else None)
+
+        if rng.random() < 0.5:
+            xi = random_horizontal_rows(rng, algebra, 1)[0]
+            sigma = [[form.component(i, xi, row) for row in s.rows]
+                     for i in range(len(form.targets))]
+        else:
+            sigma = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in s.rows]
+                     for _ in form.targets]
+        try:
+            solution = solve_regularity(algebra, s, sigma)
+        except NoSolutionError as err:
+            assert (err.rank, err.required_rank) == (result.rank, result.required_rank)
+            assert not result.regular
+            outcomes["unsolved"] += 1
+            continue
+        for i in range(len(form.targets)):
+            for q, row in enumerate(s.rows):
+                assert form.component(i, solution, row) == sigma[i][q]
+        outcomes["solved"] += 1
+    assert outcomes["solved"] >= 10 and outcomes["unsolved"] >= 10, outcomes
 
 
 def test_unipotent_checkerboard_is_isotropic_but_not_regular():

@@ -48,12 +48,6 @@ def test_solve_inconsistent_returns_none():
     assert linalg.solve([(1, 1), (2, 2)], (1, 3)) is None
 
 
-def test_solve_columns():
-    cols = [(1, 0, 0), (1, 1, 0)]
-    assert linalg.solve_columns(cols, (3, 2, 0)) == (F(1), F(2))
-    assert linalg.solve_columns(cols, (0, 0, 1)) is None
-
-
 def test_inverse_and_mat_vec():
     rows = [(2, 1), (1, 1)]
     inv = linalg.inverse(rows)
@@ -121,6 +115,14 @@ def test_elimination_matches_dense_oracle(seed, density):
         kernel = linalg.nullspace(rows, ncols=ncols)
         assert kernel == naive_nullspace(rows, ncols)
         assert all(type(e) is Fraction for row in kernel for e in row)
+        # the same matrix as {column: value} rows, zeros written or not
+        sparse = [
+            {j: e for j, e in enumerate(row) if e != 0 or (i + j) % 3 == 0}
+            for i, row in enumerate(rows)
+        ]
+        assert linalg.rref(sparse, ncols) == reduced
+        assert linalg.rank(sparse, ncols) == len(reduced)
+        assert linalg.nullspace(sparse, ncols) == kernel
         square = [row[:ncols] for row in rows[:ncols]]
         if len(square) == ncols:
             inv = linalg.inverse(square)
@@ -134,6 +136,24 @@ def test_rref_rejects_ragged_rows():
         linalg.rref([(1, 2), (3,)])
     with pytest.raises(ValueError, match="ragged matrix"):
         linalg.rref([(0, 0, 0), (0, 0)])
+
+
+def test_sparse_rows_are_checked_against_ncols():
+    with pytest.raises(ValueError, match="range"):
+        linalg.rref([{0: 1}, {3: 1}], 3)
+    with pytest.raises(ValueError, match="range"):
+        linalg.rank([{-1: 2}], 3)
+    with pytest.raises(ValueError, match="needs ncols"):
+        linalg.rref([{0: 1}])
+    with pytest.raises(ValueError, match="needs ncols"):
+        linalg.nullspace([{0: 1}])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.rref([(1, 0)], 3)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.nullspace([{0: 1}, (1, 0)], ncols=3)
+    # rows of both kinds mix, and an empty dict is a zero row
+    mixed = linalg.rref([{2: 3}, (0, 1, 1), {}], 3)
+    assert mixed == ((F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
 
 def test_in_row_span_and_reduce():

@@ -54,6 +54,13 @@ def test_assertion_below_certified_dimension_rejected():
         bundle_for("heisenberg_h:2", k1_max_isotropic=0)
 
 
+def test_assertion_above_first_layer_rejected():
+    # dim V1 = 8 bounds every isotropic subspace of heisenberg_h:2
+    with pytest.raises(InputError, match="exceeds dim V1 = 8"):
+        bundle_for("heisenberg_h:2", k1_max_isotropic=8)
+    assert bundle_for("heisenberg_h:2", k1_max_isotropic=7).k1_max_isotropic == 7
+
+
 def test_lattice_flag_defaults_by_degree():
     assert bundle_for("heisenberg_h:1").lattice_scalable
     assert not bundle_for("unipotent:4", labels=["E12", "E34"]).lattice_scalable
