@@ -7,12 +7,14 @@ constants are held once, as a sparse adjacency ``ad[u][v] = {w: c}`` for
 bracket to zero absent; the bracket, the structure pairs, single
 constants and the Jacobi and stratification checks all read it.
 Coefficients are Fractions throughout, so every decision this module makes
-(ranks, spans, equalities) is exact.
+(ranks, spans, equalities) is exact.  Curvature and the differential read
+the same adjacency scaled to integers (``GradedLieAlgebra.integer_view``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +63,10 @@ def coefficient(value) -> Fraction:
     """Exact value of an int, a Fraction or a coefficient string.
 
     Floats are rejected rather than converted, since their binary expansion
-    is not the number the caller wrote.
+    is not the number the caller wrote.  A Fraction is returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         return parse_coefficient(value)
     if isinstance(value, float):
@@ -71,6 +75,46 @@ def coefficient(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad coefficient %r" % (value,)) from exc
+
+
+@dataclass(frozen=True)
+class IntegerView:
+    """The adjacency scaled to integers, for sums of many products of
+    structure constants that divide once at the end.  Read-only: the dicts
+    are shared by every caller.
+
+    ``denominator`` is D, the lcm of the constants' denominators;
+    ``ad[u][v][w]`` is D times the coefficient of b_w in [b_u, b_v], both
+    orientations; ``into[w]`` lists (u, v, D * c) for each u < v whose
+    bracket has the component c b_w, in lexicographic order of (u, v).
+    """
+
+    denominator: int
+    ad: tuple[dict[int, dict[int, int]], ...]
+    into: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+def build_integer_view(
+    ad: Sequence[Mapping[int, Mapping[int, Fraction]]]
+) -> IntegerView:
+    """Build the ``IntegerView`` of a Fraction adjacency."""
+    d = math.lcm(
+        *(c.denominator for row in ad for entry in row.values() for c in entry.values())
+    )
+    scaled = tuple(
+        {
+            v: {w: c.numerator * (d // c.denominator) for w, c in entry.items()}
+            for v, entry in row.items()
+        }
+        for row in ad
+    )
+    into: list[list[tuple[int, int, int]]] = [[] for _ in ad]
+    for u, row in enumerate(scaled):
+        for v, entry in sorted(row.items()):
+            if u < v:
+                for w, c in entry.items():
+                    into[w].append((u, v, c))
+    return IntegerView(d, scaled, tuple(map(tuple, into)))
 
 
 def require_two_step(algebra: GradedLieAlgebra, what: str) -> None:
@@ -150,6 +194,7 @@ class GradedLieAlgebra:
                 ad[u][v] = entry
                 ad[v][u] = {w: -c for w, c in entry.items()}
         self._ad = ad
+        self._integer_view: IntegerView | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -183,6 +228,14 @@ class GradedLieAlgebra:
             for v, entry in sorted(row.items())
             if u < v
         )
+
+    def integer_view(self) -> IntegerView:
+        """The adjacency over the integers (see ``IntegerView``), built on
+        the first call and kept on this instance, so it lives and dies with
+        the algebra."""
+        if self._integer_view is None:
+            self._integer_view = build_integer_view(self._ad)
+        return self._integer_view
 
     # -- vectors ---------------------------------------------------------
 

@@ -255,6 +255,11 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
             result = item["result"]
         except (KeyError, TypeError) as exc:
             raise InputError("bracket entries need left, right, result") from exc
+        # labels become dict keys: a list here would not even hash
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise InputError("bracket left and right must be label strings")
+        if not isinstance(result, list):
+            raise InputError("bracket result must be a list of terms")
         for label in (left, right):
             if label not in known:
                 raise InputError("bracket references unknown label %r" % label)
@@ -269,6 +274,8 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
                 label, coeff = term["basis"], term["coeff"]
             except (KeyError, TypeError) as exc:
                 raise InputError("bracket result terms need basis and coeff") from exc
+            if not isinstance(label, str):
+                raise InputError("bracket result basis must be a label string")
             if label not in known:
                 raise InputError("bracket result references unknown label %r" % label)
             entry[label] = entry.get(label, Fraction(0)) + parse_coefficient(coeff)

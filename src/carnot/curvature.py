@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
-from .linalg import HALF, ZERO
+from .linalg import ZERO
 
+_EMPTY: dict = {}
 QUARTER = Fraction(1, 4)
 THREE_QUARTERS = Fraction(3, 4)
 
@@ -30,30 +31,35 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     factor alpha_ijk, alpha_jki, alpha_kij, alpha_kii or alpha_kjj, and
     each of those vanishes unless k brackets nontrivially with e_i or e_j
     or lies in the support of [e_i, e_j], so only those k are summed.
+
+    The sum runs in integers over the algebra's ``integer_view``: with D
+    the common denominator, every A = D * alpha is an integer, and four
+    times each term is an integer polynomial of degree 2 in the A's, that
+    is 4 D^2 times the term.  So the exact value is the integer total
+    divided once by 4 D^2, and only that last step makes a Fraction.
     """
     i = u if isinstance(u, int) else algebra.index(u)
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
-    alpha = algebra.structure_constant
-    ks = (
-        algebra.bracket_partners(i)
-        | algebra.bracket_partners(j)
-        | algebra.bracket_basis(i, j).keys()
-    )
-    total = ZERO
-    for k in ks:
-        a_ijk = alpha(i, j, k)
-        a_jki = alpha(j, k, i)
-        a_kij = alpha(k, i, j)
-        a_kii = alpha(k, i, i)
-        a_kjj = alpha(k, j, j)
+    view = algebra.integer_view()
+    ad = view.ad
+    row_i, row_j = ad[i], ad[j]
+    ij = row_i.get(j, _EMPTY)
+    total = 0
+    for k in row_i.keys() | row_j.keys() | ij.keys():
+        row_k = ad[k]
+        ki = row_k.get(i, _EMPTY)
+        kj = row_k.get(j, _EMPTY)
+        a_ijk = ij.get(k, 0)
+        a_jki = row_j.get(k, _EMPTY).get(i, 0)
+        a_kij = ki.get(j, 0)
         total += (
-            HALF * a_ijk * (-a_ijk + a_jki + a_kij)
-            - QUARTER * (a_ijk - a_jki + a_kij) * (a_ijk + a_jki - a_kij)
-            - a_kii * a_kjj
+            2 * a_ijk * (-a_ijk + a_jki + a_kij)
+            - (a_ijk - a_jki + a_kij) * (a_ijk + a_jki - a_kij)
+            - 4 * ki.get(i, 0) * kj.get(j, 0)
         )
-    return total
+    return Fraction(total, 4 * view.denominator ** 2)
 
 
 def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:

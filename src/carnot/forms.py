@@ -219,32 +219,41 @@ def differential(form: InvariantForm) -> InvariantForm:
     pair (u, v), provided neither u nor v already occurs.  The sign is the
     pair-position sign from the defining sum times the parity of moving w
     to the front of its monomial; the whole result carries 1/(p+1)!.
+
+    Only the pairs bracketing into each w of a monomial are visited, read
+    from the algebra's ``integer_view``.  With E the common denominator of
+    the form's coefficients and D that of the structure constants, each
+    product coeff * c is an integer over E * D, so every output
+    coefficient is an integer sum divided once by E * D * (p+1)!: exact,
+    with one Fraction per output monomial, and a monomial whose integer
+    sum cancels is absent.
     """
     algebra = form.algebra
     p = form.degree
     if p >= algebra.dimension:
         return InvariantForm(algebra, min(p + 1, algebra.dimension), {})
-    pairs = algebra.structure_pairs()
-    out: dict[Monomial, Fraction] = {}
+    view = algebra.integer_view()
+    into = view.into
+    e = math.lcm(*(c.denominator for c in form.terms.values()))
+    out: dict[Monomial, int] = {}
     for mono, coeff in form.terms.items():
         members = set(mono)
-        for u, v, entry in pairs:
-            for w, c in entry.items():
-                if w not in members:
-                    continue
+        scaled = coeff.numerator * (e // coeff.denominator)
+        for pos_w, w in enumerate(mono):
+            rest = mono[:pos_w] + mono[pos_w + 1 :]
+            signed = -scaled if pos_w % 2 else scaled
+            for u, v, c in into[w]:
                 if (u in members and u != w) or (v in members and v != w):
                     continue
-                rest = tuple(i for i in mono if i != w)
-                pos_w = mono.index(w)
-                # stored pairs always have u < v, so the merge parity below
-                # equals the pair-position sign (-1)^(i+j+1) of the sum
+                # neither u nor v is in ``rest``, so the merge never
+                # repeats; stored pairs have u < v, so its parity equals
+                # the pair-position sign (-1)^(i+j+1) of the sum
                 merged, sign = _merge_sign(rest, (u, v))
-                if sign == 0:
-                    continue
-                total_sign = sign * (-1) ** pos_w
-                out[merged] = out.get(merged, ZERO) + total_sign * coeff * c
-    scale = Fraction(1, math.factorial(p + 1))
-    return InvariantForm(algebra, p + 1, {m: scale * c for m, c in out.items()})
+                out[merged] = out.get(merged, 0) + sign * signed * c
+    scale = e * view.denominator * math.factorial(p + 1)
+    return InvariantForm(
+        algebra, p + 1, {m: Fraction(n, scale) for m, n in out.items() if n}
+    )
 
 
 @dataclass(frozen=True)

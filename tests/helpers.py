@@ -99,6 +99,18 @@ def random_layered_table(rng, kind):
     return basis, layers, table
 
 
+def coprime_table():
+    """A valid 2-step table whose constants have the coprime denominators 7,
+    11 and 13: [a, b] = z/7 + 2y/11 and [a, c] = 5z/13, so their common
+    denominator is 1001.  Returns (basis, layers, table)."""
+    basis = ["a", "b", "c", "y", "z"]
+    table = {
+        ("a", "b"): {"z": Fraction(1, 7), "y": Fraction(2, 11)},
+        ("a", "c"): {"z": Fraction(5, 13)},
+    }
+    return basis, [["a", "b", "c"], ["y", "z"]], table
+
+
 def naive_sectional_curvature(table, basis, i, j) -> Fraction:
     """Milnor's plane curvature of (e_i, e_j) for the orthonormal basis,
     summed over every k, with alpha_uvw read from the label-keyed table."""
@@ -264,15 +276,18 @@ def matrix_to_coords(m, algebra: GradedLieAlgebra):
     return tuple(coords)
 
 
-def random_form(rng, algebra, degree, max_terms=3, bound=4):
-    """Sparse random form with small integer coefficients."""
+def random_form(rng, algebra, degree, max_terms=3, bound=4, denominators=None):
+    """Sparse random form with small integer coefficients, or with
+    coefficients k/q for q drawn from ``denominators`` when it is given."""
     from carnot.forms import InvariantForm
 
     n = algebra.dimension
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(sorted(rng.sample(range(n), degree)))
-        terms[mono] = Fraction(rng.randint(-bound, bound))
+        k = rng.randint(-bound, bound)
+        q = 1 if denominators is None else rng.choice(denominators)
+        terms[mono] = Fraction(k, q)
     return InvariantForm(algebra, degree, terms)
 
 

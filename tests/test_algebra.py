@@ -1,5 +1,6 @@
 """Structure validation: brackets, Jacobi, gradings, dilations."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from carnot import (
     unipotent,
 )
 from helpers import (
+    coprime_table,
     matrix_commutator,
     matrix_to_coords,
     naive_bracket,
@@ -119,6 +121,35 @@ def test_bracket_matches_naive_sum_on_random_tables(seed):
             }
             assert all(algebra.structure_constant(u, v, w) == want[w] for w in range(n))
     assert algebra_from_dict(algebra_to_dict(algebra)) == algebra
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_view_scales_the_adjacency(seed):
+    rng = random.Random(seed)
+    if seed == 0:
+        basis, layers, table = coprime_table()
+    else:
+        basis, layers, table = random_layered_table(rng, "ungraded")
+    algebra = GradedLieAlgebra("random", basis, layers, table)
+    view = algebra.integer_view()
+    assert algebra.integer_view() is view
+    denominators = [c.denominator for result in table.values() for c in result.values()]
+    assert view.denominator == math.lcm(*denominators)
+    if seed == 0:
+        assert view.denominator == 1001
+    n = algebra.dimension
+    into = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            scaled = {
+                w: view.denominator * c for w, c in algebra.bracket_basis(u, v).items()
+            }
+            assert view.ad[u].get(v, {}) == scaled
+            assert all(type(c) is int for c in view.ad[u].get(v, {}).values())
+            if u < v:
+                for w, c in scaled.items():
+                    into[w].append((u, v, c))
+    assert view.into == tuple(map(tuple, into))
 
 
 # -- unipotent family against the matrix commutator oracle ------------------

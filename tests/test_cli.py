@@ -437,6 +437,28 @@ def test_algebra_file_rejects_strings_and_scalars_for_lists(
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        {"left": ["a"], "right": "b", "result": [{"basis": "c", "coeff": "1"}]},
+        {"left": "a", "right": ["b"], "result": [{"basis": "c", "coeff": "1"}]},
+        {"left": "a", "right": "b", "result": [{"basis": ["c"], "coeff": "1"}]},
+        {"left": "a", "right": "b", "result": 5},
+    ],
+    ids=["left", "right", "result-basis", "result-scalar"],
+)
+def test_algebra_file_rejects_unhashable_bracket_labels(capsys, tmp_path, bracket):
+    data = {
+        "name": "lists",
+        "basis": ["a", "b", "c"],
+        "layers": [["a", "b"], ["c"]],
+        "brackets": [bracket],
+    }
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert_one_error(*run(capsys, "check", str(path)))
+
+
 def test_saved_entry_round_trips_through_cli(capsys, tmp_path):
     from carnot import build
 

@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnot import algebra as algebra_module
 from carnot import curvature
 from carnot import (
     GradedLieAlgebra,
     InputError,
+    InvariantForm,
     Subspace,
     algebra_to_dict,
     build,
+    differential,
+    pittet_kernel,
     sectional_curvature,
     trichotomy_report,
     two_step_closed_forms,
 )
-from helpers import naive_sectional_curvature, random_table
+from helpers import coprime_table, naive_sectional_curvature, random_table
 
 F = Fraction
 
@@ -93,9 +97,34 @@ def test_curvature_matches_full_sum_on_random_tables(seed):
     basis, table = random_table(rng, rng.randint(2, 7))
     algebra = GradedLieAlgebra("random", basis, [basis], table)
     for u, v in itertools.permutations(range(len(basis)), 2):
-        assert sectional_curvature(algebra, u, v) == naive_sectional_curvature(
-            table, basis, u, v
-        )
+        value = sectional_curvature(algebra, u, v)
+        assert type(value) is Fraction
+        assert value == naive_sectional_curvature(table, basis, u, v)
+
+
+def test_curvature_with_coprime_denominators_matches_full_sum():
+    basis, layers, table = coprime_table()
+    algebra = GradedLieAlgebra("coprime", basis, layers, table)
+    assert algebra.integer_view().denominator == 1001
+    for u, v in itertools.permutations(range(len(basis)), 2):
+        value = sectional_curvature(algebra, u, v)
+        assert type(value) is Fraction
+        assert value == naive_sectional_curvature(table, basis, u, v)
+        assert value == two_step_closed_forms(algebra, u, v)
+
+
+def test_closed_forms_agree_on_rational_two_step_algebra():
+    # [a, b] = z and [a, c] = z/3
+    basis = ["a", "b", "c", "z"]
+    table = {("a", "b"): {"z": 1}, ("a", "c"): {"z": F(1, 3)}}
+    algebra = GradedLieAlgebra("rational", basis, [["a", "b", "c"], ["z"]], table)
+    for u, v in itertools.combinations(range(4), 2):
+        value = sectional_curvature(algebra, u, v)
+        assert type(value) is Fraction
+        assert value == two_step_closed_forms(algebra, u, v)
+        assert value == naive_sectional_curvature(table, basis, u, v)
+    assert sectional_curvature(algebra, "a", "c") == F(-1, 12)
+    assert sectional_curvature(algebra, "a", "z") == F(5, 18)
 
 
 def test_abelian_is_flat():
@@ -216,3 +245,33 @@ def test_trichotomy_input_requirements():
     mixed = Subspace(algebra, [(F(1), F(1), F(0))])
     with pytest.raises(InputError):
         trichotomy_report(algebra, mixed)
+
+
+# -- the integer view lives on its algebra -------------------------------------------
+
+
+def test_integer_view_is_built_once_per_algebra(monkeypatch):
+    built = []
+    build_view = algebra_module.build_integer_view
+
+    def counted(ad):
+        built.append(ad)
+        return build_view(ad)
+
+    monkeypatch.setattr(algebra_module, "build_integer_view", counted)
+    algebra, s = designated("heisenberg_o:2")
+    trichotomy_report(algebra, s, maximal_asserted=True)
+    pittet_kernel(algebra)
+    assert len(built) == 1
+
+
+def test_algebras_with_equal_hashes_keep_their_own_constants():
+    basis, layers = ["a", "b", "z"], [["a", "b"], ["z"]]
+    one = GradedLieAlgebra("twin", basis, layers, {("a", "b"): {"z": 1}})
+    two = GradedLieAlgebra("twin", basis, layers, {("a", "b"): {"z": F(2, 3)}})
+    assert hash(one) == hash(two) and one != two
+    for _ in range(2):
+        assert sectional_curvature(one, "a", "b") == F(-3, 4)
+        assert sectional_curvature(two, "a", "b") == F(-1, 3)
+        assert differential(InvariantForm.dual(one, "z")).terms == {(0, 1): F(1, 2)}
+        assert differential(InvariantForm.dual(two, "z")).terms == {(0, 1): F(1, 3)}

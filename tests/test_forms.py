@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import (
+    GradedLieAlgebra,
     InputError,
     InvariantForm,
     Subspace,
@@ -24,7 +25,14 @@ from carnot import (
     wedge,
 )
 from carnot import linalg
-from helpers import basis_tuples, naive_differential_value, random_form
+from helpers import (
+    basis_tuples,
+    coprime_table,
+    naive_differential_value,
+    random_form,
+    random_layered_table,
+    random_table,
+)
 
 F = Fraction
 
@@ -150,6 +158,45 @@ def test_differential_of_random_forms_matches_defining_sum(key, degree):
         for combo in sample:
             vectors = [basis[t] for t in combo]
             assert d.evaluate(vectors) == naive_differential_value(form, vectors)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_differential_with_rational_constants_matches_defining_sum(seed):
+    rng = random.Random(seed)
+    basis, table = random_table(rng, rng.randint(3, 6))
+    tables = [
+        coprime_table(),
+        random_layered_table(rng, "graded"),
+        random_layered_table(rng, "ungraded"),
+        (basis, [basis], table),
+    ]
+    for basis, layers, table in tables:
+        algebra = GradedLieAlgebra("rational", basis, layers, table)
+        vectors = [algebra.basis_vector(i) for i in range(algebra.dimension)]
+        for degree in range(1, min(3, algebra.dimension - 1) + 1):
+            form = random_form(rng, algebra, degree, denominators=(2, 3, 5, 9))
+            d = differential(form)
+            assert all(type(c) is Fraction for c in d.terms.values())
+            tuples = list(basis_tuples(algebra, degree + 1))
+            sample = tuples if len(tuples) <= 60 else rng.sample(tuples, 60)
+            for combo in sample:
+                args = [vectors[t] for t in combo]
+                assert d.evaluate(args) == naive_differential_value(form, args)
+
+
+def test_differential_drops_monomials_whose_sum_cancels():
+    # d z* = (1/14) a*^b* + (5/26) a*^c* and d y* = (1/11) a*^b*, so
+    # (2/11) z* - (1/7) y* cancels on a*^b*: E = 77 and D = 1001
+    algebra = GradedLieAlgebra("coprime", *coprime_table())
+    idx = algebra.index
+    form = InvariantForm(algebra, 1, {(idx("z"),): F(2, 11), (idx("y"),): F(-1, 7)})
+    d = differential(form)
+    assert d.terms == {(idx("a"), idx("c")): F(5, 143)}
+    assert all(type(c) is Fraction for c in d.terms.values())
+    assert differential(InvariantForm.dual(algebra, "z")).terms == {
+        (idx("a"), idx("b")): F(1, 14),
+        (idx("a"), idx("c")): F(5, 26),
+    }
 
 
 def test_differential_mixed_layer_example():
