@@ -2,13 +2,15 @@
 
 A graded algebra is described by a basis, an ordered partition of that basis
 into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
-constants are held once, as a sparse adjacency ``ad[u][v] = {w: c}`` for
-[b_u, b_v] = sum of c b_w, with both orientations stored and pairs that
-bracket to zero absent; the bracket, the structure pairs, single
-constants and the Jacobi and stratification checks all read it.
-Coefficients are Fractions throughout, so every decision this module makes
-(ranks, spans, equalities) is exact.  Curvature and the differential read
-the same adjacency scaled to integers (``GradedLieAlgebra.integer_view``).
+constants are held once, as integers over one common denominator D, the lcm
+of their denominators: ``adjacency[u][v] = {w: A}`` for
+[b_u, b_v] = sum of (A / D) b_w, with both orientations stored and pairs
+that bracket to zero absent, and ``into[w]`` lists (u, v, A) for each
+u < v whose bracket has the component (A / D) b_w.  Sums of many products
+(Jacobi, curvature, the differential) run in integers and divide once at
+the end; the bracket, the structure pairs and single constants divide by D
+where they return.  Coefficients outside are Fractions throughout, so every
+decision this module makes (ranks, spans, equalities) is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ONE, ZERO
+from .linalg import Matrix, Vector, ZERO
 
 
 class InputError(ValueError):
@@ -77,46 +79,6 @@ def coefficient(value) -> Fraction:
         raise InputError("bad coefficient %r" % (value,)) from exc
 
 
-@dataclass(frozen=True)
-class IntegerView:
-    """The adjacency scaled to integers, for sums of many products of
-    structure constants that divide once at the end.  Read-only: the dicts
-    are shared by every caller.
-
-    ``denominator`` is D, the lcm of the constants' denominators;
-    ``ad[u][v][w]`` is D times the coefficient of b_w in [b_u, b_v], both
-    orientations; ``into[w]`` lists (u, v, D * c) for each u < v whose
-    bracket has the component c b_w, in lexicographic order of (u, v).
-    """
-
-    denominator: int
-    ad: tuple[dict[int, dict[int, int]], ...]
-    into: tuple[tuple[tuple[int, int, int], ...], ...]
-
-
-def build_integer_view(
-    ad: Sequence[Mapping[int, Mapping[int, Fraction]]]
-) -> IntegerView:
-    """Build the ``IntegerView`` of a Fraction adjacency."""
-    d = math.lcm(
-        *(c.denominator for row in ad for entry in row.values() for c in entry.values())
-    )
-    scaled = tuple(
-        {
-            v: {w: c.numerator * (d // c.denominator) for w, c in entry.items()}
-            for v, entry in row.items()
-        }
-        for row in ad
-    )
-    into: list[list[tuple[int, int, int]]] = [[] for _ in ad]
-    for u, row in enumerate(scaled):
-        for v, entry in sorted(row.items()):
-            if u < v:
-                for w, c in entry.items():
-                    into[w].append((u, v, c))
-    return IntegerView(d, scaled, tuple(map(tuple, into)))
-
-
 def require_two_step(algebra: GradedLieAlgebra, what: str) -> None:
     """Raise InputError unless ``algebra`` has at most two layers."""
     if algebra.declared_degree > 2:
@@ -134,7 +96,9 @@ class GradedLieAlgebra:
     the same pair is an error even when the entries are consistent.
     Construction validates shape only; Jacobi and the stratification
     property are separate checks so that defective tables can be built
-    and then diagnosed.
+    and then diagnosed.  ``denominator``, ``adjacency`` and ``into`` are
+    the integer structure constants of the module docstring; they are
+    shared, so callers read them and never write.
     """
 
     def __init__(
@@ -174,8 +138,7 @@ class GradedLieAlgebra:
                 weights[i] = depth
         self.weights = tuple(weights)
 
-        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in self.basis]
-        listed: set[tuple[int, int]] = set()
+        listed: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (left, right), result in brackets.items():
             u, v = self.index(left), self.index(right)
             if u == v:
@@ -184,17 +147,29 @@ class GradedLieAlgebra:
                 raise InputError(
                     "bracket pair (%s, %s) listed twice" % (left, right)
                 )
-            listed.add((u, v))
             entry: dict[int, Fraction] = {}
             for label, coeff in result.items():
                 w = self.index(label)
                 entry[w] = entry.get(w, ZERO) + coefficient(coeff)
-            entry = {w: c for w, c in entry.items() if c != 0}
-            if entry:
-                ad[u][v] = entry
-                ad[v][u] = {w: -c for w, c in entry.items()}
-        self._ad = ad
-        self._integer_view: IntegerView | None = None
+            listed[u, v] = {w: c for w, c in entry.items() if c != 0}
+
+        d = math.lcm(
+            *(c.denominator for entry in listed.values() for c in entry.values())
+        )
+        adjacency: list[dict[int, dict[int, int]]] = [{} for _ in self.basis]
+        into: list[list[tuple[int, int, int]]] = [[] for _ in self.basis]
+        for (u, v), entry in listed.items():
+            if not entry:
+                continue
+            scaled = {w: c.numerator * (d // c.denominator) for w, c in entry.items()}
+            adjacency[u][v] = scaled
+            adjacency[v][u] = {w: -a for w, a in scaled.items()}
+            low, high = min(u, v), max(u, v)
+            for w, a in adjacency[low][high].items():
+                into[w].append((low, high, a))
+        self.denominator = d
+        self.adjacency = tuple(adjacency)
+        self.into = tuple(map(tuple, into))
 
     # -- basic accessors -------------------------------------------------
 
@@ -222,20 +197,13 @@ class GradedLieAlgebra:
     def structure_pairs(self) -> tuple[tuple[int, int, dict[int, Fraction]], ...]:
         """Nonzero brackets of basis pairs as (u, v, {w: coeff}) with u < v,
         in lexicographic order of (u, v)."""
+        d = self.denominator
         return tuple(
-            (u, v, dict(entry))
-            for u, row in enumerate(self._ad)
+            (u, v, {w: Fraction(a, d) for w, a in entry.items()})
+            for u, row in enumerate(self.adjacency)
             for v, entry in sorted(row.items())
             if u < v
         )
-
-    def integer_view(self) -> IntegerView:
-        """The adjacency over the integers (see ``IntegerView``), built on
-        the first call and kept on this instance, so it lives and dies with
-        the algebra."""
-        if self._integer_view is None:
-            self._integer_view = build_integer_view(self._ad)
-        return self._integer_view
 
     # -- vectors ---------------------------------------------------------
 
@@ -269,30 +237,29 @@ class GradedLieAlgebra:
 
     def bracket_basis(self, u: int, v: int) -> dict[int, Fraction]:
         """Sparse [b_u, b_v] for basis positions."""
-        return dict(self._ad[u].get(v, {}))
-
-    def bracket_partners(self, u: int):
-        """The positions v with [b_u, b_v] nonzero, as a read-only view."""
-        return self._ad[u].keys()
+        d = self.denominator
+        return {w: Fraction(a, d) for w, a in self.adjacency[u].get(v, {}).items()}
 
     def structure_constant(self, u: int, v: int, w: int) -> Fraction:
         """Coefficient of b_w in [b_u, b_v]."""
-        return self._ad[u].get(v, {}).get(w, ZERO)
+        return Fraction(self.adjacency[u].get(v, {}).get(w, 0), self.denominator)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear extension: the sum of x_u y_v [b_u, b_v] over the
-        adjacency rows of the support of ``x``."""
+        adjacency rows of the support of ``x``, with 1/D folded into x_u
+        once per row."""
+        d = self.denominator
         out = [ZERO] * self.dimension
-        for u, row in enumerate(self._ad):
+        for u, row in enumerate(self.adjacency):
             if not row or x[u] == 0:
                 continue
-            xu = x[u]
+            xu = Fraction(x[u], d)
             for v, entry in row.items():
                 coeff = xu * y[v]
                 if coeff == 0:
                     continue
-                for w, c in entry.items():
-                    out[w] += coeff * c
+                for w, a in entry.items():
+                    out[w] += coeff * a
         return tuple(out)
 
     def __eq__(self, other) -> bool:
@@ -302,7 +269,8 @@ class GradedLieAlgebra:
             self.name == other.name
             and self.basis == other.basis
             and self.layers == other.layers
-            and self._ad == other._ad
+            and self.denominator == other.denominator
+            and self.adjacency == other.adjacency
         )
 
     def __hash__(self):
@@ -386,18 +354,20 @@ def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
 
     Trilinearity makes basis triples sufficient, and a triple whose three
     pair brackets vanish has a zero cyclic sum, so it is skipped.  The
-    first failing triple is reported by label.
+    first failing triple is reported by label.  The cyclic sum runs over the
+    integer adjacency, D^2 times the exact one, so it vanishes exactly when
+    the exact sum does.
     """
-    ad = algebra._ad
+    ad = algebra.adjacency
     for u, v, w in itertools.combinations(range(algebra.dimension), 3):
         cyclic = ((u, v, w), (v, w, u), (w, u, v))
         if not any(b in ad[a] for a, b, _ in cyclic):
             continue
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for a, b, c in cyclic:
             for t, c1 in ad[a].get(b, {}).items():
                 for s, c2 in ad[t].get(c, {}).items():
-                    acc[s] = acc.get(s, ZERO) + c1 * c2
+                    acc[s] = acc.get(s, 0) + c1 * c2
         if any(acc.values()):
             triple = (algebra.basis[u], algebra.basis[v], algebra.basis[w])
             return CheckResult(False, "jacobi fails on (%s, %s, %s)" % triple)
@@ -443,9 +413,11 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
     [g, g_j] inside the sum of the V_i with i > j (no basis vector has a
     weight above d, so brackets that would land there vanish), and
     generation gives the reverse inclusion, V_{i+1} = [V_1, V_i] inside
-    [g, g_j] for i >= j.  So the series needs no check of its own.
+    [g, g_j] for i >= j.  So the series needs no check of its own.  The
+    generation leg ranks the integer adjacency rows, D times the exact
+    ones, which has the same rank.
     """
-    ad = algebra._ad
+    ad = algebra.adjacency
     weights = algebra.weights
     for u, v in sorted((u, v) for u, row in enumerate(ad) for v in row if u < v):
         target = weights[u] + weights[v]

@@ -32,8 +32,8 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     each of those vanishes unless k brackets nontrivially with e_i or e_j
     or lies in the support of [e_i, e_j], so only those k are summed.
 
-    The sum runs in integers over the algebra's ``integer_view``: with D
-    the common denominator, every A = D * alpha is an integer, and four
+    The sum runs in integers over the algebra's adjacency: with D its
+    common denominator, every A = D * alpha is an integer, and four
     times each term is an integer polynomial of degree 2 in the A's, that
     is 4 D^2 times the term.  So the exact value is the integer total
     divided once by 4 D^2, and only that last step makes a Fraction.
@@ -42,8 +42,7 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
-    view = algebra.integer_view()
-    ad = view.ad
+    ad = algebra.adjacency
     row_i, row_j = ad[i], ad[j]
     ij = row_i.get(j, _EMPTY)
     total = 0
@@ -59,7 +58,7 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
             - (a_ijk - a_jki + a_kij) * (a_ijk + a_jki - a_kij)
             - 4 * ki.get(i, 0) * kj.get(j, 0)
         )
-    return Fraction(total, 4 * view.denominator ** 2)
+    return Fraction(total, 4 * algebra.denominator ** 2)
 
 
 def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:

@@ -221,19 +221,18 @@ def differential(form: InvariantForm) -> InvariantForm:
     to the front of its monomial; the whole result carries 1/(p+1)!.
 
     Only the pairs bracketing into each w of a monomial are visited, read
-    from the algebra's ``integer_view``.  With E the common denominator of
-    the form's coefficients and D that of the structure constants, each
-    product coeff * c is an integer over E * D, so every output
-    coefficient is an integer sum divided once by E * D * (p+1)!: exact,
-    with one Fraction per output monomial, and a monomial whose integer
-    sum cancels is absent.
+    from the algebra's integer ``into`` lists.  With E the common
+    denominator of the form's coefficients and D that of the structure
+    constants, each product coeff * c is an integer over E * D, so every
+    output coefficient is an integer sum divided once by E * D * (p+1)!:
+    exact, with one Fraction per output monomial, and a monomial whose
+    integer sum cancels is absent.
     """
     algebra = form.algebra
     p = form.degree
     if p >= algebra.dimension:
         return InvariantForm(algebra, min(p + 1, algebra.dimension), {})
-    view = algebra.integer_view()
-    into = view.into
+    into = algebra.into
     e = math.lcm(*(c.denominator for c in form.terms.values()))
     out: dict[Monomial, int] = {}
     for mono, coeff in form.terms.items():
@@ -250,7 +249,7 @@ def differential(form: InvariantForm) -> InvariantForm:
                 # the pair-position sign (-1)^(i+j+1) of the sum
                 merged, sign = _merge_sign(rest, (u, v))
                 out[merged] = out.get(merged, 0) + sign * signed * c
-    scale = e * view.denominator * math.factorial(p + 1)
+    scale = e * algebra.denominator * math.factorial(p + 1)
     return InvariantForm(
         algebra, p + 1, {m: Fraction(n, scale) for m, n in out.items() if n}
     )
@@ -358,11 +357,9 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     for y in v2:
         for x in v1:
             pairs.append((algebra.basis[y], algebra.basis[x]))
-            generators.append(
-                differential(
-                    InvariantForm.dual(algebra, y).wedge(InvariantForm.dual(algebra, x))
-                )
-            )
+            # Y* ^ x* is one monomial, signed by the order of y and x
+            pair = {(min(y, x), max(y, x)): 1 if y < x else -1}
+            generators.append(differential(InvariantForm(algebra, 2, pair)))
     # one sparse row per monomial, in any order: the kernel basis is canonical
     rows: dict[Monomial, dict[int, Fraction]] = {}
     for col, g in enumerate(generators):
@@ -384,18 +381,26 @@ def form_to_dict(form: InvariantForm) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def form_from_dict(algebra: GradedLieAlgebra, data: dict) -> InvariantForm:
-    try:
-        degree = int(data["degree"])
-        raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("form JSON needs integer degree and a terms list") from exc
+    """Read ``form_to_dict``'s layout back.  The degree and the indices must
+    be JSON integers and the terms and indices lists: a string, a float or a
+    boolean is rejected rather than read as some other monomial."""
+    if not (
+        isinstance(data, dict)
+        and _is_int(data.get("degree"))
+        and isinstance(data.get("terms"), list)
+    ):
+        raise InputError("form JSON needs an integer degree and a terms list")
     terms: dict[Monomial, Fraction] = {}
-    for item in raw_terms:
-        try:
-            mono = tuple(int(i) for i in item["indices"])
-            coeff = parse_coefficient(item["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("form terms need indices and coeff") from exc
+    for item in data["terms"]:
+        indices = item.get("indices") if isinstance(item, dict) else None
+        if not isinstance(indices, list) or not all(map(_is_int, indices)):
+            raise InputError("form terms need an integer indices list and a coeff")
+        mono = tuple(indices)
+        coeff = parse_coefficient(item.get("coeff"))
         terms[mono] = terms.get(mono, ZERO) + coeff
-    return InvariantForm(algebra, degree, terms)
+    return InvariantForm(algebra, data["degree"], terms)

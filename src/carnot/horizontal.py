@@ -124,22 +124,25 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
 def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
     """Stacked system matrix: rows (component i, spanning vector q), columns
     over the first-layer basis; entry is component_i(b_u, X_q), read from
-    the adjacency as half the sum of X_q[v] c_uv^t over v in the support of
-    X_q.  First-layer targets t, which only ungraded tables have, are skipped.
+    the integer adjacency as the sum of X_q[v] A_uv^t / 2D over v in the
+    support of X_q.  First-layer targets t, which only ungraded tables have,
+    are skipped.
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     form = CurvatureForm(algebra)
     position = {t: i for i, t in enumerate(form.targets)}
+    scale = 2 * algebra.denominator
     out = [[ZERO] * len(form.v1) for _ in range(len(form.targets) * s.dim)]
     for q, xq in enumerate(s.rows):
-        half = {v: HALF * c for v, c in enumerate(xq) if c}
+        half = {v: c / scale for v, c in enumerate(xq) if c}
         for col, u in enumerate(form.v1):
-            for v in algebra.bracket_partners(u) & half.keys():
-                for t, c in algebra.bracket_basis(u, v).items():
+            row = algebra.adjacency[u]
+            for v in row.keys() & half.keys():
+                for t, a in row[v].items():
                     i = position.get(t)
                     if i is not None:
-                        out[i * s.dim + q][col] += half[v] * c
+                        out[i * s.dim + q][col] += half[v] * a
     return tuple(tuple(row) for row in out)
 
 

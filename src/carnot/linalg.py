@@ -43,6 +43,16 @@ def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
 
     A row is a dense sequence of ``ncols`` entries (by default the first
     row's length) or a ``{column: value}`` dict, which needs ``ncols``.
+    """
+    pivots, ncols = _eliminate(rows, ncols)
+    return tuple(_dense(pivots[p], ncols) for p in sorted(pivots))
+
+
+def _eliminate(
+    rows: Iterable[Sequence | dict], ncols: int | None
+) -> tuple[dict[int, dict[int, Fraction]], int | None]:
+    """The reduced rows as ``{pivot column: {column: value}}``, and ncols.
+
     Rows are added one at a time to a reduced basis keyed by pivot column:
     each is reduced by the pivots in its support, normalised on its leading
     column, and that column is cleared from the earlier pivot rows.  The
@@ -80,12 +90,13 @@ def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
             if lead in q:
                 _subtract(q, q[lead], new)
         pivots[lead] = new
-    out = []
-    for p in sorted(pivots):
-        dense = [ZERO] * ncols
-        for j, e in pivots[p].items():
-            dense[j] = e
-        out.append(tuple(dense))
+    return pivots, ncols
+
+
+def _dense(row: dict[int, Fraction], ncols: int) -> Vector:
+    out = [ZERO] * ncols
+    for j, e in row.items():
+        out[j] = e
     return tuple(out)
 
 
@@ -101,13 +112,6 @@ def _subtract(target: dict, c: Fraction, row: dict) -> None:
 
 def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
     return len(rref(rows, ncols))
-
-
-def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
-    cols = []
-    for row in reduced:
-        cols.append(next(j for j, e in enumerate(row) if e != 0))
-    return tuple(cols)
 
 
 def in_row_span(reduced: Matrix, v: Sequence) -> bool:
@@ -134,10 +138,12 @@ def inverse(rows: Sequence[Sequence]) -> Matrix | None:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    reduced = rref(tuple(row) + unit_vector(n, i) for i, row in enumerate(rows))
-    if pivot_columns(reduced) != tuple(range(n)):
+    pivots, _ = _eliminate(
+        (tuple(row) + unit_vector(n, i) for i, row in enumerate(rows)), 2 * n
+    )
+    if any(p >= n for p in pivots):
         return None
-    return tuple(row[n:] for row in reduced)
+    return tuple(_dense(pivots[p], 2 * n)[n:] for p in range(n))
 
 
 def mat_vec(rows: Matrix, v: Sequence) -> Vector:
@@ -160,14 +166,12 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:
     if not a:
         return ()
     ncols = len(a[0])
-    aug = [row + [bi] for row, bi in zip(a, b)]
-    reduced = rref(aug)
+    pivots, _ = _eliminate([row + [bi] for row, bi in zip(a, b)], ncols + 1)
+    if ncols in pivots:
+        return None
     solution = [ZERO] * ncols
-    for row in reduced:
-        p = next(j for j, e in enumerate(row) if e != 0)
-        if p == ncols:
-            return None
-        solution[p] = row[ncols]
+    for p, row in pivots.items():
+        solution[p] = row.get(ncols, ZERO)
     return tuple(solution)
 
 
@@ -177,21 +181,16 @@ def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matr
     Without ``ncols`` the column count is read from the first row, which
     must then be dense; with no rows and no ``ncols`` the kernel is empty.
     """
-    rows = list(rows)
-    if ncols is None and rows and not isinstance(rows[0], dict):
-        ncols = len(rows[0])
-    reduced = rref(rows, ncols)
+    pivots, ncols = _eliminate(rows, ncols)
     if ncols is None:
         return ()
-    pivots = pivot_columns(reduced)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
+    basis = {free: [ZERO] * ncols for free in range(ncols) if free not in pivots}
+    for free, v in basis.items():
         v[free] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return tuple(basis)
+    # a reduced row is zero on the other pivot columns, so each of its
+    # off-pivot entries sits in a free column
+    for p, row in pivots.items():
+        for free, e in row.items():
+            if free != p:
+                basis[free][p] = -e
+    return tuple(tuple(v) for v in basis.values())

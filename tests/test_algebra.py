@@ -124,32 +124,79 @@ def test_bracket_matches_naive_sum_on_random_tables(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_integer_view_scales_the_adjacency(seed):
+def test_adjacency_holds_the_constants_over_one_denominator(seed):
     rng = random.Random(seed)
     if seed == 0:
         basis, layers, table = coprime_table()
     else:
         basis, layers, table = random_layered_table(rng, "ungraded")
     algebra = GradedLieAlgebra("random", basis, layers, table)
-    view = algebra.integer_view()
-    assert algebra.integer_view() is view
+    d = algebra.denominator
     denominators = [c.denominator for result in table.values() for c in result.values()]
-    assert view.denominator == math.lcm(*denominators)
+    assert d == math.lcm(*denominators)
     if seed == 0:
-        assert view.denominator == 1001
+        assert d == 1001
     n = algebra.dimension
+    unit = [tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
     into = [[] for _ in range(n)]
     for u in range(n):
         for v in range(n):
-            scaled = {
-                w: view.denominator * c for w, c in algebra.bracket_basis(u, v).items()
-            }
-            assert view.ad[u].get(v, {}) == scaled
-            assert all(type(c) is int for c in view.ad[u].get(v, {}).values())
+            want = naive_bracket(table, basis, unit[u], unit[v])
+            scaled = {w: d * c for w, c in enumerate(want) if c}
+            assert algebra.adjacency[u].get(v, {}) == scaled
+            assert all(type(a) is int for a in algebra.adjacency[u].get(v, {}).values())
             if u < v:
-                for w, c in scaled.items():
-                    into[w].append((u, v, c))
-    assert view.into == tuple(map(tuple, into))
+                for w, a in scaled.items():
+                    into[w].append((u, v, a))
+    assert [sorted(pairs) for pairs in algebra.into] == into
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bracket_divides_once_and_returns_fractions(seed):
+    # D = 1001: the bracket of int vectors must not fall back to floats
+    rng = random.Random(seed)
+    basis, layers, table = coprime_table()
+    algebra = GradedLieAlgebra("coprime", basis, layers, table)
+    n = algebra.dimension
+    ints = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)]
+    fractions = [random_vector(rng, n) for _ in range(2)]
+    for x, y in (ints, fractions, (ints[0], fractions[1])):
+        got = algebra.bracket(x, y)
+        assert all(type(c) is Fraction for c in got)
+        assert got == naive_bracket(table, basis, x, y)
+
+
+def exact_jacobi_table(shift=F(0)):
+    """A 3-step table whose only nontrivial cyclic sum, on (a, b, c), is
+    (1/7)(1/11) + (2/13)(3/7) + z = 13/1001 + 66/1001 + z for z = -79/1001,
+    so it cancels only at the exact values; ``shift`` moves z."""
+    basis = ["a", "b", "c", "p", "r", "s", "t"]
+    table = {
+        ("a", "b"): {"p": F(1, 7)},
+        ("b", "c"): {"r": F(2, 13)},
+        ("c", "a"): {"s": F(1)},
+        ("p", "c"): {"t": F(1, 11)},
+        ("r", "a"): {"t": F(3, 7)},
+        ("s", "b"): {"t": F(-79, 1001) + shift},
+    }
+    return basis, [["a", "b", "c"], ["p", "r", "s"], ["t"]], table
+
+
+def test_jacobi_check_cancels_exactly_over_one_denominator():
+    basis, layers, table = exact_jacobi_table()
+    algebra = GradedLieAlgebra("exact", basis, layers, table)
+    assert algebra.denominator == 1001
+    assert naive_jacobi(table, basis) is None
+    assert jacobi_check(algebra)
+
+    basis, layers, table = exact_jacobi_table(shift=F(1, 1001))
+    algebra = GradedLieAlgebra("shifted", basis, layers, table)
+    assert algebra.denominator == 1001
+    failing = naive_jacobi(table, basis)
+    assert failing == ("a", "b", "c")
+    result = jacobi_check(algebra)
+    assert not result
+    assert result.detail == "jacobi fails on (%s, %s, %s)" % failing
 
 
 # -- unipotent family against the matrix commutator oracle ------------------

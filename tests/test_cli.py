@@ -373,6 +373,28 @@ def test_forms_d_rejects_zero_form(capsys, tmp_path):
     assert "zero" in err
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        {"degree": 2, "terms": [{"indices": "01", "coeff": "1"}]},
+        {"degree": 2, "terms": [{"indices": [0.9, 1.7], "coeff": "1"}]},
+        {"degree": 2.9, "terms": [{"indices": [0, 1], "coeff": "1"}]},
+        {"degree": "2", "terms": [{"indices": [0, 1], "coeff": "1"}]},
+        {"degree": True, "terms": [{"indices": [True], "coeff": "1"}]},
+        {"degree": 1, "terms": [{"indices": [True], "coeff": "1"}]},
+        {"degree": 2, "terms": {"indices": [0, 1], "coeff": "1"}},
+        {"degree": 2, "terms": [[0, 1]]},
+        [{"degree": 2}],
+    ],
+)
+def test_forms_d_rejects_non_integer_degree_and_indices(capsys, tmp_path, form):
+    # each of these used to be read silently as h1*^i1* or i1*
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form), encoding="utf-8")
+    code, out, err = run(capsys, "forms-d", "heisenberg_h:1", str(path))
+    assert_one_error(code, out, err)
+
+
 def test_forms_d_missing_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "forms-d", "heisenberg_c:1", str(tmp_path / "absent.json")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot import algebra as algebra_module
 from carnot import curvature
 from carnot import (
     GradedLieAlgebra,
@@ -18,7 +17,6 @@ from carnot import (
     algebra_to_dict,
     build,
     differential,
-    pittet_kernel,
     sectional_curvature,
     trichotomy_report,
     two_step_closed_forms,
@@ -105,7 +103,7 @@ def test_curvature_matches_full_sum_on_random_tables(seed):
 def test_curvature_with_coprime_denominators_matches_full_sum():
     basis, layers, table = coprime_table()
     algebra = GradedLieAlgebra("coprime", basis, layers, table)
-    assert algebra.integer_view().denominator == 1001
+    assert algebra.denominator == 1001
     for u, v in itertools.permutations(range(len(basis)), 2):
         value = sectional_curvature(algebra, u, v)
         assert type(value) is Fraction
@@ -245,24 +243,6 @@ def test_trichotomy_input_requirements():
     mixed = Subspace(algebra, [(F(1), F(1), F(0))])
     with pytest.raises(InputError):
         trichotomy_report(algebra, mixed)
-
-
-# -- the integer view lives on its algebra -------------------------------------------
-
-
-def test_integer_view_is_built_once_per_algebra(monkeypatch):
-    built = []
-    build_view = algebra_module.build_integer_view
-
-    def counted(ad):
-        built.append(ad)
-        return build_view(ad)
-
-    monkeypatch.setattr(algebra_module, "build_integer_view", counted)
-    algebra, s = designated("heisenberg_o:2")
-    trichotomy_report(algebra, s, maximal_asserted=True)
-    pittet_kernel(algebra)
-    assert len(built) == 1
 
 
 def test_algebras_with_equal_hashes_keep_their_own_constants():

@@ -29,11 +29,6 @@ def test_rank_examples():
     assert linalg.rank([]) == 0
 
 
-def test_pivot_columns():
-    reduced = linalg.rref([(0, 1, 5), (0, 0, 0)])
-    assert linalg.pivot_columns(reduced) == (1,)
-
-
 def test_solve_unique():
     rows = [(2, 0), (0, 3)]
     assert linalg.solve(rows, (4, 9)) == (F(2), F(3))
