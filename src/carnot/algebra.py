@@ -15,7 +15,6 @@ decision this module makes (ranks, spans, equalities) is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -352,17 +351,25 @@ class Subspace:
 def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
     """Verify the Jacobi identity on all basis triples.
 
-    Trilinearity makes basis triples sufficient, and a triple whose three
-    pair brackets vanish has a zero cyclic sum, so it is skipped.  The
-    first failing triple is reported by label.  The cyclic sum runs over the
-    integer adjacency, D^2 times the exact one, so it vanishes exactly when
-    the exact sum does.
+    Trilinearity makes basis triples sufficient.  A term [[b_a, b_b], b_c]
+    of a cyclic sum is nonzero only if some b_t in [b_a, b_b] brackets
+    nontrivially with b_c, so only the triples {a, b, c} read off ``into[t]``
+    and ``adjacency[t]`` that way are swept; every other triple of distinct
+    basis vectors has a zero cyclic sum.  They are swept in lexicographic
+    order and the first failing triple is reported by label.  The cyclic
+    sum runs over the integer adjacency, D^2 times the exact one, so it
+    vanishes exactly when the exact sum does.
     """
     ad = algebra.adjacency
-    for u, v, w in itertools.combinations(range(algebra.dimension), 3):
+    triples = {
+        tuple(sorted((a, b, c)))
+        for t, pairs in enumerate(algebra.into)
+        for a, b, _ in pairs
+        for c in ad[t]
+        if c != a and c != b
+    }
+    for u, v, w in sorted(triples):
         cyclic = ((u, v, w), (v, w, u), (w, u, v))
-        if not any(b in ad[a] for a, b, _ in cyclic):
-            continue
         acc: dict[int, int] = {}
         for a, b, c in cyclic:
             for t, c1 in ad[a].get(b, {}).items():

@@ -6,13 +6,22 @@ exp(x + y + [x, y]/2) exactly and group elements can share the algebra's
 coordinates.  The scalable-lattice construction completes the halved
 brackets of first-layer basis vectors to a second-layer basis.  Its
 integer span is checked for closure under products, on the halved
-brackets of generator pairs, and under the dilation by 2, both against
-the generator matrix factored once.
+brackets of generator pairs, and under the dilation by 2.
+
+Both checks run in Python ints.  A vector v = w / r with integer
+numerators w lies in the integer span exactly when q r divides every
+coordinate sum sum_k w_k column_k, where the columns are those of the
+inverse generator matrix times its common denominator q.  With g = w / s,
+[g_i, g_j]/2 has integer numerators over 2 s_i s_j D (D the algebra's
+denominator), summed from the integer adjacency over the supports of g_i
+and g_j only: every other term of the bilinear sum has a zero factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -24,7 +33,7 @@ from .algebra import (
     coefficient,
     require_two_step,
 )
-from .linalg import HALF, Matrix, Vector
+from .linalg import HALF, Matrix, Vector, ZERO
 
 
 class GroupElement:
@@ -83,13 +92,21 @@ class LatticeSpec:
     """Basis whose integer span should be a scaled-in lattice.
 
     There are exactly ``dimension`` generators and they must span the
-    algebra, so the matrix with the generators as columns is invertible;
-    its inverse is computed once and gives every membership answer.
+    algebra, so the matrix with the generators as columns is invertible.
+    Its inverse is computed once and kept only as sparse integer columns
+    over the lcm q of its denominators, ``_columns[k][i] = q inverse[i][k]``:
+    v = w / r has the coordinates sum_k w_k _columns[k] / (q r), integers
+    exactly when q r divides every sum.  Each generator is also kept as
+    integer numerators over its own denominator, ``_scaled[i] = (w, s)``.
     """
 
     algebra: GradedLieAlgebra
     generators: Matrix
-    _inverse: Matrix = field(init=False, compare=False, repr=False)
+    _denominator: int = field(init=False, compare=False, repr=False)
+    _columns: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
+    _scaled: tuple[tuple[dict[int, int], int], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         require_two_step(self.algebra, "a lattice")
@@ -102,14 +119,41 @@ class LatticeSpec:
         inverse = linalg.inverse(tuple(zip(*self.generators, strict=True)))
         if inverse is None:
             raise InputError("lattice generators must span the algebra")
-        object.__setattr__(self, "_inverse", inverse)
+        q = math.lcm(*(c.denominator for row in inverse for c in row))
+        columns: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, row in enumerate(inverse):
+            for k, c in enumerate(row):
+                if c:
+                    columns[k][i] = c.numerator * (q // c.denominator)
+        object.__setattr__(self, "_denominator", q)
+        object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "_scaled", tuple(map(_numerators, self.generators)))
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
-        coeffs = linalg.mat_vec(self._inverse, v)
-        if any(c.denominator != 1 for c in coeffs):
+        x = [e if type(e) is Fraction else Fraction(e) for e in v]
+        if len(x) != len(self._columns):
+            raise ValueError("vector length does not match the algebra")
+        coords = self._coordinates(*_numerators(x))
+        return None if coords is None else tuple(map(Fraction, coords))
+
+    def _coordinates(self, w: dict[int, int], r: int) -> list[int] | None:
+        """Integer generator coordinates of the vector w / r, or None."""
+        sums = [0] * len(self._columns)
+        for k, a in w.items():
+            for i, c in self._columns[k].items():
+                sums[i] += a * c
+        qr = self._denominator * r
+        if any(total % qr for total in sums):
             return None
-        return coeffs
+        return [total // qr for total in sums]
+
+
+def _numerators(v: Sequence[Fraction]) -> tuple[dict[int, int], int]:
+    """v as sparse integer numerators {position: w} over the lcm r of its
+    denominators, so that v = w / r."""
+    r = math.lcm(*(e.denominator for e in v))
+    return {k: e.numerator * (r // e.denominator) for k, e in enumerate(v) if e}, r
 
 
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
@@ -121,33 +165,43 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     second-layer basis vector.  A candidate is kept when it is not in the
     span of the candidates kept before it, and the walk stops once the kept
     candidates span the second layer.  The result is deterministic.
+
+    The brackets are read from the integer adjacency, and each candidate is
+    added to one running reduced basis, so span and independence come from
+    a single incremental elimination.
     """
     require_two_step(algebra, "a scalable lattice")
     v1 = algebra.layers[0]
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
 
     def candidates():
+        # each candidate as integer numerators over a denominator
         for a_pos, a in enumerate(v1):
+            row = algebra.adjacency[a]
             for b in v1[a_pos + 1:]:
-                half = tuple(
-                    HALF * c
-                    for c in algebra.bracket(algebra.basis_vector(a), algebra.basis_vector(b))
-                )
-                if not linalg.is_zero(half):
-                    lead = next(c for c in half if c != 0)
-                    yield half if lead > 0 else tuple(-c for c in half)
+                entry = row.get(b)
+                if entry:
+                    sign = 1 if entry[min(entry)] > 0 else -1
+                    yield {w: sign * c for w, c in entry.items()}, 2 * algebra.denominator
         for i in v2:
-            yield tuple(HALF * c for c in algebra.basis_vector(i))
+            yield {i: 1}, 2
 
-    layer_two = linalg.rref(algebra.basis_vector(i) for i in v2)
+    layer_two = set(v2)
+    graded = True
+    pivots: dict[int, dict] = {}
     second: list[Vector] = []
-    span: Matrix = ()
-    for candidate in candidates():
-        if not linalg.in_row_span(span, candidate):
-            second.append(candidate)
-            span = linalg.rref(span + (candidate,))
-            if span == layer_two:
-                break
+    for numerators, r in candidates():
+        if not linalg.extend_reduced(pivots, dict(numerators)):
+            continue
+        second.append(tuple(
+            Fraction(numerators[w], r) if w in numerators else ZERO
+            for w in range(algebra.dimension)
+        ))
+        # the kept candidates span the second layer exactly when they all
+        # lie in it and are as many as its dimension
+        graded = graded and layer_two.issuperset(numerators)
+        if graded and len(pivots) == len(v2):
+            break
     generators = [algebra.basis_vector(i) for i in v1]
     return LatticeSpec(algebra, tuple(generators + second))
 
@@ -162,17 +216,34 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
     the first failure is the first failing pair of the full sweep.  By
     bilinearity [x, y]/2 = sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2
     for x = sum a_i g_i and y = sum b_j g_j, an integer combination of the
-    checked vectors, so the verdict holds for the whole span.
+    checked vectors, so the verdict holds for the whole span.  Each halved
+    bracket is summed in integers from the adjacency rows of the support of
+    g_i at the support of g_j (see the module docstring).
     """
     algebra = spec.algebra
-    generators = spec.generators
-    for i, x in enumerate(generators):
-        for j in range(i + 1, len(generators)):
-            y = generators[j]
-            half = tuple(HALF * c for c in algebra.bracket(x, y))
-            if linalg.is_zero(half) or spec.membership(half) is not None:
+    adjacency = algebra.adjacency
+    scaled = spec._scaled
+    for i, (x, s) in enumerate(scaled):
+        rows = [(adjacency[u], a) for u, a in x.items() if adjacency[u]]
+        if not rows:
+            continue
+        for j in range(i + 1, len(scaled)):
+            y, t = scaled[j]
+            half: dict[int, int] = {}
+            for row, a in rows:
+                for v, b in y.items():
+                    entry = row.get(v)
+                    if entry is None:
+                        continue
+                    ab = a * b
+                    for w, c in entry.items():
+                        half[w] = half.get(w, 0) + ab * c
+            r = 2 * s * t * algebra.denominator
+            if not half or spec._coordinates(half, r) is not None:
                 continue
-            product = GroupElement(algebra, x) * GroupElement(algebra, y)
+            product = GroupElement(algebra, spec.generators[i]) * GroupElement(
+                algebra, spec.generators[j]
+            )
             return CheckResult(
                 False,
                 "product of generators %d and %d leaves the integer span: %s"
@@ -182,12 +253,16 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
 
 
 def check_scaling_closure(spec: LatticeSpec) -> CheckResult:
-    """The dilation by 2 maps every generator into the integer span."""
+    """The dilation by 2 maps every generator into the integer span.
+
+    The image of g = w / s has the numerators w_u shifted left by the
+    weight of b_u, over the same s.
+    """
     algebra = spec.algebra
-    double = Dilation(algebra, 2)
-    for i, g in enumerate(spec.generators):
-        image = double(g)
-        if spec.membership(image) is None:
+    weights = algebra.weights
+    for i, (w, s) in enumerate(spec._scaled):
+        if spec._coordinates({u: a << weights[u] for u, a in w.items()}, s) is None:
+            image = Dilation(algebra, 2)(spec.generators[i])
             return CheckResult(
                 False,
                 "dilation by 2 of generator %d leaves the integer span: %s"

@@ -22,10 +22,6 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -76,21 +72,34 @@ def _eliminate(
                 e = Fraction(e)
             if e:
                 new[j] = e
-        # a pivot row is zero on every other pivot column, so one pass over
-        # the pivots in the starting support clears them all
-        for p in [j for j in new if j in pivots]:
-            _subtract(new, new[p], pivots[p])
-        if not new:
-            continue
-        lead = min(new)
-        inv = ONE / new[lead]
-        if inv != 1:
-            new = {j: inv * e for j, e in new.items()}
-        for q in pivots.values():
-            if lead in q:
-                _subtract(q, q[lead], new)
-        pivots[lead] = new
+        extend_reduced(pivots, new)
     return pivots, ncols
+
+
+def extend_reduced(pivots: dict[int, dict], row: dict) -> bool:
+    """Add one sparse row to a reduced basis ``{pivot column: row}``.
+
+    ``row`` maps columns to nonzero int or Fraction entries and is consumed:
+    it is reduced in place by the pivots in its support, and if anything is
+    left it is normalised on its leading column, that column is cleared
+    from the earlier pivot rows, and it joins the basis.  True when the row
+    was independent of the basis and was added.
+    """
+    # a pivot row is zero on every other pivot column, so one pass over
+    # the pivots in the starting support clears them all
+    for p in [j for j in row if j in pivots]:
+        _subtract(row, row[p], pivots[p])
+    if not row:
+        return False
+    lead = min(row)
+    inv = ONE / row[lead]
+    if inv != 1:
+        row = {j: inv * e for j, e in row.items()}
+    for q in pivots.values():
+        if lead in q:
+            _subtract(q, q[lead], row)
+    pivots[lead] = row
+    return True
 
 
 def _dense(row: dict[int, Fraction], ncols: int) -> Vector:
@@ -139,19 +148,13 @@ def inverse(rows: Sequence[Sequence]) -> Matrix | None:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     pivots, _ = _eliminate(
-        (tuple(row) + unit_vector(n, i) for i, row in enumerate(rows)), 2 * n
+        ({**{j: a for j, a in enumerate(row) if a}, n + i: ONE}
+         for i, row in enumerate(rows)),
+        2 * n,
     )
     if any(p >= n for p in pivots):
         return None
     return tuple(_dense(pivots[p], 2 * n)[n:] for p in range(n))
-
-
-def mat_vec(rows: Matrix, v: Sequence) -> Vector:
-    """The product ``A v``; v needs one entry per column of A."""
-    x = vector(v)
-    if any(len(row) != len(x) for row in rows):
-        raise ValueError("vector length does not match column count")
-    return tuple(sum((a * b for a, b in zip(row, x) if a), ZERO) for row in rows)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:

@@ -6,8 +6,8 @@ table, the elimination oracle is a dense Gauss-Jordan loop on lists of
 Fractions that does not use ``carnot.linalg``, the differential oracle
 works from the defining alternating sum and calls only bracket and form
 evaluation, the unipotent oracle multiplies actual matrices, and the
-lattice oracles solve a fresh column system for every query and sweep all
-n^2 generator products.
+lattice oracles solve a fresh column system for every query, sweep all
+n^2 generator products and dilate each generator coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -243,6 +243,22 @@ def naive_group_closure(spec) -> tuple[bool, str]:
                     "product of generators %d and %d leaves the integer span: %s"
                     % (i, j, algebra.describe(product))
                 )
+    return True, ""
+
+
+def naive_scaling_closure(spec) -> tuple[bool, str]:
+    """(ok, detail) of applying the dilation by 2 (layer j scaled by 2**j,
+    read from the layers) to each generator and testing the image with
+    ``naive_membership``."""
+    algebra = spec.algebra
+    weight = {i: d for d, layer in enumerate(algebra.layers, start=1) for i in layer}
+    for i, g in enumerate(spec.generators):
+        image = tuple(Fraction(2) ** weight[u] * c for u, c in enumerate(g))
+        if naive_membership(spec.generators, image) is None:
+            return False, (
+                "dilation by 2 of generator %d leaves the integer span: %s"
+                % (i, algebra.describe(image))
+            )
     return True, ""
 
 

@@ -256,11 +256,27 @@ def test_stratification_rejects_weight_violation():
     assert not stratification_check(algebra)
 
 
+def test_jacobi_finds_a_triple_with_one_bracketing_pair():
+    # [[a, b], d] = [c, d] = e is the only nonzero double bracket, so
+    # (a, b, d) is the only failing triple, and of its pairs only (a, b)
+    # brackets
+    basis = ["a", "b", "c", "d", "e"]
+    table = {("a", "b"): {"c": 1}, ("c", "d"): {"e": 1}}
+    algebra = GradedLieAlgebra("chain", basis, [basis], table)
+    result = jacobi_check(algebra)
+    assert not result
+    assert result.detail == "jacobi fails on (a, b, d)"
+    assert naive_jacobi(table, basis) == ("a", "b", "d")
+
+
 def test_jacobi_check_matches_naive_cyclic_sum():
     outcomes = Counter()
-    for seed in range(60):
+    for seed in range(120):
         rng = random.Random(seed)
-        if seed % 2:
+        if seed >= 60:
+            kind = ("nearly", "ungraded")[seed % 2]
+            basis, layers, table = random_layered_table(rng, kind)
+        elif seed % 2:
             basis, layers, table = random_layered_table(rng, "graded")
         else:
             basis, table = random_table(rng, rng.randint(2, 6))

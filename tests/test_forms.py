@@ -119,7 +119,7 @@ def test_evaluate_is_alternating(coords, seed):
     rng = random.Random(seed)
     form = random_form(rng, algebra, 3)
     basis = [algebra.basis_vector(i) for i in rng.sample(range(7), 2)]
-    v = linalg.vector(coords)
+    v = tuple(F(c) for c in coords)
     assert form.evaluate([v, basis[0], basis[1]]) == -form.evaluate(
         [basis[0], v, basis[1]]
     )
@@ -287,9 +287,7 @@ def test_uniform_weight_matches_dilation_action(t, seed):
     form = wedge(dual(algebra, "I"), dual(algebra, rng.choice(["h1", "i1", "j1"])))
     weight = scaling_weight(form).uniform
     d = dilation(algebra, t)
-    vectors = [
-        linalg.vector([rng.randint(-2, 2) for _ in range(7)]) for _ in range(2)
-    ]
+    vectors = [tuple(F(rng.randint(-2, 2)) for _ in range(7)) for _ in range(2)]
     assert form.evaluate([d(v) for v in vectors]) == t**weight * form.evaluate(vectors)
 
 

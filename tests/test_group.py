@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import (
+    GradedLieAlgebra,
     GroupElement,
     InputError,
     LatticeSpec,
@@ -20,7 +21,12 @@ from carnot import (
     multiply,
 )
 
-from helpers import naive_group_closure, naive_membership
+from helpers import (
+    coprime_table,
+    naive_group_closure,
+    naive_membership,
+    naive_scaling_closure,
+)
 
 F = Fraction
 
@@ -157,6 +163,20 @@ def test_three_step_lattice_rejected():
         build_scalable_lattice(build("unipotent:4").algebra)
 
 
+def test_bracket_off_the_second_layer_is_kept():
+    # [a, b] = a + z breaks the grading: (a + z)/2 is kept, so the kept
+    # candidates never span the second layer exactly, every padding
+    # direction is still tried, and z/2 makes one generator too many
+    algebra = GradedLieAlgebra(
+        "leak",
+        ["a", "b", "c", "y", "z"],
+        [["a", "b", "c"], ["y", "z"]],
+        {("a", "b"): {"z": 1, "a": 1}, ("b", "c"): {"y": 1}},
+    )
+    with pytest.raises(InputError, match="exactly 5 generators, got 6"):
+        build_scalable_lattice(algebra)
+
+
 def wide_center_spec():
     # 3/2 K instead of 1/2 K: dilation by 2 still lands in the span but
     # the product j1 * k1 needs -K/2, a third of the generator
@@ -254,6 +274,35 @@ def test_membership_rejects_wrong_length():
         spec.membership((F(1), F(1), F(0), F(0)))
 
 
+def coprime_spec():
+    # generators with the coprime denominators 3, 7 and 11 and negative
+    # entries, over an algebra whose constants have denominator 1001
+    basis, layers, table = coprime_table()
+    algebra = GradedLieAlgebra("coprime", basis, layers, table)
+    return LatticeSpec(
+        algebra,
+        (
+            (F(1), F(0), F(0), F(-2, 3), F(0)),
+            (F(0), F(-1), F(0), F(0), F(3, 7)),
+            (F(1, 3), F(0), F(-1), F(0), F(0)),
+            (F(0), F(0), F(0), F(5, 11), F(-2, 7)),
+            (F(0), F(0), F(0), F(-1, 3), F(1, 11)),
+        ),
+    )
+
+
+def item6_spec():
+    # [a, b] = z and [a, c] = z/3 (denominator 3): the generators a, b, c,
+    # z/2 miss the halved bracket z/6, so group closure fails
+    algebra = GradedLieAlgebra(
+        "item6",
+        ["a", "b", "c", "z"],
+        [["a", "b", "c"], ["z"]],
+        {("a", "b"): {"z": 1}, ("a", "c"): {"z": F(1, 3)}},
+    )
+    return build_scalable_lattice(algebra)
+
+
 # -- agreement with the full product sweep -------------------------------------------
 
 _O2_DIMENSION = build("heisenberg_o:2").algebra.dimension
@@ -262,18 +311,24 @@ ORACLE_KEYS = [
     for e in default_entries()
     if e.algebra.declared_degree <= 2 and e.algebra.dimension <= _O2_DIMENSION
 ]
+ORACLE_SPECS = [
+    lambda key=key: build_scalable_lattice(build(key).algebra) for key in ORACLE_KEYS
+] + [wide_center_spec, skewed_spec, sheared_spec, item6_spec, coprime_spec]
+ORACLE_IDS = ORACLE_KEYS + ["wide_center", "skewed", "sheared", "item6", "coprime"]
 
 
-@pytest.mark.parametrize(
-    "make_spec",
-    [lambda key=key: build_scalable_lattice(build(key).algebra) for key in ORACLE_KEYS]
-    + [wide_center_spec, skewed_spec, sheared_spec],
-    ids=ORACLE_KEYS + ["wide_center", "skewed", "sheared"],
-)
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_group_closure_matches_full_sweep(make_spec):
     spec = make_spec()
     group = check_group_closure(spec)
     assert (group.ok, group.detail) == naive_group_closure(spec)
+
+
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_scaling_closure_matches_dilation_oracle(make_spec):
+    spec = make_spec()
+    scaling = check_scaling_closure(spec)
+    assert (scaling.ok, scaling.detail) == naive_scaling_closure(spec)
 
 
 @pytest.mark.parametrize(
@@ -284,8 +339,20 @@ def test_group_closure_matches_full_sweep(make_spec):
         wide_center_spec,
         skewed_spec,
         sheared_spec,
+        lambda: build_scalable_lattice(build("heisenberg_h:4").algebra),
+        lambda: build_scalable_lattice(build("heisenberg_c:10").algebra),
+        coprime_spec,
     ],
-    ids=["heisenberg_h:1", "heisenberg_o:1", "wide_center", "skewed", "sheared"],
+    ids=[
+        "heisenberg_h:1",
+        "heisenberg_o:1",
+        "wide_center",
+        "skewed",
+        "sheared",
+        "heisenberg_h:4",
+        "heisenberg_c:10",
+        "coprime",
+    ],
 )
 def test_membership_matches_fresh_solve(make_spec):
     spec = make_spec()

@@ -43,16 +43,19 @@ def test_solve_inconsistent_returns_none():
     assert linalg.solve([(1, 1), (2, 2)], (1, 3)) is None
 
 
-def test_inverse_and_mat_vec():
+def product(rows, v):
+    """The matrix-vector product A v, summed directly."""
+    return tuple(sum((F(a) * b for a, b in zip(row, v)), F(0)) for row in rows)
+
+
+def test_inverse_and_product():
     rows = [(2, 1), (1, 1)]
     inv = linalg.inverse(rows)
     assert inv == ((F(1), F(-1)), (F(-1), F(2)))
-    assert linalg.mat_vec(inv, (3, 2)) == (F(1), F(1))
+    assert product(inv, (3, 2)) == (F(1), F(1))
     assert linalg.inverse([(1, 2), (2, 4)]) is None
     with pytest.raises(ValueError):
         linalg.inverse([(1, 2, 3), (4, 5, 6)])
-    with pytest.raises(ValueError):
-        linalg.mat_vec(inv, (1, 2, 3))
 
 
 def test_nullspace_dimension():
@@ -124,6 +127,28 @@ def test_elimination_matches_dense_oracle(seed, density):
             assert inv == naive_inverse(square)
             if inv is not None:
                 assert all(type(e) is Fraction for row in inv for e in row)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extend_reduced_matches_prefix_ranks(seed):
+    # rows go in one at a time, with int entries as the lattice build
+    # passes them; each flag is a rank step of the growing prefix
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 8)
+    rows = [
+        {j: rng.randint(-3, 3) for j in range(ncols) if rng.random() < 0.4}
+        for _ in range(rng.randint(1, 12))
+    ]
+    rows = [{j: e for j, e in row.items() if e} for row in rows]
+    pivots = {}
+    for k, row in enumerate(rows):
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows[: k + 1]]
+        grew = len(naive_rref(dense)) > len(naive_rref(dense[:-1]))
+        assert linalg.extend_reduced(pivots, dict(row)) == grew
+    reduced = tuple(
+        tuple(F(pivots[p].get(j, 0)) for j in range(ncols)) for p in sorted(pivots)
+    )
+    assert reduced == naive_rref([[row.get(j, 0) for j in range(ncols)] for row in rows])
 
 
 def test_rref_rejects_ragged_rows():
@@ -209,5 +234,5 @@ def test_inverse_inverts(rows):
         assert inv is None
         return
     for i in range(n):
-        column = linalg.mat_vec(square, [row[i] for row in inv])
+        column = product(square, [row[i] for row in inv])
         assert column == linalg.unit_vector(n, i)
