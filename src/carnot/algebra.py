@@ -8,14 +8,15 @@ of their denominators: ``adjacency[u][v] = {w: A}`` for
 that bracket to zero absent, and ``into[w]`` lists (u, v, A) for each
 u < v whose bracket has the component (A / D) b_w.  Sums of many products
 (Jacobi, curvature, the differential) run in integers and divide once at
-the end; the bracket, the structure pairs and single constants divide by D
-where they return.  Coefficients outside are Fractions throughout, so every
-decision this module makes (ranks, spans, equalities) is exact.
+the end, and so does ``integer_bracket``, the one bilinear sum over the
+supports of two vectors; the bracket, the structure pairs and single
+constants divide by D where they return.  Coefficients outside are
+Fractions throughout, so every decision this module makes (ranks, spans,
+equalities) is exact.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,20 +153,15 @@ class GradedLieAlgebra:
                 entry[w] = entry.get(w, ZERO) + coefficient(coeff)
             listed[u, v] = {w: c for w, c in entry.items() if c != 0}
 
-        d = math.lcm(
-            *(c.denominator for entry in listed.values() for c in entry.values())
+        scaled, d = linalg.numerators(
+            {(u, v, w): c for (u, v), entry in listed.items() for w, c in entry.items()}
         )
         adjacency: list[dict[int, dict[int, int]]] = [{} for _ in self.basis]
         into: list[list[tuple[int, int, int]]] = [[] for _ in self.basis]
-        for (u, v), entry in listed.items():
-            if not entry:
-                continue
-            scaled = {w: c.numerator * (d // c.denominator) for w, c in entry.items()}
-            adjacency[u][v] = scaled
-            adjacency[v][u] = {w: -a for w, a in scaled.items()}
-            low, high = min(u, v), max(u, v)
-            for w, a in adjacency[low][high].items():
-                into[w].append((low, high, a))
+        for (u, v, w), a in scaled.items():
+            adjacency[u].setdefault(v, {})[w] = a
+            adjacency[v].setdefault(u, {})[w] = -a
+            into[w].append((u, v, a) if u < v else (v, u, -a))
         self.denominator = d
         self.adjacency = tuple(adjacency)
         self.into = tuple(map(tuple, into))
@@ -243,22 +239,38 @@ class GradedLieAlgebra:
         """Coefficient of b_w in [b_u, b_v]."""
         return Fraction(self.adjacency[u].get(v, {}).get(w, 0), self.denominator)
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear extension: the sum of x_u y_v [b_u, b_v] over the
-        adjacency rows of the support of ``x``, with 1/D folded into x_u
-        once per row."""
-        d = self.denominator
-        out = [ZERO] * self.dimension
-        for u, row in enumerate(self.adjacency):
-            if not row or x[u] == 0:
+    def integer_bracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> dict:
+        """D [x, y] for sparse integer vectors ``{position: int}``: the sum of
+        x_u y_v adjacency[u][v] over the supports of x and y, every other
+        term having a zero factor.  Components that cancel may stay as 0."""
+        adjacency = self.adjacency
+        out: dict[int, int] = {}
+        for u, a in x.items():
+            row = adjacency[u]
+            if not row:
                 continue
-            xu = Fraction(x[u], d)
-            for v, entry in row.items():
-                coeff = xu * y[v]
-                if coeff == 0:
+            for v, b in y.items():
+                entry = row.get(v)
+                if entry is None:
                     continue
-                for w, a in entry.items():
-                    out[w] += coeff * a
+                ab = a * b
+                for w, c in entry.items():
+                    out[w] = out.get(w, 0) + ab * c
+        return out
+
+    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+        """Bilinear extension: with x = w / r and y = w' / r' over integer
+        numerators, [x, y] is ``integer_bracket(w, w')`` divided once by
+        r r' D, one Fraction per nonzero component."""
+        n = self.dimension
+        if len(x) != n or len(y) != n:
+            raise ValueError("vector length does not match the algebra")
+        xs, r = linalg.numerators(x)
+        ys, s = linalg.numerators(y)
+        out = [ZERO] * n
+        for w, a in self.integer_bracket(xs, ys).items():
+            if a:
+                out[w] = Fraction(a, r * s * self.denominator)
         return tuple(out)
 
     def __eq__(self, other) -> bool:

@@ -52,7 +52,9 @@ def _load_entry(source: str) -> CatalogEntry:
 
 
 def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
-    if getattr(args, "subspace", None):
+    if args.subspace is not None and args.subspace_file is not None:
+        raise InputError("give --subspace or --subspace-file, not both")
+    if args.subspace is not None:
         labels = [part.strip() for part in args.subspace.split(",") if part.strip()]
         if not labels:
             raise InputError("--subspace needs at least one label")
@@ -60,7 +62,7 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
         if repeated is not None:
             raise InputError("--subspace lists %r twice" % repeated)
         return Subspace.from_labels(entry.algebra, labels)
-    if getattr(args, "subspace_file", None):
+    if args.subspace_file is not None:
         with open(args.subspace_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         rows = data.get("rows") if isinstance(data, dict) else None
@@ -126,11 +128,10 @@ def _vector_strings(v) -> list[str]:
 
 
 def cmd_catalog(args) -> int:
-    entries = _catalog.default_entries()
-    payload = {"entries": [_catalog.entry_summary(e) for e in entries]}
+    summaries = [_catalog.entry_summary(e) for e in _catalog.default_entries()]
+    payload = {"entries": summaries}
     lines = []
-    for e in entries:
-        summary = _catalog.entry_summary(e)
+    for summary in summaries:
         designated = summary["designated_subspace"]
         lines.append(
             "%-16s dim=%-3d layers=%s hausdorff=%d subspace=%s"
@@ -473,10 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

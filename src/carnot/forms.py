@@ -220,27 +220,37 @@ def differential(form: InvariantForm) -> InvariantForm:
     pair-position sign from the defining sum times the parity of moving w
     to the front of its monomial; the whole result carries 1/(p+1)!.
 
-    Only the pairs bracketing into each w of a monomial are visited, read
-    from the algebra's integer ``into`` lists.  With E the common
-    denominator of the form's coefficients and D that of the structure
-    constants, each product coeff * c is an integer over E * D, so every
-    output coefficient is an integer sum divided once by E * D * (p+1)!:
-    exact, with one Fraction per output monomial, and a monomial whose
-    integer sum cancels is absent.
+    With E the common denominator of the form's coefficients and D that of
+    the structure constants, each product coeff * c is an integer over
+    E * D, so every output coefficient is an integer sum divided once by
+    E * D * (p+1)!: exact, with one Fraction per output monomial, and a
+    monomial whose integer sum cancels is absent.
     """
     algebra = form.algebra
     p = form.degree
     if p >= algebra.dimension:
         return InvariantForm(algebra, min(p + 1, algebra.dimension), {})
+    terms, e = linalg.numerators(form.terms)
+    scale = e * algebra.denominator * math.factorial(p + 1)
+    out = _integer_differential(algebra, terms)
+    return InvariantForm(
+        algebra, p + 1, {m: Fraction(n, scale) for m, n in out.items() if n}
+    )
+
+
+def _integer_differential(
+    algebra: GradedLieAlgebra, terms: Mapping[Monomial, int]
+) -> dict[Monomial, int]:
+    """D (p+1)! times the differential of the integer form ``terms``, by
+    monomial, with zeros where sums cancel.  Only the pairs bracketing into
+    each w of a monomial are visited, read from the algebra's ``into``."""
     into = algebra.into
-    e = math.lcm(*(c.denominator for c in form.terms.values()))
     out: dict[Monomial, int] = {}
-    for mono, coeff in form.terms.items():
+    for mono, coeff in terms.items():
         members = set(mono)
-        scaled = coeff.numerator * (e // coeff.denominator)
         for pos_w, w in enumerate(mono):
             rest = mono[:pos_w] + mono[pos_w + 1 :]
-            signed = -scaled if pos_w % 2 else scaled
+            signed = -coeff if pos_w % 2 else coeff
             for u, v, c in into[w]:
                 if (u in members and u != w) or (v in members and v != w):
                     continue
@@ -249,10 +259,7 @@ def differential(form: InvariantForm) -> InvariantForm:
                 # the pair-position sign (-1)^(i+j+1) of the sum
                 merged, sign = _merge_sign(rest, (u, v))
                 out[merged] = out.get(merged, 0) + sign * signed * c
-    scale = e * algebra.denominator * math.factorial(p + 1)
-    return InvariantForm(
-        algebra, p + 1, {m: Fraction(n, scale) for m, n in out.items() if n}
-    )
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,24 +355,26 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     from the first, ordered lexicographically.  Requires a 2-step (or
     abelian) algebra; the kernel dimension counts independent closed
     2-forms of this shape.
+    Each column is ``_integer_differential`` of a generator, a monomial
+    with coefficient +-1: D 3! times its differential.  Every column has
+    that same scale, so the kernel is that of the exact columns.
     """
     require_two_step(algebra, "the pittet kernel")
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
     v1 = algebra.layers[0]
     pairs = []
-    generators = []
+    # one sparse row per monomial, in any order: the kernel basis is canonical
+    rows: dict[Monomial, dict[int, int]] = {}
     for y in v2:
         for x in v1:
+            col = len(pairs)
             pairs.append((algebra.basis[y], algebra.basis[x]))
             # Y* ^ x* is one monomial, signed by the order of y and x
             pair = {(min(y, x), max(y, x)): 1 if y < x else -1}
-            generators.append(differential(InvariantForm(algebra, 2, pair)))
-    # one sparse row per monomial, in any order: the kernel basis is canonical
-    rows: dict[Monomial, dict[int, Fraction]] = {}
-    for col, g in enumerate(generators):
-        for m, c in g.terms.items():
-            rows.setdefault(m, {})[col] = c
-    kernel = linalg.nullspace(rows.values(), ncols=len(generators))
+            for m, c in _integer_differential(algebra, pair).items():
+                if c:
+                    rows.setdefault(m, {})[col] = c
+    kernel = linalg.nullspace(rows.values(), ncols=len(pairs))
     return PittetReport(tuple(pairs), len(kernel), kernel)
 
 

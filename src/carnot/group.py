@@ -12,14 +12,12 @@ Both checks run in Python ints.  A vector v = w / r with integer
 numerators w lies in the integer span exactly when q r divides every
 coordinate sum sum_k w_k column_k, where the columns are those of the
 inverse generator matrix times its common denominator q.  With g = w / s,
-[g_i, g_j]/2 has integer numerators over 2 s_i s_j D (D the algebra's
-denominator), summed from the integer adjacency over the supports of g_i
-and g_j only: every other term of the bilinear sum has a zero factor.
+[g_i, g_j]/2 has the integer numerators ``integer_bracket(w_i, w_j)`` over
+2 s_i s_j D, D the algebra's denominator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -119,22 +117,22 @@ class LatticeSpec:
         inverse = linalg.inverse(tuple(zip(*self.generators, strict=True)))
         if inverse is None:
             raise InputError("lattice generators must span the algebra")
-        q = math.lcm(*(c.denominator for row in inverse for c in row))
+        scaled, q = linalg.numerators(
+            {(k, i): c for i, row in enumerate(inverse) for k, c in enumerate(row)}
+        )
         columns: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, row in enumerate(inverse):
-            for k, c in enumerate(row):
-                if c:
-                    columns[k][i] = c.numerator * (q // c.denominator)
+        for (k, i), a in scaled.items():
+            columns[k][i] = a
         object.__setattr__(self, "_denominator", q)
         object.__setattr__(self, "_columns", tuple(columns))
-        object.__setattr__(self, "_scaled", tuple(map(_numerators, self.generators)))
+        object.__setattr__(self, "_scaled", tuple(map(linalg.numerators, self.generators)))
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
         x = [e if type(e) is Fraction else Fraction(e) for e in v]
         if len(x) != len(self._columns):
             raise ValueError("vector length does not match the algebra")
-        coords = self._coordinates(*_numerators(x))
+        coords = self._coordinates(*linalg.numerators(x))
         return None if coords is None else tuple(map(Fraction, coords))
 
     def _coordinates(self, w: dict[int, int], r: int) -> list[int] | None:
@@ -147,13 +145,6 @@ class LatticeSpec:
         if any(total % qr for total in sums):
             return None
         return [total // qr for total in sums]
-
-
-def _numerators(v: Sequence[Fraction]) -> tuple[dict[int, int], int]:
-    """v as sparse integer numerators {position: w} over the lcm r of its
-    denominators, so that v = w / r."""
-    r = math.lcm(*(e.denominator for e in v))
-    return {k: e.numerator * (r // e.denominator) for k, e in enumerate(v) if e}, r
 
 
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
@@ -217,27 +208,17 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
     bilinearity [x, y]/2 = sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2
     for x = sum a_i g_i and y = sum b_j g_j, an integer combination of the
     checked vectors, so the verdict holds for the whole span.  Each halved
-    bracket is summed in integers from the adjacency rows of the support of
-    g_i at the support of g_j (see the module docstring).
+    bracket is the algebra's ``integer_bracket`` of the generators'
+    numerators (see the module docstring).
     """
     algebra = spec.algebra
-    adjacency = algebra.adjacency
     scaled = spec._scaled
     for i, (x, s) in enumerate(scaled):
-        rows = [(adjacency[u], a) for u, a in x.items() if adjacency[u]]
-        if not rows:
+        if not any(algebra.adjacency[u] for u in x):
             continue
         for j in range(i + 1, len(scaled)):
             y, t = scaled[j]
-            half: dict[int, int] = {}
-            for row, a in rows:
-                for v, b in y.items():
-                    entry = row.get(v)
-                    if entry is None:
-                        continue
-                    ab = a * b
-                    for w, c in entry.items():
-                        half[w] = half.get(w, 0) + ab * c
+            half = algebra.integer_bracket(x, y)
             r = 2 * s * t * algebra.denominator
             if not half or spec._coordinates(half, r) is not None:
                 continue

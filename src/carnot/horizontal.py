@@ -89,9 +89,7 @@ class CurvatureForm:
 
     def component(self, i: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """Value of component ``i`` (index into non-horizontal directions)."""
-        self._check_horizontal(x)
-        self._check_horizontal(y)
-        return HALF * self.algebra.bracket(x, y)[self.targets[i]]
+        return self.evaluate(x, y)[i]
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """All components at once, ordered like ``targets``."""
@@ -109,40 +107,40 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
     """Does the curvature form vanish on all pairs from ``s``?
 
     Bilinearity means checking the canonical spanning rows suffices; the
-    witness is the first offending pair of rows.
+    witness is the first offending pair of rows.  Only zeros matter, so the
+    brackets are ``integer_bracket``s of the rows' numerators, undivided.
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     first = set(algebra.layers[0])
-    for x, y in itertools.combinations(s.rows, 2):
-        bracket = algebra.bracket(x, y)
-        if any(c and t not in first for t, c in enumerate(bracket)):
+    rows = [(row, linalg.numerators(row)[0]) for row in s.rows]
+    for (x, xs), (y, ys) in itertools.combinations(rows, 2):
+        bracket = algebra.integer_bracket(xs, ys)
+        if any(c and t not in first for t, c in bracket.items()):
             return IsotropyResult(False, (x, y))
     return IsotropyResult(True)
 
 
 def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
     """Stacked system matrix: rows (component i, spanning vector q), columns
-    over the first-layer basis; entry is component_i(b_u, X_q), read from
-    the integer adjacency as the sum of X_q[v] A_uv^t / 2D over v in the
-    support of X_q.  First-layer targets t, which only ungraded tables have,
-    are skipped.
+    over the first-layer basis; entry is component_i(b_u, X_q).  With
+    X_q = w / r over integer numerators it is the t component of
+    ``integer_bracket({u: 1}, w)`` over 2 r D, one Fraction per entry.
+    First-layer targets t, which only ungraded tables have, are skipped.
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     form = CurvatureForm(algebra)
     position = {t: i for i, t in enumerate(form.targets)}
-    scale = 2 * algebra.denominator
     out = [[ZERO] * len(form.v1) for _ in range(len(form.targets) * s.dim)]
     for q, xq in enumerate(s.rows):
-        half = {v: c / scale for v, c in enumerate(xq) if c}
+        w, r = linalg.numerators(xq)
+        scale = 2 * r * algebra.denominator
         for col, u in enumerate(form.v1):
-            row = algebra.adjacency[u]
-            for v in row.keys() & half.keys():
-                for t, a in row[v].items():
-                    i = position.get(t)
-                    if i is not None:
-                        out[i * s.dim + q][col] += half[v] * a
+            for t, a in algebra.integer_bracket({u: 1}, w).items():
+                i = position.get(t)
+                if i is not None and a:
+                    out[i * s.dim + q][col] = Fraction(a, scale)
     return tuple(tuple(row) for row in out)
 
 

@@ -11,8 +11,9 @@ densifies only its result.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -30,8 +31,14 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
+def numerators(values: Mapping | Sequence) -> tuple[dict, int]:
+    """``({key: w}, r)``: the ints and Fractions of a ``{key: value}`` dict,
+    or of a sequence keyed by position, as integers w over the lcm r of
+    their denominators, value = w / r, with the zeros absent."""
+    items = values.items() if type(values) is dict else enumerate(values)
+    nonzero = [(k, e) for k, e in items if e]
+    r = math.lcm(*(e.denominator for _, e in nonzero))
+    return {k: e.numerator * (r // e.denominator) for k, e in nonzero}, r
 
 
 def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
@@ -124,19 +131,9 @@ def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
 
 
 def in_row_span(reduced: Matrix, v: Sequence) -> bool:
-    """Membership test against a matrix already in reduced form."""
-    return is_zero(reduce_against(reduced, v))
-
-
-def reduce_against(reduced: Matrix, v: Sequence) -> Vector:
-    """Remainder of v after elimination by rows of a reduced matrix."""
-    rem = list(Fraction(e) for e in v)
-    for row in reduced:
-        p = next(j for j, e in enumerate(row) if e != 0)
-        if rem[p] != 0:
-            c = rem[p]
-            rem = [a - c * b for a, b in zip(rem, row)]
-    return tuple(rem)
+    """Membership test against a matrix already in reduced form: v adds
+    nothing to its rank.  A v of another length is a ragged matrix."""
+    return rank((*reduced, v)) == len(reduced)
 
 
 def inverse(rows: Sequence[Sequence]) -> Matrix | None:

@@ -102,6 +102,44 @@ def random_vector(rng, n):
     )
 
 
+def test_bracket_rejects_a_vector_of_another_length():
+    algebra = build("heisenberg_c:1").algebra
+    assert algebra.dimension == 3
+    for x, y in (((1, 0, 0, 5), (0, 1, 0, 7)), ((1, 0, 0), (0, 1)), ((1,), (0, 1, 0))):
+        with pytest.raises(ValueError, match="vector length"):
+            algebra.bracket(x, y)
+
+
+def random_numerators(rng, n):
+    """Sparse integer numerators {position: int} on about half of range(n)."""
+    return {k: rng.randint(-9, 9) for k in range(n) if rng.random() < 0.6}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_bracket_matches_naive_sum(seed):
+    rng = random.Random(seed)
+    if seed < 2:
+        basis, _, table = coprime_table()
+    else:
+        basis, table = random_table(rng, rng.randint(2, 7))
+    algebra = GradedLieAlgebra("random", basis, [basis], table)
+    n, d = algebra.dimension, algebra.denominator
+    for trial in range(12):
+        xs, r = random_numerators(rng, n), rng.randint(1, 6)
+        ys, s = random_numerators(rng, n), rng.randint(1, 6)
+        if trial % 3 == 0:
+            # a multiple of x: every component cancels
+            ys, s = {k: 3 * a for k, a in xs.items()}, 5
+        x = tuple(F(xs.get(k, 0), r) for k in range(n))
+        y = tuple(F(ys.get(k, 0), s) for k in range(n))
+        got = algebra.integer_bracket(xs, ys)
+        assert all(type(a) is int for a in got.values())
+        want = naive_bracket(table, basis, x, y)
+        assert tuple(F(got.get(w, 0), r * s * d) for w in range(n)) == want
+        if trial % 3 == 0:
+            assert not any(got.values())
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_bracket_matches_naive_sum_on_random_tables(seed):
     rng = random.Random(seed)
@@ -423,6 +461,14 @@ def test_subspace_contains_and_horizontal():
     assert not s.contains(algebra.basis_vector("i1"))
     assert s.is_horizontal()
     assert not Subspace.from_labels(algebra, ["I"]).is_horizontal()
+
+
+def test_subspace_contains_rejects_a_vector_of_another_length():
+    algebra = build("heisenberg_h:1").algebra
+    s = Subspace.from_labels(algebra, ["h1"])
+    for v in ((1,), (1, 0, 0, 0, 0, 0, 0, 9)):
+        with pytest.raises(ValueError):
+            s.contains(v)
 
 
 def test_subspace_rejects_short_zero_row():

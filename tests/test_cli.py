@@ -165,6 +165,27 @@ def test_zero_subspace_file_is_rejected(capsys, tmp_path, command):
     assert "zero subspace" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "predict", "curvature"])
+def test_subspace_and_subspace_file_together_are_rejected(capsys, tmp_path, command):
+    # neither may silently win over the other
+    rows = [["0"] * 7]
+    rows[0][0] = "1"
+    path = write_rows(tmp_path, rows)
+    code, out, err = run(
+        capsys, command, "heisenberg_h:1", "--subspace", "h1", "--subspace-file", path
+    )
+    assert_one_error(code, out, err)
+    assert "not both" in err
+
+
+@pytest.mark.parametrize("option", ["--subspace", "--subspace-file"])
+def test_empty_subspace_option_is_not_the_designated_subspace(capsys, option):
+    # heisenberg_h:2 designates span(h1, h2); an empty value must not fall
+    # back to it
+    code, out, err = run(capsys, "certify", "heisenberg_h:2", option, "")
+    assert_one_error(code, out, err)
+
+
 # -- predict ------------------------------------------------------------------------
 
 

@@ -29,6 +29,7 @@ from helpers import (
     basis_tuples,
     coprime_table,
     naive_differential_value,
+    naive_nullspace,
     random_form,
     random_layered_table,
     random_table,
@@ -420,6 +421,30 @@ def test_pair_kernel_invariant_under_basis_permutation():
         }
     shuffled = GradedLieAlgebra("shuffled", first + second, [first, second], table)
     assert pittet_kernel(shuffled).kernel_dimension == 0
+
+
+def item_six_table():
+    """[a, b] = z and [a, c] = z/3: the structure constants have D = 3."""
+    basis = ["a", "b", "c", "z"]
+    table = {("a", "b"): {"z": F(1)}, ("a", "c"): {"z": F(1, 3)}}
+    return basis, [["a", "b", "c"], ["z"]], table
+
+
+@pytest.mark.parametrize("make", [item_six_table, coprime_table])
+def test_pair_kernel_over_a_common_denominator(make):
+    # the kernel read from integer columns equals the nullspace of the
+    # columns of the public differential, each a Fraction form
+    algebra = GradedLieAlgebra("rational", *make())
+    assert algebra.denominator > 1
+    report = pittet_kernel(algebra)
+    columns = [
+        differential(wedge(dual(algebra, y), dual(algebra, x))).terms
+        for y, x in report.pairs
+    ]
+    monomials = sorted({m for column in columns for m in column})
+    rows = [[column.get(m, F(0)) for column in columns] for m in monomials]
+    assert report.kernel_basis == naive_nullspace(rows, len(columns))
+    assert 0 < report.kernel_dimension < len(columns)
 
 
 def test_pair_kernel_rejects_higher_degree():

@@ -180,7 +180,29 @@ def test_in_row_span_and_reduce():
     reduced = linalg.rref([(1, 0, 1), (0, 1, 1)])
     assert linalg.in_row_span(reduced, (2, 3, 5))
     assert not linalg.in_row_span(reduced, (0, 0, 1))
-    assert linalg.is_zero(linalg.reduce_against(reduced, (2, 3, 5)))
+
+
+def test_in_row_span_rejects_a_vector_of_another_length():
+    # a short or long vector must not be zipped against the reduced rows
+    reduced = linalg.rref([(1, 0, 1), (0, 1, 1)])
+    for v in ((1,), (2, 3), (2, 3, 5, 0), (1, 0, 1, 9)):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            linalg.in_row_span(reduced, v)
+
+
+def test_numerators_over_the_lcm_of_the_denominators():
+    scaled, r = linalg.numerators((F(1, 6), 0, F(-3, 4), 2, F(0)))
+    assert (scaled, r) == ({0: 2, 2: -9, 3: 24}, 12)
+    assert all(type(w) is int for w in scaled.values())
+    assert linalg.numerators({"x": F(5, 7), "y": F(0), "z": 3}) == ({"x": 5, "z": 21}, 7)
+    assert linalg.numerators(()) == ({}, 1)
+    assert linalg.numerators((F(0), 0)) == ({}, 1)
+    rng = random.Random(5)
+    for _ in range(20):
+        values = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(6)]
+        scaled, r = linalg.numerators(values)
+        assert [F(scaled.get(k, 0), r) for k in range(6)] == values
+        assert all(r % v.denominator == 0 for v in values)
 
 
 small_fraction = st.fractions(
