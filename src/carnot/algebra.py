@@ -267,11 +267,7 @@ class GradedLieAlgebra:
             raise ValueError("vector length does not match the algebra")
         xs, r = linalg.numerators(x)
         ys, s = linalg.numerators(y)
-        out = [ZERO] * n
-        for w, a in self.integer_bracket(xs, ys).items():
-            if a:
-                out[w] = Fraction(a, r * s * self.denominator)
-        return tuple(out)
+        return linalg.densify(self.integer_bracket(xs, ys), n, r * s * self.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedLieAlgebra):
@@ -320,6 +316,9 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
+        # a zero-dimensional subspace has no row to take the width from
+        if len(v) != self.algebra.dimension:
+            raise ValueError("vector length does not match the algebra")
         return linalg.in_row_span(self.rows, v)
 
     def is_horizontal(self) -> bool:

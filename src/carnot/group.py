@@ -31,7 +31,7 @@ from .algebra import (
     coefficient,
     require_two_step,
 )
-from .linalg import HALF, Matrix, Vector, ZERO
+from .linalg import HALF, Matrix, Vector
 
 
 class GroupElement:
@@ -90,11 +90,12 @@ class LatticeSpec:
     """Basis whose integer span should be a scaled-in lattice.
 
     There are exactly ``dimension`` generators and they must span the
-    algebra, so the matrix with the generators as columns is invertible.
-    Its inverse is computed once and kept only as sparse integer columns
-    over the lcm q of its denominators, ``_columns[k][i] = q inverse[i][k]``:
-    v = w / r has the coordinates sum_k w_k _columns[k] / (q r), integers
-    exactly when q r divides every sum.  Each generator is also kept as
+    algebra, so the matrix G with the generators as rows is invertible and
+    v has the coordinates v G^-1.  ``linalg.integer_inverse`` gives G^-1
+    once, as sparse integer rows over the lcm q of its denominators,
+    ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the coordinates
+    sum_k w_k _columns[k] / (q r), integers exactly when q r divides every
+    sum.  Each generator is also kept as
     integer numerators over its own denominator, ``_scaled[i] = (w, s)``.
     """
 
@@ -114,17 +115,12 @@ class LatticeSpec:
                 "a lattice needs exactly %d generators, got %d"
                 % (n, len(self.generators))
             )
-        inverse = linalg.inverse(tuple(zip(*self.generators, strict=True)))
-        if inverse is None:
+        found = linalg.integer_inverse(self.generators)
+        if found is None:
             raise InputError("lattice generators must span the algebra")
-        scaled, q = linalg.numerators(
-            {(k, i): c for i, row in enumerate(inverse) for k, c in enumerate(row)}
-        )
-        columns: list[dict[int, int]] = [{} for _ in range(n)]
-        for (k, i), a in scaled.items():
-            columns[k][i] = a
+        columns, q = found
         object.__setattr__(self, "_denominator", q)
-        object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_scaled", tuple(map(linalg.numerators, self.generators)))
 
     def membership(self, v: Sequence) -> Vector | None:
@@ -184,10 +180,7 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     for numerators, r in candidates():
         if not linalg.extend_reduced(pivots, dict(numerators)):
             continue
-        second.append(tuple(
-            Fraction(numerators[w], r) if w in numerators else ZERO
-            for w in range(algebra.dimension)
-        ))
+        second.append(linalg.densify(numerators, algebra.dimension, r))
         # the kept candidates span the second layer exactly when they all
         # lie in it and are as many as its dimension
         graded = graded and layer_two.issuperset(numerators)

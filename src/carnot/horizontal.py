@@ -5,12 +5,13 @@ layer and halved, is an antisymmetric form with one component per
 non-horizontal basis direction.  Isotropy (the form vanishes on a
 subspace) and regularity (a family of inhomogeneous systems built from the
 form is always solvable) are the two properties this module certifies.
-Both certificates are exact: ranks of Fraction matrices, no tolerances.
+Both certificates are exact: ranks of integer matrices, no tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,33 +122,41 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
     return IsotropyResult(True)
 
 
-def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
-    """Stacked system matrix: rows (component i, spanning vector q), columns
-    over the first-layer basis; entry is component_i(b_u, X_q).  With
-    X_q = w / r over integer numerators it is the t component of
-    ``integer_bracket({u: 1}, w)`` over 2 r D, one Fraction per entry.
-    First-layer targets t, which only ungraded tables have, are skipped.
-    """
+def _regularity_rows(
+    algebra: GradedLieAlgebra, s: Subspace
+) -> tuple[list[dict[int, int]], int]:
+    """The rows of ``regularity_matrix`` as integers ``{column: a}`` over
+    one scale.  With X_q = w / r over integer numerators, entry (i, q, u)
+    is the t component of ``integer_bracket({u: 1}, w)`` over 2 r D, taken
+    over the lcm of the r.  First-layer targets t, which only ungraded
+    tables have, are skipped."""
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     form = CurvatureForm(algebra)
     position = {t: i for i, t in enumerate(form.targets)}
-    out = [[ZERO] * len(form.v1) for _ in range(len(form.targets) * s.dim)]
-    for q, xq in enumerate(s.rows):
-        w, r = linalg.numerators(xq)
-        scale = 2 * r * algebra.denominator
+    scaled = [linalg.numerators(xq) for xq in s.rows]
+    lcm = math.lcm(*(r for _, r in scaled))
+    rows: list[dict[int, int]] = [{} for _ in range(len(form.targets) * s.dim)]
+    for q, (w, r) in enumerate(scaled):
         for col, u in enumerate(form.v1):
             for t, a in algebra.integer_bracket({u: 1}, w).items():
                 i = position.get(t)
                 if i is not None and a:
-                    out[i * s.dim + q][col] = Fraction(a, scale)
-    return tuple(tuple(row) for row in out)
+                    rows[i * s.dim + q][col] = a * (lcm // r)
+    return rows, 2 * lcm * algebra.denominator
+
+
+def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
+    """Stacked system matrix: rows (component i, spanning vector q), columns
+    over the first-layer basis; entry is component_i(b_u, X_q)."""
+    rows, scale = _regularity_rows(algebra, s)
+    return tuple(linalg.densify(row, len(algebra.layers[0]), scale) for row in rows)
 
 
 def is_regular(algebra: GradedLieAlgebra, s: Subspace) -> RegularityResult:
     """Full row rank of the stacked system decides regularity."""
     required = (algebra.dimension - len(algebra.layers[0])) * s.dim
-    rank = linalg.rank(regularity_matrix(algebra, s))
+    rank = linalg.rank(_regularity_rows(algebra, s)[0], len(algebra.layers[0]))
     return RegularityResult(rank == required, rank, required)
 
 

@@ -1,12 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, fraction-free inside.
 
-All routines work on tuples of Fraction and never touch floating point.
-Matrices are row tuples; canonical form is the reduced row echelon form
-with zero rows dropped, which doubles as a canonical basis of a row span.
-Elimination is sparse inside: ``rref`` takes rows dense or as
-``{column: value}`` dicts, holds each as ``{column: Fraction}`` without its
-zeros, so its cost follows the nonzeros rather than the shape, and
-densifies only its result.
+Matrices are row tuples of Fraction, never floats; canonical form is the
+reduced row echelon form with zero rows dropped, which doubles as a
+canonical basis of a row span.  Each input row, dense or ``{column:
+value}``, is read once by ``numerators`` into ``{column: int}`` without its
+zeros, so the cost follows the nonzeros.  The reduced basis keeps one
+primitive integer row per pivot column: two rows are combined by
+cross-multiplying with the cofactors of the gcd of the entries being
+cleared, then divided by their content (Bareiss, Math. Comp. 22, 1968).
+The reduced form is unique, so a basis row divided by its pivot entry is
+a row of ``rref``; Fractions are built only for the entries returned.
 """
 
 from __future__ import annotations
@@ -35,10 +38,19 @@ def numerators(values: Mapping | Sequence) -> tuple[dict, int]:
     """``({key: w}, r)``: the ints and Fractions of a ``{key: value}`` dict,
     or of a sequence keyed by position, as integers w over the lcm r of
     their denominators, value = w / r, with the zeros absent."""
-    items = values.items() if type(values) is dict else enumerate(values)
+    items = values.items() if isinstance(values, dict) else enumerate(values)
     nonzero = [(k, e) for k, e in items if e]
     r = math.lcm(*(e.denominator for _, e in nonzero))
     return {k: e.numerator * (r // e.denominator) for k, e in nonzero}, r
+
+
+def densify(row: Mapping[int, int], ncols: int, d: int = 1) -> Vector:
+    """The dense row of the sparse integer row ``row`` divided by d."""
+    out = [ZERO] * ncols
+    for j, e in row.items():
+        if e:
+            out[j] = Fraction(e, d)
+    return tuple(out)
 
 
 def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
@@ -48,86 +60,88 @@ def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
     row's length) or a ``{column: value}`` dict, which needs ``ncols``.
     """
     pivots, ncols = _eliminate(rows, ncols)
-    return tuple(_dense(pivots[p], ncols) for p in sorted(pivots))
+    return tuple(densify(pivots[p], ncols, pivots[p][p]) for p in sorted(pivots))
+
+
+def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
+    return len(_eliminate(rows, ncols)[0])
 
 
 def _eliminate(
     rows: Iterable[Sequence | dict], ncols: int | None
-) -> tuple[dict[int, dict[int, Fraction]], int | None]:
-    """The reduced rows as ``{pivot column: {column: value}}``, and ncols.
-
-    Rows are added one at a time to a reduced basis keyed by pivot column:
-    each is reduced by the pivots in its support, normalised on its leading
-    column, and that column is cleared from the earlier pivot rows.  The
-    reduced form is unique, so the order of elimination does not show.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}
+) -> tuple[dict[int, dict[int, int]], int | None]:
+    """The reduced integer rows as ``{pivot column: {column: int}}``, and
+    ncols.  Entries that are not rationals, such as ``"p/q"`` strings, go
+    through ``Fraction`` first."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if isinstance(row, dict):
             if ncols is None or (row and (min(row) < 0 or max(row) >= ncols)):
                 raise ValueError("sparse row needs ncols and columns in range(ncols)")
-            entries = row.items()
-        else:
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
-                raise ValueError("ragged matrix")
-            entries = enumerate(row)
-        new = {}
-        for j, e in entries:
-            if not isinstance(e, Fraction):
-                e = Fraction(e)
-            if e:
-                new[j] = e
-        extend_reduced(pivots, new)
+        elif ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise ValueError("ragged matrix")
+        try:
+            integers = numerators(row)[0]
+        except AttributeError:
+            items = row.items() if isinstance(row, dict) else enumerate(row)
+            integers = numerators({j: Fraction(e) for j, e in items})[0]
+        extend_reduced(pivots, integers)
     return pivots, ncols
 
 
-def extend_reduced(pivots: dict[int, dict], row: dict) -> bool:
-    """Add one sparse row to a reduced basis ``{pivot column: row}``.
+def extend_reduced(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Add one sparse integer row to a reduced basis ``{pivot column: row}``.
 
-    ``row`` maps columns to nonzero int or Fraction entries and is consumed:
-    it is reduced in place by the pivots in its support, and if anything is
-    left it is normalised on its leading column, that column is cleared
-    from the earlier pivot rows, and it joins the basis.  True when the row
-    was independent of the basis and was added.
+    Every basis row is primitive, positive on its pivot column and zero on
+    every other pivot column.  ``row`` maps columns to nonzero ints and is
+    consumed: it is reduced in place by the pivots in its support, and if
+    anything is left it is made primitive with a positive leading entry,
+    that column is cleared from the earlier pivot rows, and it joins the
+    basis.  True when the row was independent of the basis and was added.
     """
     # a pivot row is zero on every other pivot column, so one pass over
     # the pivots in the starting support clears them all
     for p in [j for j in row if j in pivots]:
-        _subtract(row, row[p], pivots[p])
+        _clear(row, pivots[p], p)
     if not row:
         return False
     lead = min(row)
-    inv = ONE / row[lead]
-    if inv != 1:
-        row = {j: inv * e for j, e in row.items()}
-    for q in pivots.values():
+    _make_primitive(row, lead)
+    for p, q in pivots.items():
         if lead in q:
-            _subtract(q, q[lead], row)
+            # row is zero on p, so q keeps its positive pivot
+            _clear(q, row, lead)
+            _make_primitive(q, p)
     pivots[lead] = row
     return True
 
 
-def _dense(row: dict[int, Fraction], ncols: int) -> Vector:
-    out = [ZERO] * ncols
+def _clear(target: dict[int, int], row: dict[int, int], p: int) -> None:
+    """target = a target - b row, in place, with a / b = row[p] / target[p]
+    in lowest terms, so that column p of target cancels."""
+    g = math.gcd(row[p], target[p])
+    a, b = row[p] // g, target[p] // g
+    if a != 1:
+        for j in target:
+            target[j] *= a
     for j, e in row.items():
-        out[j] = e
-    return tuple(out)
-
-
-def _subtract(target: dict, c: Fraction, row: dict) -> None:
-    """target -= c * row on sparse rows, dropping the entries that cancel."""
-    for j, b in row.items():
-        e = target.get(j, ZERO) - c * b
-        if e:
-            target[j] = e
+        v = target.get(j, 0) - b * e
+        if v:
+            target[j] = v
         else:
             del target[j]
 
 
-def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
-    return len(rref(rows, ncols))
+def _make_primitive(row: dict[int, int], lead: int) -> None:
+    """Divide row by its content, signed to leave row[lead] positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
 
 
 def in_row_span(reduced: Matrix, v: Sequence) -> bool:
@@ -136,22 +150,33 @@ def in_row_span(reduced: Matrix, v: Sequence) -> bool:
     return rank((*reduced, v)) == len(reduced)
 
 
-def inverse(rows: Sequence[Sequence]) -> Matrix | None:
-    """Inverse of a square matrix, from one elimination of ``[A | I]``.
-
-    None if the matrix is singular.
-    """
+def integer_inverse(rows: Sequence[Sequence]) -> tuple[tuple[dict, ...], int] | None:
+    """Inverse of a square matrix as sparse integer rows over one
+    denominator q, from one elimination of ``[A | I]``; None if singular.
+    Reduced row i is the primitive row [a_i e_i | a_i inverse[i]], so q,
+    the lcm of the a_i, is the lcm of the inverse's denominators."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     pivots, _ = _eliminate(
-        ({**{j: a for j, a in enumerate(row) if a}, n + i: ONE}
-         for i, row in enumerate(rows)),
-        2 * n,
+        ({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(rows)), 2 * n
     )
     if any(p >= n for p in pivots):
         return None
-    return tuple(_dense(pivots[p], 2 * n)[n:] for p in range(n))
+    q = math.lcm(*(pivots[i][i] for i in range(n)))
+    return tuple(
+        {k - n: e * (q // pivots[i][i]) for k, e in pivots[i].items() if k >= n}
+        for i in range(n)
+    ), q
+
+
+def inverse(rows: Sequence[Sequence]) -> Matrix | None:
+    """Inverse of a square matrix; None if the matrix is singular."""
+    found = integer_inverse(rows)
+    if found is None:
+        return None
+    scaled, q = found
+    return tuple(densify(row, len(scaled), q) for row in scaled)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:
@@ -159,20 +184,19 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    a = [list(Fraction(e) for e in row) for row in rows]
-    b = [Fraction(e) for e in rhs]
+    a, b = list(rows), list(rhs)
     if len(a) != len(b):
         raise ValueError("rhs length does not match row count")
     if not a:
         return ()
     ncols = len(a[0])
-    pivots, _ = _eliminate([row + [bi] for row, bi in zip(a, b)], ncols + 1)
+    pivots, _ = _eliminate(([*row, bi] for row, bi in zip(a, b)), ncols + 1)
     if ncols in pivots:
         return None
-    solution = [ZERO] * ncols
-    for p, row in pivots.items():
-        solution[p] = row.get(ncols, ZERO)
-    return tuple(solution)
+    return tuple(
+        Fraction(pivots[j].get(ncols, 0), pivots[j][j]) if j in pivots else ZERO
+        for j in range(ncols)
+    )
 
 
 def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
@@ -190,7 +214,8 @@ def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matr
     # a reduced row is zero on the other pivot columns, so each of its
     # off-pivot entries sits in a free column
     for p, row in pivots.items():
+        lead = row[p]
         for free, e in row.items():
             if free != p:
-                basis[free][p] = -e
+                basis[free][p] = Fraction(-e, lead)
     return tuple(tuple(v) for v in basis.values())

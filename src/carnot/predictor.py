@@ -117,18 +117,26 @@ class HypothesisBundle:
             lattice_scalable = algebra.declared_degree <= 2
         self.lattice_scalable = bool(lattice_scalable)
         self.k = subspace.dim - 1
-        if k1_max_isotropic is not None and k1_max_isotropic < self.k:
+        self.k1_max_isotropic = k1_max_isotropic
+        if k1_max_isotropic is None:
+            return
+        # an isotropic subspace is horizontal, so it fits inside V1; and V1
+        # itself is isotropic exactly when [V1, V1] = V2 is zero
+        asserted, n1 = k1_max_isotropic + 1, len(algebra.layers[0])
+        if asserted < subspace.dim:
             raise InputError(
                 "asserted maximal isotropic dimension is below the certified one"
             )
-        # an isotropic subspace is horizontal, so it fits inside V1
-        n1 = len(algebra.layers[0])
-        if k1_max_isotropic is not None and k1_max_isotropic + 1 > n1:
+        if asserted > n1:
             raise InputError(
                 "asserted maximal isotropic dimension %d exceeds dim V1 = %d"
-                % (k1_max_isotropic + 1, n1)
+                % (asserted, n1)
             )
-        self.k1_max_isotropic = k1_max_isotropic
+        if asserted < n1 == algebra.dimension:
+            raise InputError(
+                "asserted maximal isotropic dimension %d is below dim V1 = %d, "
+                "and V1 is isotropic since V2 = 0" % (asserted, n1)
+            )
 
     @property
     def regular(self) -> bool:
@@ -153,90 +161,45 @@ def predict_filling(bundle: HypothesisBundle) -> list[GrowthBound]:
     lat = bundle.lattice_scalable
     rows: list[GrowthBound] = []
 
+    def add(m, exponent, relation, source, note=""):
+        rows.append(GrowthBound("F", m, exponent, relation, source, note))
+
+    def high(j):  # the sub-Euclidean exponent at dimension n - j
+        return Fraction(big_d - j, big_d - j - 1)
+
     if bundle.regular:
         for m in range(2, min(k + 1, n) + 1):
             if lat:
-                rows.append(
-                    GrowthBound("F", m, Fraction(m, m - 1), "equivalent", LOW_EUCLIDEAN)
-                )
+                add(m, Fraction(m, m - 1), "equivalent", LOW_EUCLIDEAN)
             else:
-                rows.append(
-                    GrowthBound(
-                        "F",
-                        m,
-                        Fraction(m, m - 1),
-                        "at_least",
-                        LOW_EUCLIDEAN_LOWER,
-                        "certification alone; a scalable lattice would upgrade "
-                        "this to an equivalence",
-                    )
-                )
+                add(m, Fraction(m, m - 1), "at_least", LOW_EUCLIDEAN_LOWER,
+                    "certification alone; a scalable lattice would upgrade "
+                    "this to an equivalence")
         gap = k + 2
         if gap <= n:
             if lat:
-                rows.append(
-                    GrowthBound(
-                        "F", gap, Fraction(k + 1 + d, k + 1), "at_most", GAP_UPPER
-                    )
-                )
+                add(gap, Fraction(k + 1 + d, k + 1), "at_most", GAP_UPPER)
             if bundle.k1_max_isotropic == k:
-                rows.append(
-                    GrowthBound(
-                        "F",
-                        gap,
-                        Fraction(k + 2, k + 1),
-                        "strictly_above",
-                        GAP_STRICT_LOWER,
-                        _STRICT_NOTE,
-                    )
-                )
+                add(gap, Fraction(k + 2, k + 1), "strictly_above", GAP_STRICT_LOWER,
+                    _STRICT_NOTE)
         for j in range(0, k):
-            m = n - j
-            if m < 2:
+            if n - j < 2:
                 continue
-            expo = Fraction(big_d - j, big_d - j - 1)
             if lat:
-                rows.append(GrowthBound("F", m, expo, "equivalent", HIGH_SUBEUCLIDEAN))
+                add(n - j, high(j), "equivalent", HIGH_SUBEUCLIDEAN)
             else:
-                rows.append(
-                    GrowthBound(
-                        "F",
-                        m,
-                        expo,
-                        "at_least",
-                        HIGH_SUBEUCLIDEAN_LOWER,
-                        "isotropy-only lower bound; the upper half needs a "
-                        "scalable lattice",
-                    )
-                )
-        m = n - k
-        if m >= 2:
-            rows.append(
-                GrowthBound(
-                    "F",
-                    m,
-                    Fraction(big_d - k, big_d - k - 1),
-                    "at_least",
-                    HIGH_SUBEUCLIDEAN_LOWER,
-                    "isotropy alone reaches this dimension; the two-sided "
-                    "statement stops one dimension higher",
-                )
-            )
+                add(n - j, high(j), "at_least", HIGH_SUBEUCLIDEAN_LOWER,
+                    "isotropy-only lower bound; the upper half needs a "
+                    "scalable lattice")
+        if n - k >= 2:
+            add(n - k, high(k), "at_least", HIGH_SUBEUCLIDEAN_LOWER,
+                "isotropy alone reaches this dimension; the two-sided "
+                "statement stops one dimension higher")
     else:
         for j in range(0, k + 1):
-            m = n - j
-            if m < 2:
-                continue
-            rows.append(
-                GrowthBound(
-                    "F",
-                    m,
-                    Fraction(big_d - j, big_d - j - 1),
-                    "at_least",
-                    HIGH_SUBEUCLIDEAN_LOWER,
-                    "regularity unavailable: isotropy-based lower bound only",
-                )
-            )
+            if n - j >= 2:
+                add(n - j, high(j), "at_least", HIGH_SUBEUCLIDEAN_LOWER,
+                    "regularity unavailable: isotropy-based lower bound only")
     return sorted(rows, key=lambda b: (b.m, b.relation, b.exponent))
 
 
@@ -258,67 +221,33 @@ def predict_divergence(bundle: HypothesisBundle) -> list[GrowthBound]:
     lat = bundle.lattice_scalable
     rows: list[GrowthBound] = []
 
+    def add(m, exponent, relation, source, note=""):
+        rows.append(GrowthBound("Div", m, exponent, relation, source, note))
+
+    def high(j):  # the high-band exponent at dimension n - j - 1
+        return Fraction((big_d - j) * (n - j - 1), big_d - j - 1)
+
     if bundle.regular:
         for j in range(1, min(k, divdim) + 1):
-            rows.append(
-                GrowthBound(
-                    "Div",
-                    j,
-                    Fraction(j + 1),
-                    "at_least",
-                    DIV_LOWER,
-                    "scales the Euclidean filling lower bound; no lattice needed",
-                )
-            )
+            add(j, Fraction(j + 1), "at_least", DIV_LOWER,
+                "scales the Euclidean filling lower bound; no lattice needed")
         for j in range(1, k):
             m = n - j - 1
             if not 1 <= m <= divdim:
                 continue
-            expo = Fraction((big_d - j) * m, big_d - j - 1)
             if lat:
-                rows.append(
-                    GrowthBound("Div", m, expo, "equivalent", DIV_HIGH, _INDEXING_NOTE)
-                )
+                add(m, high(j), "equivalent", DIV_HIGH, _INDEXING_NOTE)
             else:
-                rows.append(
-                    GrowthBound(
-                        "Div",
-                        m,
-                        expo,
-                        "at_least",
-                        DIV_HIGH_LOWER,
-                        _INDEXING_NOTE + "; upper half needs a scalable lattice",
-                    )
-                )
-        m = n - k - 1
-        if 1 <= m <= divdim and k >= 1:
-            expo = Fraction((big_d - k) * m, big_d - k - 1)
-            rows.append(
-                GrowthBound(
-                    "Div",
-                    m,
-                    expo,
-                    "at_least",
-                    DIV_HIGH_LOWER,
-                    "isotropy-only edge of the high band; " + _INDEXING_NOTE,
-                )
-            )
+                add(m, high(j), "at_least", DIV_HIGH_LOWER,
+                    _INDEXING_NOTE + "; upper half needs a scalable lattice")
+        if 1 <= n - k - 1 <= divdim and k >= 1:
+            add(n - k - 1, high(k), "at_least", DIV_HIGH_LOWER,
+                "isotropy-only edge of the high band; " + _INDEXING_NOTE)
     else:
         for j in range(0, k + 1):
-            m = n - j - 1
-            if not 1 <= m <= divdim:
-                continue
-            expo = Fraction((big_d - j) * m, big_d - j - 1)
-            rows.append(
-                GrowthBound(
-                    "Div",
-                    m,
-                    expo,
-                    "at_least",
-                    DIV_HIGH_LOWER,
-                    "regularity unavailable: isotropy-based lower bound only",
-                )
-            )
+            if 1 <= n - j - 1 <= divdim:
+                add(n - j - 1, high(j), "at_least", DIV_HIGH_LOWER,
+                    "regularity unavailable: isotropy-based lower bound only")
     return sorted(rows, key=lambda b: (b.m, b.relation, b.exponent))
 
 

@@ -8,6 +8,9 @@ works from the defining alternating sum and calls only bracket and form
 evaluation, the unipotent oracle multiplies actual matrices, and the
 lattice oracles solve a fresh column system for every query, sweep all
 n^2 generator products and dilate each generator coordinate by coordinate.
+The graded transport rewrites a label-keyed table in a random layer-adapted
+basis by the same dense Fraction sums, inverting its blocks with
+``naive_inverse``.
 """
 
 from __future__ import annotations
@@ -194,6 +197,74 @@ def naive_inverse(rows):
     if len(reduced) < n or any(row[i] != 1 for i, row in enumerate(reduced)):
         return None
     return tuple(row[n:] for row in reduced)
+
+
+def naive_solve(rows, rhs):
+    """One solution of A x = b read off ``naive_rref`` of [A | b], free
+    variables set to zero, or None when the system is inconsistent."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    solution = [Fraction(0)] * ncols
+    for row in naive_rref([list(row) + [b] for row, b in zip(rows, rhs)]):
+        p = next(j for j, e in enumerate(row) if e != 0)
+        if p == ncols:
+            return None
+        solution[p] = row[ncols]
+    return tuple(solution)
+
+
+def graded_transport(table, layers, rng):
+    """The table of the same algebra in a random layer-adapted basis.
+
+    Each layer gets one random invertible block B of entries in
+    [-3, 3]/[1, 3], and its new basis vectors keep the old labels:
+    f_a = sum_u B[u][a] e_u over the labels u, a of that layer.  Returns
+    (table, to_new), where ``to_new`` maps a ``{label: coeff}`` vector in
+    the old basis to its coordinates in the new one, through B^-1.
+    """
+    blocks, inverses = {}, {}
+    for layer in layers:
+        k = len(layer)
+        inverse = None
+        while inverse is None:
+            block = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            inverse = naive_inverse(block)
+        for i, u in enumerate(layer):
+            for j, a in enumerate(layer):
+                blocks[u, a] = block[i][j]
+                inverses[a, u] = inverse[j][i]
+    layer_of = {label: layer for layer in layers for label in layer}
+
+    def to_new(v):
+        out = {}
+        for u, c in v.items():
+            for a in layer_of[u]:
+                out[a] = out.get(a, Fraction(0)) + inverses[a, u] * c
+        return {a: c for a, c in out.items() if c}
+
+    def old_bracket(u, v):
+        if (u, v) in table:
+            return {w: Fraction(c) for w, c in table[u, v].items()}
+        return {w: -Fraction(c) for w, c in table.get((v, u), {}).items()}
+
+    labels = [label for layer in layers for label in layer]
+    transported = {}
+    for a, b in itertools.combinations(labels, 2):
+        total = {}
+        for u in layer_of[a]:
+            for v in layer_of[b]:
+                coeff = blocks[u, a] * blocks[v, b]
+                if coeff:
+                    for w, c in old_bracket(u, v).items():
+                        total[w] = total.get(w, Fraction(0)) + coeff * c
+        result = to_new(total)
+        if result:
+            transported[a, b] = result
+    return transported, to_new
 
 
 def naive_differential_value(form, vectors) -> Fraction:

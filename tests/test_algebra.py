@@ -464,11 +464,15 @@ def test_subspace_contains_and_horizontal():
 
 
 def test_subspace_contains_rejects_a_vector_of_another_length():
+    # the zero subspace has no reduced row to take the width from
     algebra = build("heisenberg_h:1").algebra
-    s = Subspace.from_labels(algebra, ["h1"])
-    for v in ((1,), (1, 0, 0, 0, 0, 0, 0, 9)):
-        with pytest.raises(ValueError):
-            s.contains(v)
+    zero = Subspace(algebra, [])
+    assert zero.contains(algebra.zero())
+    assert not zero.contains(algebra.basis_vector("h1"))
+    for s in (Subspace.from_labels(algebra, ["h1"]), zero):
+        for v in ((), (1,), (1, 0, 0, 0, 0, 0, 0, 9), (0,) * 9):
+            with pytest.raises(ValueError):
+                s.contains(v)
 
 
 def test_subspace_rejects_short_zero_row():

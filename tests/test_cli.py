@@ -274,6 +274,25 @@ def test_predict_max_isotropic_at_first_layer_dimension(capsys):
     assert "asserted maximal isotropic dimension: 8 (k1 = 7)" in out
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_predict_max_isotropic_below_an_isotropic_first_layer(capsys, value):
+    # V2 = 0 makes V1 isotropic, so its dimension 3 refutes the assertion
+    code, out, err = run(
+        capsys, "predict", "abelian:3", "--subspace", "x1", "--max-isotropic", value
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: asserted maximal isotropic dimension %s is below dim V1 = 3, "
+        "and V1 is isotropic since V2 = 0" % value
+    ]
+    code, out, _ = run(
+        capsys, "predict", "abelian:3", "--subspace", "x1", "--max-isotropic", "3"
+    )
+    assert code == 0
+    assert "asserted maximal isotropic dimension: 3 (k1 = 2)" in out
+
+
 def test_consecutive_calls_share_no_state(capsys):
     # the parser is built once per process; nothing parsed may carry over
     run(capsys, "predict", "heisenberg_h:2", "--max-isotropic", "2")

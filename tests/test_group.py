@@ -24,6 +24,7 @@ from carnot import (
 from helpers import (
     coprime_table,
     naive_group_closure,
+    naive_inverse,
     naive_membership,
     naive_scaling_closure,
 )
@@ -303,6 +304,24 @@ def item6_spec():
     return build_scalable_lattice(algebra)
 
 
+def random_spec(key, seed):
+    # dense invertible rational generators: the integer inverse meets
+    # denominators and signs that unit and halved vectors never show
+    if key == "coprime":
+        algebra = GradedLieAlgebra("coprime", *coprime_table())
+    else:
+        algebra = build(key).algebra
+    n = algebra.dimension
+    rng = random.Random(seed)
+    generators = None
+    while generators is None or naive_inverse(generators) is None:
+        generators = tuple(
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(n)
+        )
+    return LatticeSpec(algebra, generators)
+
+
 # -- agreement with the full product sweep -------------------------------------------
 
 _O2_DIMENSION = build("heisenberg_o:2").algebra.dimension
@@ -342,6 +361,9 @@ def test_scaling_closure_matches_dilation_oracle(make_spec):
         lambda: build_scalable_lattice(build("heisenberg_h:4").algebra),
         lambda: build_scalable_lattice(build("heisenberg_c:10").algebra),
         coprime_spec,
+        lambda: random_spec("heisenberg_c:1", 0),
+        lambda: random_spec("heisenberg_h:1", 1),
+        lambda: random_spec("coprime", 2),
     ],
     ids=[
         "heisenberg_h:1",
@@ -352,6 +374,9 @@ def test_scaling_closure_matches_dilation_oracle(make_spec):
         "heisenberg_h:4",
         "heisenberg_c:10",
         "coprime",
+        "random_heisenberg_c:1",
+        "random_heisenberg_h:1",
+        "random_coprime",
     ],
 )
 def test_membership_matches_fresh_solve(make_spec):
@@ -371,3 +396,4 @@ def test_membership_matches_fresh_solve(make_spec):
         assert got == naive_membership(spec.generators, v)
         outcomes.add(got is None)
     assert outcomes == {True, False}
+

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import linalg
-from helpers import naive_inverse, naive_nullspace, naive_rref
+from helpers import naive_inverse, naive_nullspace, naive_rref, naive_solve
 
 F = Fraction
 
@@ -129,10 +129,56 @@ def test_elimination_matches_dense_oracle(seed, density):
                 assert all(type(e) is Fraction for row in inv for e in row)
 
 
-@pytest.mark.parametrize("seed", range(4))
+GROWTH_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (12, 8), (8, 12)])
+@pytest.mark.parametrize("seed", range(2))
+def test_elimination_with_coefficient_growth_matches_oracles(shape, seed):
+    # dense rows with numerators up to 2^40 over distinct primes: every
+    # cross-multiplication grows the integers, and only exact content
+    # division keeps the reduced rows right
+    nrows, ncols = shape
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-(2**40), 2**40), rng.choice(GROWTH_PRIMES))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    # one row a combination of two others, so the rank is not full
+    rows[-1] = [2 * a - F(3, 7) * b for a, b in zip(rows[0], rows[1])]
+    reduced = linalg.rref(rows)
+    assert reduced == naive_rref(rows)
+    assert linalg.rank(rows) == len(reduced) == min(nrows - 1, ncols)
+    kernel = linalg.nullspace(rows)
+    assert kernel == naive_nullspace(rows, ncols)
+    for out in (reduced, kernel):
+        assert all(type(e) is Fraction for row in out for e in row)
+    x = [entry() for _ in range(ncols)]
+    consistent = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    solution = linalg.solve(rows, consistent)
+    assert solution == naive_solve(rows, consistent)
+    assert all(type(e) is Fraction for e in solution)
+    # the last row depends on the first two, so moving its rhs is inconsistent
+    inconsistent = consistent[:-1] + [consistent[-1] + 1]
+    assert linalg.solve(rows, inconsistent) is None
+    assert naive_solve(rows, inconsistent) is None
+    n = min(shape)
+    fresh = [[entry() for _ in range(n)] for _ in range(n)]
+    assert linalg.inverse(fresh) is not None
+    for square in (fresh, [row[:n] for row in rows[:n]]):
+        inv = linalg.inverse(square)
+        assert inv == naive_inverse(square)
+        if inv is not None:
+            assert all(type(e) is Fraction for row in inv for e in row)
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_extend_reduced_matches_prefix_ranks(seed):
     # rows go in one at a time, with int entries as the lattice build
-    # passes them; each flag is a rank step of the growing prefix
+    # passes them; each flag is a rank step of the growing prefix, and
+    # each basis row is a primitive integer row, reduced once divided by
+    # its pivot entry
     rng = random.Random(seed)
     ncols = rng.randint(1, 8)
     rows = [
@@ -146,7 +192,8 @@ def test_extend_reduced_matches_prefix_ranks(seed):
         grew = len(naive_rref(dense)) > len(naive_rref(dense[:-1]))
         assert linalg.extend_reduced(pivots, dict(row)) == grew
     reduced = tuple(
-        tuple(F(pivots[p].get(j, 0)) for j in range(ncols)) for p in sorted(pivots)
+        tuple(F(pivots[p].get(j, 0), pivots[p][p]) for j in range(ncols))
+        for p in sorted(pivots)
     )
     assert reduced == naive_rref([[row.get(j, 0) for j in range(ncols)] for row in rows])
 

@@ -1,0 +1,61 @@
+"""Invariance under a graded transport: the same algebra written in a
+random rational layer-adapted basis must get the same verdicts."""
+
+import random
+
+import pytest
+
+from carnot import (
+    GradedLieAlgebra,
+    Subspace,
+    build,
+    is_isotropic,
+    is_regular,
+    jacobi_check,
+    pittet_kernel,
+    stratification_check,
+)
+from helpers import graded_transport
+
+TRANSPORT_KEYS = [
+    "heisenberg_h:1",
+    "heisenberg_h:2",
+    "heisenberg_h:3",
+    "heisenberg_o:1",
+    "heisenberg_c:2",
+]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("key", TRANSPORT_KEYS)
+def test_verdicts_survive_a_graded_transport(key, seed):
+    entry = build(key)
+    algebra = entry.algebra
+    label = algebra.basis
+    table = {
+        (label[u], label[v]): {label[w]: c for w, c in result.items()}
+        for u, v, result in algebra.structure_pairs()
+    }
+    layers = [[label[i] for i in layer] for layer in algebra.layers]
+    # heisenberg_c has no designated subspace; span(j1..jn) is a valid one
+    subspace = entry.designated_subspace or Subspace.from_labels(
+        algebra, [b for b in label if b.startswith("j")]
+    )
+    iso, reg = is_isotropic(algebra, subspace), is_regular(algebra, subspace)
+    kernel = pittet_kernel(algebra).kernel_dimension
+    rng = random.Random("%s/%d" % (key, seed))
+    moved, to_new = graded_transport(table, layers, rng)
+    image = GradedLieAlgebra(key, label, layers, moved)
+    assert image.adjacency != algebra.adjacency
+    assert jacobi_check(image).ok and jacobi_check(algebra).ok
+    assert stratification_check(image).ok and stratification_check(algebra).ok
+    assert pittet_kernel(image).kernel_dimension == kernel
+    rows = []
+    for row in subspace.rows:
+        coords = to_new({label[i]: c for i, c in enumerate(row) if c})
+        rows.append([coords.get(b, 0) for b in label])
+    mapped = Subspace(image, rows)
+    assert mapped.dim == subspace.dim
+    assert is_isotropic(image, mapped).isotropic == iso.isotropic
+    moved_reg = is_regular(image, mapped)
+    assert (moved_reg.regular, moved_reg.rank) == (reg.regular, reg.rank)
