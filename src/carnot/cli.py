@@ -337,23 +337,21 @@ def cmd_pittet(args) -> int:
 def cmd_lattice(args) -> int:
     entry = _load_entry(args.source)
     spec = build_scalable_lattice(entry.algebra)
-    group_ok = check_group_closure(spec)
-    scaling_ok = check_scaling_closure(spec)
+    checks = {"group": check_group_closure(spec), "scaling": check_scaling_closure(spec)}
     payload = {
         "source": entry.key,
         "generators": [_vector_strings(g) for g in spec.generators],
-        "group_closed": group_ok.ok,
-        "scaling_closed": scaling_ok.ok,
-        "detail": {"group": group_ok.detail, "scaling": scaling_ok.detail},
+        "detail": {name: check.detail for name, check in checks.items()},
     }
+    payload.update(("%s_closed" % name, check.ok) for name, check in checks.items())
     lines = ["source: %s" % entry.key, "generators:"]
     lines += ["  %s" % entry.algebra.describe(g) for g in spec.generators]
-    lines.append("group closure: %s (%s)" % ("ok" if group_ok else "FAIL", group_ok.detail))
-    lines.append(
-        "scaling closure: %s (%s)" % ("ok" if scaling_ok else "FAIL", scaling_ok.detail)
-    )
+    lines += [
+        "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
+        for name, check in checks.items()
+    ]
     _emit(payload, args, lines)
-    return 0 if group_ok.ok and scaling_ok.ok else 1
+    return 0 if all(checks.values()) else 1
 
 
 def cmd_forms_d(args) -> int:

@@ -3,21 +3,21 @@
 For nilpotency degree at most 2 the Baker-Campbell-Hausdorff series stops
 after the first bracket, so the product of exp(x) and exp(y) is
 exp(x + y + [x, y]/2) exactly and group elements can share the algebra's
-coordinates.  The scalable-lattice construction completes the halved
-brackets of first-layer basis vectors to a second-layer basis.  Its
-integer span is checked for closure under products, on the halved
-brackets of generator pairs, and under the dilation by 2.
+coordinates.
 
-Both checks run in Python ints.  A vector v = w / r with integer
-numerators w lies in the integer span exactly when q r divides every
-coordinate sum sum_k w_k column_k, where the columns are those of the
-inverse generator matrix times its common denominator q.  With g = w / s,
-[g_i, g_j]/2 has the integer numerators ``integer_bracket(w_i, w_j)`` over
-2 s_i s_j D, D the algebra's denominator.
+A scalable lattice is the integer span of the first-layer basis and the
+Hermite basis of the Z-module M that the halved brackets [e_a, e_b]/2 of
+first-layer pairs generate.  It is closed by construction: V2 is central,
+so [x, y]/2 = sum (a_i b_j - a_j b_i) [e_i, e_j]/2 lies in M for x, y in
+the span, and the dilation by 2 maps V1 to 2 V1 and V2 to 4 V2.  The two
+closure checks confirm it in Python ints, with D the algebra's common
+denominator.  Brackets off V2, or short of spanning it, mean the algebra
+is not stratified and raise InputError.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -95,8 +95,8 @@ class LatticeSpec:
     once, as sparse integer rows over the lcm q of its denominators,
     ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the coordinates
     sum_k w_k _columns[k] / (q r), integers exactly when q r divides every
-    sum.  Each generator is also kept as
-    integer numerators over its own denominator, ``_scaled[i] = (w, s)``.
+    sum.  Each generator is also kept as integer numerators over its own
+    denominator, ``_scaled[i] = (w, s)``.
     """
 
     algebra: GradedLieAlgebra
@@ -144,50 +144,26 @@ class LatticeSpec:
 
 
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
-    """Generators: first-layer basis plus a completion of halved brackets.
-
-    The candidate second-layer generators are, in this order, the nonzero
-    vectors [a, b]/2 over first-layer basis pairs in lexicographic order,
-    each normalised to a positive leading coefficient, and then half of each
-    second-layer basis vector.  A candidate is kept when it is not in the
-    span of the candidates kept before it, and the walk stops once the kept
-    candidates span the second layer.  The result is deterministic.
-
-    The brackets are read from the integer adjacency, and each candidate is
-    added to one running reduced basis, so span and independence come from
-    a single incremental elimination.
-    """
+    """Generators: the first-layer basis, then the Hermite basis of M (see
+    the module docstring) in ascending pivot order.  Each halved bracket is
+    read from the integer adjacency over 2 D and fed in lexicographic pair
+    order to one ``linalg.hermite_extend`` basis, until that basis is the
+    identity on V2, which no integer row can refine."""
     require_two_step(algebra, "a scalable lattice")
     v1 = algebra.layers[0]
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
-
-    def candidates():
-        # each candidate as integer numerators over a denominator
-        for a_pos, a in enumerate(v1):
-            row = algebra.adjacency[a]
-            for b in v1[a_pos + 1:]:
-                entry = row.get(b)
-                if entry:
-                    sign = 1 if entry[min(entry)] > 0 else -1
-                    yield {w: sign * c for w, c in entry.items()}, 2 * algebra.denominator
-        for i in v2:
-            yield {i: 1}, 2
-
-    layer_two = set(v2)
-    graded = True
-    pivots: dict[int, dict] = {}
-    second: list[Vector] = []
-    for numerators, r in candidates():
-        if not linalg.extend_reduced(pivots, dict(numerators)):
-            continue
-        second.append(linalg.densify(numerators, algebra.dimension, r))
-        # the kept candidates span the second layer exactly when they all
-        # lie in it and are as many as its dimension
-        graded = graded and layer_two.issuperset(numerators)
-        if graded and len(pivots) == len(v2):
-            break
-    generators = [algebra.basis_vector(i) for i in v1]
-    return LatticeSpec(algebra, tuple(generators + second))
+    identity = {i: {i: 1} for i in v2}
+    basis: dict[int, dict[int, int]] = {}
+    for a, b in itertools.combinations(v1, 2):
+        if b in algebra.adjacency[a]:
+            linalg.hermite_extend(basis, dict(algebra.adjacency[a][b]))
+            if basis == identity:
+                break
+    if len(basis) != len(v2) or set().union(*basis.values()) - set(v2):
+        raise InputError("the first-layer brackets do not span the second layer")
+    r = 2 * algebra.denominator
+    second = [linalg.densify(basis[p], algebra.dimension, r) for p in sorted(basis)]
+    return LatticeSpec(algebra, (*map(algebra.basis_vector, v1), *second))
 
 
 def check_group_closure(spec: LatticeSpec) -> CheckResult:
@@ -198,11 +174,10 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
     the pair (j, i) gives the same answer as (i, j) and (i, i) always
     passes; only the pairs i < j are checked, in lexicographic order, and
     the first failure is the first failing pair of the full sweep.  By
-    bilinearity [x, y]/2 = sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2
-    for x = sum a_i g_i and y = sum b_j g_j, an integer combination of the
-    checked vectors, so the verdict holds for the whole span.  Each halved
-    bracket is the algebra's ``integer_bracket`` of the generators'
-    numerators (see the module docstring).
+    bilinearity, [x, y]/2 for x = sum a_i g_i and y = sum b_j g_j is the
+    integer combination sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2,
+    so the verdict holds for the whole span.  With g = w / s, [g_i, g_j]/2
+    has the numerators ``integer_bracket(w_i, w_j)`` over 2 s_i s_j D.
     """
     algebra = spec.algebra
     scaled = spec._scaled

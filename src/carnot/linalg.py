@@ -118,6 +118,38 @@ def extend_reduced(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bo
     return True
 
 
+def hermite_extend(basis: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Add one sparse integer row, consumed, to the Hermite basis ``{pivot
+    column: row}`` of a Z-module: rows zero before their positive pivot and
+    reduced modulo every later pivot, unique for the module."""
+    while row:
+        p = min(row)
+        if p not in basis:
+            basis[p] = {j: -e for j, e in row.items()} if row[p] < 0 else row
+            break
+        # row-Euclid on column p: a remainder swaps in for the pivot row q,
+        # and q goes on to be reduced in its place
+        q = basis[p]
+        _subtract(row, q, row[p] // q[p])
+        if p in row:
+            basis[p], row = row, q
+    for p in sorted(basis):
+        lead = basis[p]
+        for q in basis.values():
+            if q is not lead and p in q:
+                _subtract(q, lead, q[p] // lead[p])
+
+
+def _subtract(target: dict[int, int], row: dict[int, int], k: int) -> None:
+    """target -= k row, in place, keeping only nonzero entries."""
+    for j, e in row.items():
+        v = target.get(j, 0) - k * e
+        if v:
+            target[j] = v
+        else:
+            target.pop(j, None)
+
+
 def _clear(target: dict[int, int], row: dict[int, int], p: int) -> None:
     """target = a target - b row, in place, with a / b = row[p] / target[p]
     in lowest terms, so that column p of target cancels."""
@@ -126,12 +158,7 @@ def _clear(target: dict[int, int], row: dict[int, int], p: int) -> None:
     if a != 1:
         for j in target:
             target[j] *= a
-    for j, e in row.items():
-        v = target.get(j, 0) - b * e
-        if v:
-            target[j] = v
-        else:
-            del target[j]
+    _subtract(target, row, b)
 
 
 def _make_primitive(row: dict[int, int], lead: int) -> None:
@@ -185,8 +212,8 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:
     Free variables are set to zero, so the answer is deterministic.
     """
     a, b = list(rows), list(rhs)
-    if len(a) != len(b):
-        raise ValueError("rhs length does not match row count")
+    if len(a) != len(b) or any(isinstance(row, dict) for row in a):
+        raise ValueError("solve needs one dense row per rhs entry")
     if not a:
         return ()
     ncols = len(a[0])

@@ -10,7 +10,8 @@ lattice oracles solve a fresh column system for every query, sweep all
 n^2 generator products and dilate each generator coordinate by coordinate.
 The graded transport rewrites a label-keyed table in a random layer-adapted
 basis by the same dense Fraction sums, inverting its blocks with
-``naive_inverse``.
+``naive_inverse``.  The Hermite oracle folds dense integer rows together by
+the extended gcd, one column at a time.
 """
 
 from __future__ import annotations
@@ -212,6 +213,50 @@ def naive_solve(rows, rhs):
             return None
         solution[p] = row[ncols]
     return tuple(solution)
+
+
+def naive_hermite(rows, ncols) -> tuple:
+    """Hermite normal form of the Z-module spanned by dense integer rows:
+    column by column, each row with a nonzero entry is folded into one
+    pivot row by the extended gcd, then the entries above every pivot are
+    reduced modulo it.  Rows ordered by pivot, zero rows dropped."""
+
+    def xgcd(a, b):
+        # (g, x, y) with x a + y b = g = gcd(a, b) > 0, for a, b != 0
+        x0, y0, x1, y1, u, v = 1, 0, 0, 1, abs(a), abs(b)
+        while v:
+            q = u // v
+            u, v, x0, x1, y0, y1 = v, u - q * v, x1, x0 - q * x1, y1, y0 - q * y1
+        return u, x0 * (1 if a > 0 else -1), y0 * (1 if b > 0 else -1)
+
+    work = [list(row) for row in rows]
+    echelon = []
+    for col in range(ncols):
+        pivot, rest = None, []
+        for row in work:
+            if row[col] == 0:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                # [[x, y], [b/g, -a/g]] has determinant -1: unimodular
+                a, b = pivot[col], row[col]
+                g, x, y = xgcd(a, b)
+                pivot, row = (
+                    [x * p + y * r for p, r in zip(pivot, row)],
+                    [b // g * p - a // g * r for p, r in zip(pivot, row)],
+                )
+                rest.append(row)
+        if pivot is not None:
+            if pivot[col] < 0:
+                pivot = [-e for e in pivot]
+            echelon.append((col, pivot))
+        work = rest
+    for k, (col, row) in enumerate(echelon):
+        for _, above in echelon[:k]:
+            q = above[col] // row[col]
+            above[:] = [e - q * f for e, f in zip(above, row)]
+    return tuple(tuple(row) for _, row in echelon)
 
 
 def graded_transport(table, layers, rng):

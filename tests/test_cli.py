@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, JSON documents."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -378,6 +379,57 @@ def test_lattice_report(capsys):
     assert "1/2*K" in out
 
 
+def write_algebra(tmp_path, name, basis, layers, table):
+    path = tmp_path / ("%s.json" % name)
+    save_algebra(GradedLieAlgebra(name, basis, layers, table), str(path))
+    return path
+
+
+def write_item6(tmp_path):
+    # [a, b] = z and [a, c] = z/3: the halved brackets span Z z/6
+    return write_algebra(
+        tmp_path,
+        "item6",
+        ["a", "b", "c", "z"],
+        [["a", "b", "c"], ["z"]],
+        {("a", "b"): {"z": 1}, ("a", "c"): {"z": "1/3"}},
+    )
+
+
+def test_lattice_takes_the_integer_span_of_the_halved_brackets(capsys, tmp_path):
+    code, out, err = run(capsys, "lattice", str(write_item6(tmp_path)))
+    assert code == 0, err
+    assert out.splitlines()[1:6] == ["generators:", "  a", "  b", "  c", "  1/6*z"]
+    assert "group closure: ok" in out
+    assert "scaling closure: ok" in out
+
+
+def test_predict_and_lattice_agree_on_a_rational_algebra(capsys, tmp_path):
+    code, out, _ = run(capsys, "predict", str(write_item6(tmp_path)), "--subspace", "a")
+    assert code == 0
+    assert "scalable lattice: assumed available" in out
+
+
+@pytest.mark.parametrize(
+    "name, basis, layers, table",
+    [
+        # [V1, V1] misses y: a padding y/2 used to stand in for it
+        ("short", ["a", "b", "y", "z"], [["a", "b"], ["y", "z"]], {("a", "b"): {"z": 1}}),
+        # one layer with [a, b] = a: the bracket leaves the (empty) second layer
+        ("ab-equals-a", ["a", "b"], [["a", "b"]], {("a", "b"): {"a": 1}}),
+    ],
+    ids=["rank-deficient", "one-layer"],
+)
+def test_lattice_rejects_brackets_that_miss_the_second_layer(
+    capsys, tmp_path, name, basis, layers, table
+):
+    path = write_algebra(tmp_path, name, basis, layers, table)
+    code, out, err = run(capsys, "lattice", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the first-layer brackets do not span the second layer\n"
+
+
 def test_forms_d_reports_differential(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(
@@ -555,3 +607,21 @@ def test_cli_subprocess_determinism():
     second = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_lattice_output_does_not_depend_on_the_hash_seed(tmp_path):
+    path = write_item6(tmp_path)
+    cmd = [sys.executable, "-m", "carnot.cli", "lattice", str(path)]
+    root = Path(carnot.__file__).parents[1]
+    runs = [
+        subprocess.run(
+            cmd,
+            capture_output=True,
+            check=True,
+            cwd=root,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    assert b"1/6*z" in runs[0].stdout

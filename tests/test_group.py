@@ -165,16 +165,15 @@ def test_three_step_lattice_rejected():
 
 
 def test_bracket_off_the_second_layer_is_kept():
-    # [a, b] = a + z breaks the grading: (a + z)/2 is kept, so the kept
-    # candidates never span the second layer exactly, every padding
-    # direction is still tried, and z/2 makes one generator too many
+    # [a, b] = a + z breaks the grading: the Hermite basis of the halved
+    # brackets gets a pivot on a, outside the second layer
     algebra = GradedLieAlgebra(
         "leak",
         ["a", "b", "c", "y", "z"],
         [["a", "b", "c"], ["y", "z"]],
         {("a", "b"): {"z": 1, "a": 1}, ("b", "c"): {"y": 1}},
     )
-    with pytest.raises(InputError, match="exactly 5 generators, got 6"):
+    with pytest.raises(InputError, match="do not span the second layer"):
         build_scalable_lattice(algebra)
 
 
@@ -293,8 +292,9 @@ def coprime_spec():
 
 
 def item6_spec():
-    # [a, b] = z and [a, c] = z/3 (denominator 3): the generators a, b, c,
-    # z/2 miss the halved bracket z/6, so group closure fails
+    # [a, b] = z and [a, c] = z/3 (denominator 3): the halved brackets z/2
+    # and z/6 span Z z/6 over the integers, though z/2 alone spans the
+    # second layer over the rationals
     algebra = GradedLieAlgebra(
         "item6",
         ["a", "b", "c", "z"],

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import linalg
-from helpers import naive_inverse, naive_nullspace, naive_rref, naive_solve
+from helpers import (
+    naive_hermite,
+    naive_inverse,
+    naive_nullspace,
+    naive_rref,
+    naive_solve,
+)
 
 F = Fraction
 
@@ -175,8 +181,8 @@ def test_elimination_with_coefficient_growth_matches_oracles(shape, seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_extend_reduced_matches_prefix_ranks(seed):
-    # rows go in one at a time, with int entries as the lattice build
-    # passes them; each flag is a rank step of the growing prefix, and
+    # rows go in one at a time, with int entries as ``_eliminate`` passes
+    # them; each flag is a rank step of the growing prefix, and
     # each basis row is a primitive integer row, reduced once divided by
     # its pivot entry
     rng = random.Random(seed)
@@ -196,6 +202,60 @@ def test_extend_reduced_matches_prefix_ranks(seed):
         for p in sorted(pivots)
     )
     assert reduced == naive_rref([[row.get(j, 0) for j in range(ncols)] for row in rows])
+
+
+HERMITE_CASES = [
+    # 4 then 6 on one pivot: a remainder of 2 swaps in, then the old pivot
+    # row reduces to zero on it and leaves a new pivot on column 1
+    [(4, 1, 0), (6, 0, 0)],
+    # negative leads, a dependent row, and an entry above a pivot to reduce
+    [(-3, 5, 1), (0, -2, 7), (-6, 10, 2), (0, 0, -4)],
+    # the item-6 halved brackets over 2 D = 6: z/2 and z/6
+    [(3,), (1,)],
+    [(0, 0), (0, 0)],
+]
+
+
+def random_hermite_case(seed):
+    # random rows with negative entries and large leads, plus an integer
+    # combination of two of them, which is dependent
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    rows = [
+        [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+        for _ in range(rng.randint(1, 6))
+    ]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows.insert(
+        rng.randint(0, len(rows)),
+        [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b for a, b in zip(rows[i], rows[j])],
+    )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    HERMITE_CASES + [random_hermite_case(seed) for seed in range(40)],
+)
+def test_hermite_extend_matches_xgcd_hermite_form(rows):
+    # the HNF of a Z-module is unique, so after every insertion the basis
+    # must equal the oracle's form of the prefix, row for row
+    ncols = len(rows[0])
+    basis = {}
+    for k, row in enumerate(rows):
+        linalg.hermite_extend(basis, {j: e for j, e in enumerate(row) if e})
+        got = tuple(
+            tuple(basis[p].get(j, 0) for j in range(ncols)) for p in sorted(basis)
+        )
+        assert got == naive_hermite(rows[: k + 1], ncols)
+        assert all(basis[p][p] > 0 and min(basis[p]) == p for p in basis)
+
+
+def test_solve_rejects_sparse_rows():
+    # a {column: value} row used to be read as the tuple of its keys, so
+    # this returned (6,) instead of refusing
+    with pytest.raises(ValueError, match="dense row"):
+        linalg.solve([{1: 3}], [6])
 
 
 def test_rref_rejects_ragged_rows():
