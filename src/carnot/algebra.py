@@ -2,21 +2,22 @@
 
 A graded algebra is described by a basis, an ordered partition of that basis
 into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
-constants are held once, as integers over one common denominator D, the lcm
-of their denominators: ``adjacency[u][v] = {w: A}`` for
-[b_u, b_v] = sum of (A / D) b_w, with both orientations stored and pairs
-that bracket to zero absent, and ``into[w]`` lists (u, v, A) for each
-u < v whose bracket has the component (A / D) b_w.  Sums of many products
-(Jacobi, curvature, the differential) run in integers and divide once at
-the end, and so does ``integer_bracket``, the one bilinear sum over the
-supports of two vectors; the bracket, the structure pairs and single
-constants divide by D where they return.  Coefficients outside are
-Fractions throughout, so every decision this module makes (ranks, spans,
-equalities) is exact.
+constants are read in integers (an int constant stays an int) and held
+once, over one common denominator D, the lcm of their denominators:
+``adjacency[u][v] = {w: A}`` for [b_u, b_v] = sum of (A / D) b_w, with both
+orientations stored and pairs that bracket to zero absent, and ``into[w]``
+lists (u, v, A) for each u < v whose bracket has the component (A / D) b_w.
+Sums of many products (Jacobi, curvature, the differential) run in integers
+and divide once at the end, and so does ``integer_bracket``, the one
+bilinear sum over the supports of two vectors; the bracket, the structure
+pairs and single constants divide by D where they return.  Coefficients
+outside are Fractions throughout, so every decision this module makes
+(ranks, spans, equalities) is exact.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,29 +117,25 @@ class GradedLieAlgebra:
             raise InputError("empty basis")
         self._index = {label: i for i, label in enumerate(self.basis)}
 
-        seen: set[str] = set()
+        # a weight of 0 marks a label no layer has claimed yet
+        weights = [0] * len(self.basis)
         layer_indices = []
-        for layer in layers:
+        for depth, layer in enumerate(layers, start=1):
             idx = tuple(self.index(label) for label in layer)
             if not idx:
                 raise InputError("empty layer")
             layer_indices.append(idx)
-            for label in layer:
-                if label in seen:
-                    raise InputError("label %r in two layers" % label)
-                seen.add(label)
-        if len(seen) != len(self.basis):
-            missing = sorted(set(self.basis) - seen)
+            for i in idx:
+                if weights[i]:
+                    raise InputError("label %r in two layers" % self.basis[i])
+                weights[i] = depth
+        if 0 in weights:
+            missing = sorted(b for b, w in zip(self.basis, weights) if not w)
             raise InputError("labels missing from layers: %s" % ", ".join(missing))
         self.layers: tuple[tuple[int, ...], ...] = tuple(layer_indices)
-
-        weights = [0] * len(self.basis)
-        for depth, idx in enumerate(self.layers, start=1):
-            for i in idx:
-                weights[i] = depth
         self.weights = tuple(weights)
 
-        listed: dict[tuple[int, int], dict[int, Fraction]] = {}
+        listed: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (left, right), result in brackets.items():
             u, v = self.index(left), self.index(right)
             if u == v:
@@ -147,21 +144,22 @@ class GradedLieAlgebra:
                 raise InputError(
                     "bracket pair (%s, %s) listed twice" % (left, right)
                 )
-            entry: dict[int, Fraction] = {}
+            entry = listed[u, v] = {}
             for label, coeff in result.items():
                 w = self.index(label)
-                entry[w] = entry.get(w, ZERO) + coefficient(coeff)
-            listed[u, v] = {w: c for w, c in entry.items() if c != 0}
+                c = coeff if type(coeff) is int else coefficient(coeff)
+                entry[w] = entry.get(w, 0) + c
 
-        scaled, d = linalg.numerators(
-            {(u, v, w): c for (u, v), entry in listed.items() for w, c in entry.items()}
-        )
+        d = math.lcm(*(c.denominator for e in listed.values() for c in e.values()))
         adjacency: list[dict[int, dict[int, int]]] = [{} for _ in self.basis]
         into: list[list[tuple[int, int, int]]] = [[] for _ in self.basis]
-        for (u, v, w), a in scaled.items():
-            adjacency[u].setdefault(v, {})[w] = a
-            adjacency[v].setdefault(u, {})[w] = -a
-            into[w].append((u, v, a) if u < v else (v, u, -a))
+        for (u, v), entry in listed.items():
+            for w, c in entry.items():
+                if c:
+                    a = c.numerator * (d // c.denominator)
+                    adjacency[u].setdefault(v, {})[w] = a
+                    adjacency[v].setdefault(u, {})[w] = -a
+                    into[w].append((u, v, a) if u < v else (v, u, -a))
         self.denominator = d
         self.adjacency = tuple(adjacency)
         self.into = tuple(map(tuple, into))
@@ -309,7 +307,12 @@ class Subspace:
 
     @classmethod
     def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":
-        return cls(algebra, [algebra.basis_vector(l) for l in labels])
+        """Span of basis vectors: their sorted unit rows are already reduced."""
+        s = cls.__new__(cls)
+        s.algebra = algebra
+        positions = sorted({algebra.index(l) for l in labels})
+        s.rows = tuple(map(algebra.basis_vector, positions))
+        return s
 
     @property
     def dim(self) -> int:
@@ -364,31 +367,34 @@ def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
 
     Trilinearity makes basis triples sufficient.  A term [[b_a, b_b], b_c]
     of a cyclic sum is nonzero only if some b_t in [b_a, b_b] brackets
-    nontrivially with b_c, so only the triples {a, b, c} read off ``into[t]``
-    and ``adjacency[t]`` that way are swept; every other triple of distinct
-    basis vectors has a zero cyclic sum.  They are swept in lexicographic
-    order and the first failing triple is reported by label.  The cyclic
-    sum runs over the integer adjacency, D^2 times the exact one, so it
-    vanishes exactly when the exact sum does.
+    nontrivially with b_c, so one sweep over ``into[t]`` (a < b) and
+    ``adjacency[t]`` adds up every nonzero term, into the sum of the sorted
+    triple with the sign of the permutation (a, b, c), odd exactly when
+    a < c < b, as the cyclic sum is alternating.  The first failing triple
+    in lexicographic order is reported by label.  The sums run over the
+    integer adjacency, D^2 times the exact ones, so they vanish exactly
+    when the exact sums do.
     """
     ad = algebra.adjacency
-    triples = {
-        tuple(sorted((a, b, c)))
-        for t, pairs in enumerate(algebra.into)
-        for a, b, _ in pairs
-        for c in ad[t]
-        if c != a and c != b
-    }
-    for u, v, w in sorted(triples):
-        cyclic = ((u, v, w), (v, w, u), (w, u, v))
-        acc: dict[int, int] = {}
-        for a, b, c in cyclic:
-            for t, c1 in ad[a].get(b, {}).items():
-                for s, c2 in ad[t].get(c, {}).items():
-                    acc[s] = acc.get(s, 0) + c1 * c2
-        if any(acc.values()):
-            triple = (algebra.basis[u], algebra.basis[v], algebra.basis[w])
-            return CheckResult(False, "jacobi fails on (%s, %s, %s)" % triple)
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for t, pairs in enumerate(algebra.into):
+        for a, b, coeff in pairs:
+            for c, entry in ad[t].items():
+                if c < a:
+                    triple, k = (c, a, b), coeff
+                elif a < c < b:
+                    triple, k = (a, c, b), -coeff
+                elif c > b:
+                    triple, k = (a, b, c), coeff
+                else:
+                    continue
+                for s, e in entry.items():
+                    key = triple + (s,)
+                    acc[key] = acc.get(key, 0) + k * e
+    failing = [key[:3] for key, total in acc.items() if total]
+    if failing:
+        triple = tuple(algebra.basis[i] for i in min(failing))
+        return CheckResult(False, "jacobi fails on (%s, %s, %s)" % triple)
     return CheckResult(True)
 
 
@@ -432,8 +438,10 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
     weight above d, so brackets that would land there vanish), and
     generation gives the reverse inclusion, V_{i+1} = [V_1, V_i] inside
     [g, g_j] for i >= j.  So the series needs no check of its own.  The
-    generation leg ranks the integer adjacency rows, D times the exact
-    ones, which has the same rank.
+    generation leg extends one reduced basis by the nonzero rows
+    adjacency[u][v], u in V_1 and v in V_j (D times the exact ones), and
+    stops at dim V_{j+1} pivots, since the grading puts every image in
+    V_{j+1}; a failure has used every row, so it reports the full rank.
     """
     ad = algebra.adjacency
     weights = algebra.weights
@@ -454,22 +462,19 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
                     ),
                 )
 
-    # with the grading in force [V_1, V_j] lies in V_{j+1}: read its
-    # images on the V_{j+1} coordinates only
     first = algebra.layers[0]
     for depth in range(1, algebra.declared_degree):
-        column = {w: k for k, w in enumerate(algebra.layers[depth])}
-        images = [
-            {column[w]: c for w, c in ad[u].get(v, {}).items()}
-            for u in first
-            for v in algebra.layers[depth - 1]
-        ]
-        generated = linalg.rank(images, len(column))
-        if generated != len(column):
+        size = len(algebra.layers[depth])
+        pivots: dict[int, dict[int, int]] = {}
+        images = (e for u in first for v, e in ad[u].items() if weights[v] == depth)
+        for image in images:
+            if linalg.extend_reduced(pivots, dict(image)) and len(pivots) == size:
+                break
+        else:
             return CheckResult(
                 False,
                 "[V_1, V_%d] spans a %d-dimensional space but layer %d has "
-                "dimension %d" % (depth, generated, depth + 1, len(column)),
+                "dimension %d" % (depth, len(pivots), depth + 1, size),
             )
     return CheckResult(True)
 

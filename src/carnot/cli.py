@@ -51,6 +51,17 @@ def _load_entry(source: str) -> CatalogEntry:
     )
 
 
+def _load_valid_entry(source: str) -> CatalogEntry:
+    """``_load_entry``, then InputError unless Jacobi and the stratification
+    hold, so that nothing is derived from an invalid algebra."""
+    entry = _load_entry(source)
+    for check in (jacobi_check, stratification_check):
+        result = check(entry.algebra)
+        if not result:
+            raise InputError("not a stratified Lie algebra: %s" % result.detail)
+    return entry
+
+
 def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
     if args.subspace is not None and args.subspace_file is not None:
         raise InputError("give --subspace or --subspace-file, not both")
@@ -173,7 +184,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
     iso = is_isotropic(entry.algebra, s)
     reg = is_regular(entry.algebra, s)
@@ -212,7 +223,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
     lattice = {"auto": None, "yes": True, "no": False}[args.lattice]
     k1 = None

@@ -18,6 +18,7 @@ from carnot import (
     algebra_from_dict,
     algebra_to_dict,
     build,
+    default_entries,
     dilation,
     hausdorff_dimension,
     jacobi_check,
@@ -53,6 +54,20 @@ def test_rejects_layers_not_partitioning():
         GradedLieAlgebra("bad", ["a", "b"], [["a"]], {})
 
 
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([["a", "b"], ["b", "c"]], "label 'b' in two layers"),
+        ([["a", "a"], ["b", "c"]], "label 'a' in two layers"),
+        ([["a", "b", "c"], []], "empty layer"),
+        ([["c"], ["a"]], "labels missing from layers: b"),
+    ],
+)
+def test_rejects_layers_that_do_not_partition_the_basis(layers, message):
+    with pytest.raises(InputError, match=message):
+        GradedLieAlgebra("bad", ["a", "b", "c"], layers, {})
+
+
 def test_rejects_unknown_bracket_label():
     with pytest.raises(InputError):
         GradedLieAlgebra("bad", ["a", "b"], [["a", "b"]], {("a", "c"): {"b": 1}})
@@ -73,6 +88,101 @@ def test_rejects_float_coefficients():
         GradedLieAlgebra(
             "bad", ["a", "b", "c"], [["a", "b"], ["c"]], {("a", "b"): {"c": 0.5}}
         )
+
+
+def recast(table, cast):
+    """``table`` with ``cast`` applied to every constant."""
+    return {pair: {w: cast(c) for w, c in r.items()} for pair, r in table.items()}
+
+
+def constants(table):
+    return [c for result in table.values() for c in result.values()]
+
+
+def integer_entries(algebra):
+    return [a for row in algebra.adjacency for e in row.values() for a in e.values()]
+
+
+ABC = (["a", "b", "c"], [["a", "b"], ["c"]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constants_as_int_fraction_or_string_give_one_table(seed):
+    rng = random.Random(seed)
+    basis, layers, table = coprime_table()
+    while seed and len(constants(table)) < 4:
+        basis, layers, table = random_layered_table(rng, "graded")
+    if seed % 2:
+        # integral constants: the first form below is then all ints
+        d = math.lcm(*(c.denominator for c in constants(table)))
+        table = recast(table, lambda c: c * d)
+    forms = [
+        recast(table, lambda c: c.numerator if c.denominator == 1 else c),
+        recast(table, Fraction),
+        recast(table, str),
+    ]
+    if seed % 2:
+        assert all(type(c) is int for c in constants(forms[0]))
+    built = [GradedLieAlgebra("three-ways", basis, layers, form) for form in forms]
+    for algebra in built[1:]:
+        assert algebra.denominator == built[0].denominator
+        assert algebra.adjacency == built[0].adjacency
+        assert algebra.into == built[0].into
+    if seed == 0:
+        assert built[0].denominator == 1001
+    for algebra in built:
+        assert all(type(a) is int for a in integer_entries(algebra))
+        assert all(type(a) is int for pairs in algebra.into for _, _, a in pairs)
+
+
+def test_an_integral_fraction_constant_gives_an_int_entry():
+    algebra = GradedLieAlgebra("two", *ABC, {("a", "b"): {"c": F(2, 1)}})
+    assert algebra.denominator == 1
+    assert algebra.adjacency[0] == {1: {2: 2}}
+    assert type(algebra.adjacency[0][1][2]) is int
+    assert algebra.into[2] == ((0, 1, 2),)
+
+
+@pytest.mark.parametrize("zero", [0, F(0), "0", "0/5"])
+def test_a_pair_that_cancels_is_absent_but_still_listed(zero):
+    algebra = GradedLieAlgebra("zero", *ABC, {("a", "b"): {"c": zero}})
+    assert algebra.adjacency == ({}, {}, {})
+    assert algebra.into == ((), (), ())
+    twice = {("a", "b"): {"c": zero}, ("b", "a"): {"c": 1}}
+    with pytest.raises(InputError, match="listed twice"):
+        GradedLieAlgebra("zero", *ABC, twice)
+
+
+def test_terms_that_cancel_in_a_file_leave_no_entry():
+    terms = [{"basis": "c", "coeff": "1/3"}, {"basis": "c", "coeff": "-1/3"}]
+    basis, layers = ABC
+    doc = {
+        "name": "cancel",
+        "basis": basis,
+        "layers": layers,
+        "brackets": [{"left": "a", "right": "b", "result": terms}],
+    }
+    algebra = algebra_from_dict(doc)
+    assert algebra.adjacency == ({}, {}, {})
+    assert algebra.denominator == 1
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0])
+def test_float_constants_are_rejected_even_when_integral(value):
+    with pytest.raises(InputError, match="floating point"):
+        GradedLieAlgebra("bad", *ABC, {("a", "b"): {"c": value}})
+
+
+def test_bool_constants_are_read_as_zero_and_one():
+    algebra = GradedLieAlgebra(
+        "bool",
+        ["a", "b", "c", "d"],
+        [["a", "b", "c"], ["d"]],
+        {("a", "b"): {"d": True}, ("a", "c"): {"d": False}},
+    )
+    assert algebra.adjacency[0] == {1: {3: 1}}
+    assert type(algebra.adjacency[0][1][3]) is int
+    assert algebra.into[3] == ((0, 1, 1),)
 
 
 @pytest.mark.parametrize("text", ["0.5", "1e3", " 1", "1/0", ""])
@@ -294,6 +404,34 @@ def test_stratification_rejects_weight_violation():
     assert not stratification_check(algebra)
 
 
+@pytest.mark.parametrize(
+    "basis, layers, table, detail",
+    [
+        (
+            ["a", "b", "y", "z"],
+            [["a", "b"], ["y", "z"]],
+            {("a", "b"): {"z": 1}},
+            "[V_1, V_1] spans a 1-dimensional space but layer 2 has dimension 2",
+        ),
+        (
+            ["a", "b", "c", "d", "e"],
+            [["a", "b"], ["c"], ["d", "e"]],
+            {("a", "b"): {"c": 1}, ("a", "c"): {"d": 1}, ("b", "c"): {"d": 2}},
+            "[V_1, V_2] spans a 1-dimensional space but layer 3 has dimension 2",
+        ),
+    ],
+    ids=["two-step", "three-step"],
+)
+def test_stratification_generation_failure_reports_the_full_rank(
+    basis, layers, table, detail
+):
+    algebra = GradedLieAlgebra("short", basis, layers, table)
+    assert jacobi_check(algebra)
+    result = stratification_check(algebra)
+    assert not result
+    assert result.detail == detail
+
+
 def test_jacobi_finds_a_triple_with_one_bracketing_pair():
     # [[a, b], d] = [c, d] = e is the only nonzero double bracket, so
     # (a, b, d) is the only failing triple, and of its pairs only (a, b)
@@ -492,6 +630,25 @@ def test_subspace_coordinate_labels():
     h1, i1 = algebra.basis_vector("h1"), algebra.basis_vector("i1")
     mixed = Subspace(algebra, [[a + b for a, b in zip(h1, i1)]])
     assert mixed.coordinate_labels() is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_from_labels_is_the_reduced_span_of_its_unit_vectors(seed):
+    rng = random.Random(seed)
+    for entry in default_entries():
+        algebra = entry.algebra
+        basis = list(algebra.basis)
+        # shuffled, with repeats
+        labels = rng.sample(basis, rng.randint(1, len(basis)))
+        labels += rng.choices(labels, k=rng.randint(0, 3))
+        rng.shuffle(labels)
+        quick = Subspace.from_labels(algebra, labels)
+        eliminated = Subspace(algebra, [algebra.basis_vector(l) for l in labels])
+        assert quick == eliminated
+        assert quick.rows == eliminated.rows
+        assert hash(quick) == hash(eliminated)
+        distinct = sorted(set(labels), key=algebra.index)
+        assert quick.coordinate_labels() == tuple(distinct)
 
 
 def test_subspace_unknown_label():

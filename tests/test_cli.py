@@ -430,6 +430,46 @@ def test_lattice_rejects_brackets_that_miss_the_second_layer(
     assert err == "error: the first-layer brackets do not span the second layer\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "predict"])
+@pytest.mark.parametrize(
+    "name, basis, layers, table, detail",
+    [
+        (
+            "ab-equals-a",
+            ["a", "b"],
+            [["a", "b"]],
+            {("a", "b"): {"a": 1}},
+            "bracket [a, b] has a layer-1 component a; grading requires layer 2",
+        ),
+        (
+            "short",
+            ["a", "b", "y", "z"],
+            [["a", "b"], ["y", "z"]],
+            {("a", "b"): {"z": 1}},
+            "[V_1, V_1] spans a 1-dimensional space but layer 2 has dimension 2",
+        ),
+        (
+            "no-jacobi",
+            ["a", "b", "c"],
+            [["a", "b", "c"]],
+            {("a", "b"): {"c": 1}, ("a", "c"): {"b": 1}, ("b", "c"): {"c": 1}},
+            "jacobi fails on (a, b, c)",
+        ),
+    ],
+    ids=["ab-equals-a", "rank-deficient", "no-jacobi"],
+)
+def test_certify_and_predict_reject_an_algebra_that_is_not_stratified(
+    capsys, tmp_path, command, name, basis, layers, table, detail
+):
+    path = str(write_algebra(tmp_path, name, basis, layers, table))
+    # the gate runs before the subspace is resolved, so a missing one
+    # does not hide the failed check
+    for extra in (["--subspace", "a"], []):
+        code, out, err = run(capsys, command, path, *extra)
+        assert_one_error(code, out, err)
+        assert err == "error: not a stratified Lie algebra: %s\n" % detail
+
+
 def test_forms_d_reports_differential(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(

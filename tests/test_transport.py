@@ -7,12 +7,15 @@ import pytest
 
 from carnot import (
     GradedLieAlgebra,
+    HypothesisBundle,
     Subspace,
     build,
     build_scalable_lattice,
     check_group_closure,
     check_scaling_closure,
+    coverage_table,
     default_entries,
+    hausdorff_dimension,
     is_isotropic,
     is_regular,
     jacobi_check,
@@ -71,6 +74,13 @@ def test_verdicts_survive_a_graded_transport(key, seed):
     assert is_isotropic(image, mapped).isotropic == iso.isotropic
     moved_reg = is_regular(image, mapped)
     assert (moved_reg.regular, moved_reg.rank) == (reg.regular, reg.rank)
+    assert hausdorff_dimension(image) == hausdorff_dimension(algebra)
+    # the predict rows: the same coverage table for the mapped subspace
+    table = coverage_table(HypothesisBundle(algebra, subspace))
+    moved_table = coverage_table(HypothesisBundle(image, mapped))
+    assert moved_table.filling == table.filling
+    assert moved_table.divergence == table.divergence
+    assert moved_table.notes == table.notes
 
 
 _O2_DIMENSION = build("heisenberg_o:2").algebra.dimension
