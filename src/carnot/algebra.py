@@ -330,7 +330,7 @@ class Subspace:
         allowed = set(first)
         for row in self.rows:
             for i, c in enumerate(row):
-                if c != 0 and i not in allowed:
+                if c and i not in allowed:
                     return False
         return True
 
@@ -338,7 +338,7 @@ class Subspace:
         """Labels if this is a span of basis vectors, else None."""
         labels = []
         for row in self.rows:
-            support = [i for i, c in enumerate(row) if c != 0]
+            support = [i for i, c in enumerate(row) if c]
             if len(support) != 1 or row[support[0]] != 1:
                 return None
             labels.append(self.algebra.basis[support[0]])

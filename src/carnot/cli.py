@@ -275,7 +275,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
     report = trichotomy_report(entry.algebra, s, maximal_asserted=args.assert_maximal)
 
@@ -321,7 +321,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_pittet(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     report = pittet_kernel(entry.algebra)
     payload = {
         "source": entry.key,

@@ -1,10 +1,19 @@
 """Sectional curvature of the left-invariant metric making the basis
 orthonormal.
 
-The general formula takes the structure constants alpha_uvw (coefficient
-of e_w in [e_u, e_v]) of an orthonormal basis and returns exact plane
-curvatures.  For 2-step algebras the three layer cases collapse to short
-closed forms, kept separately as an independent route to the same values.
+Milnor's formula is a sum over directions k of products of structure
+constants.  Write a_uvw for D times the coefficient of e_w in [e_u, e_v],
+an integer when D is their common denominator.  With A = a_ijk,
+B = a_jki and C = a_kij, the term of k is 1/(4 D^2) times
+-3A^2 + 2A(B + C) + (B - C)^2 - 4 a_kii a_kjj, as (A - B + C)(A + B - C)
+= A^2 - (B - C)^2.  Each monomial has a stored nonzero factor, so one pass
+over the oriented entries a = a_ijk of the adjacency sums every plane
+exactly: a with i < j is the A of plane (i, j); a with k != i is a B or
+(a_kij = -a_ikj) a C of plane {i, k}, and -2BC = 2 a_kji a_ijk is taken
+from the entry with i < k; the diagonal entries a_kii, found only in
+ungraded tables, pair up within row k.
+For 2-step algebras the three layer cases collapse to short closed forms,
+kept separately as an independent route to the same values.
 """
 
 from __future__ import annotations
@@ -23,42 +32,39 @@ THREE_QUARTERS = Fraction(3, 4)
 
 
 def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
-    """Curvature of the plane spanned by two distinct basis vectors.
-
-    Arguments may be labels or indices.  The basis is treated as
-    orthonormal; the value is a sum over the basis directions k of
-    quadratic expressions in the structure constants.  Every term has a
-    factor alpha_ijk, alpha_jki, alpha_kij, alpha_kii or alpha_kjj, and
-    each of those vanishes unless k brackets nontrivially with e_i or e_j
-    or lies in the support of [e_i, e_j], so only those k are summed.
-
-    The sum runs in integers over the algebra's adjacency: with D its
-    common denominator, every A = D * alpha is an integer, and four
-    times each term is an integer polynomial of degree 2 in the A's, that
-    is 4 D^2 times the term.  So the exact value is the integer total
-    divided once by 4 D^2, and only that last step makes a Fraction.
-    """
+    """Curvature of the plane spanned by two distinct basis vectors, given
+    as labels or indices: the plane's integer from the one sweep of
+    ``_plane_sums``, divided once by 4 D^2."""
     i = u if isinstance(u, int) else algebra.index(u)
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
-    ad = algebra.adjacency
-    row_i, row_j = ad[i], ad[j]
-    ij = row_i.get(j, _EMPTY)
-    total = 0
-    for k in row_i.keys() | row_j.keys() | ij.keys():
-        row_k = ad[k]
-        ki = row_k.get(i, _EMPTY)
-        kj = row_k.get(j, _EMPTY)
-        a_ijk = ij.get(k, 0)
-        a_jki = row_j.get(k, _EMPTY).get(i, 0)
-        a_kij = ki.get(j, 0)
-        total += (
-            2 * a_ijk * (-a_ijk + a_jki + a_kij)
-            - (a_ijk - a_jki + a_kij) * (a_ijk + a_jki - a_kij)
-            - 4 * ki.get(i, 0) * kj.get(j, 0)
-        )
+    total = _plane_sums(algebra).get((min(i, j), max(i, j)), 0)
     return Fraction(total, 4 * algebra.denominator ** 2)
+
+
+def _plane_sums(algebra: GradedLieAlgebra) -> dict[tuple[int, int], int]:
+    """``{(i, j): 4 D^2 K(e_i, e_j)}`` for i < j, zero planes absent, from
+    one pass over the adjacency (see the module docstring)."""
+    ad = algebra.adjacency
+    sums: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(ad):
+        for j, entry in row.items():
+            ij = (i, j) if i < j else None
+            row_j = ad[j]
+            for k, a in entry.items():
+                row_k = ad[k]
+                if ij:
+                    b = row_j.get(k, _EMPTY).get(i, 0) + row_k.get(i, _EMPTY).get(j, 0)
+                    sums[ij] = sums.get(ij, 0) + a * (2 * b - 3 * a)
+                if k != i:
+                    ik = (i, k) if i < k else (k, i)
+                    c = 2 * row_k.get(j, _EMPTY).get(i, 0) if i < k else 0
+                    sums[ik] = sums.get(ik, 0) + a * (a + c)
+        diagonal = sorted((j, entry[j]) for j, entry in row.items() if j in entry)
+        for (p, x), (q, y) in itertools.combinations(diagonal, 2):
+            sums[p, q] = sums.get((p, q), 0) - 4 * x * y
+    return {plane: total for plane, total in sums.items() if total}
 
 
 def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
@@ -131,10 +137,12 @@ def trichotomy_report(
     names = tuple(algebra.basis[i] for i in order)
 
     # ``order`` puts ``s`` first, so every pair looked up below is a key
-    curvature = {
-        (a, b): sectional_curvature(algebra, a, b)
-        for a, b in itertools.combinations(order, 2)
-    }
+    sums = _plane_sums(algebra)
+    scale = 4 * algebra.denominator ** 2
+    curvature = {}
+    for a, b in itertools.combinations(order, 2):
+        total = sums.get((a, b) if a < b else (b, a))
+        curvature[a, b] = Fraction(total, scale) if total else ZERO
     planes = tuple(
         (algebra.basis[a], algebra.basis[b], value)
         for (a, b), value in curvature.items()

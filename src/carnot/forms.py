@@ -357,7 +357,9 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     2-forms of this shape.
     Each column is ``_integer_differential`` of a generator, a monomial
     with coefficient +-1: D 3! times its differential.  Every column has
-    that same scale, so the kernel is that of the exact columns.
+    that same scale, so the kernel is that of the exact columns.  The
+    nonzero integer rows go straight to ``linalg.extend_reduced``, and the
+    elimination stops at full column rank.
     """
     require_two_step(algebra, "the pittet kernel")
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
@@ -374,7 +376,13 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
             for m, c in _integer_differential(algebra, pair).items():
                 if c:
                     rows.setdefault(m, {})[col] = c
-    kernel = linalg.nullspace(rows.values(), ncols=len(pairs))
+    # the kernel is {0} once every column has a pivot, whatever rows remain
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        if len(pivots) == len(pairs):
+            break
+        linalg.extend_reduced(pivots, row)
+    kernel = linalg.reduced_kernel(pivots, len(pairs))
     return PittetReport(tuple(pairs), len(kernel), kernel)
 
 

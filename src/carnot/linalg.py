@@ -235,6 +235,13 @@ def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matr
     pivots, ncols = _eliminate(rows, ncols)
     if ncols is None:
         return ()
+    return reduced_kernel(pivots, ncols)
+
+
+def reduced_kernel(pivots: dict[int, dict[int, int]], ncols: int) -> Matrix:
+    """Canonical kernel basis of the reduced integer basis ``{pivot column:
+    row}`` of ``extend_reduced`` on ``ncols`` columns: one vector per free
+    column f, with a 1 at f and -row[f] / row[p] at each pivot p."""
     basis = {free: [ZERO] * ncols for free in range(ncols) if free not in pivots}
     for free, v in basis.items():
         v[free] = ONE

@@ -430,8 +430,7 @@ def test_lattice_rejects_brackets_that_miss_the_second_layer(
     assert err == "error: the first-layer brackets do not span the second layer\n"
 
 
-@pytest.mark.parametrize("command", ["certify", "predict"])
-@pytest.mark.parametrize(
+NOT_STRATIFIED = pytest.mark.parametrize(
     "name, basis, layers, table, detail",
     [
         (
@@ -458,6 +457,10 @@ def test_lattice_rejects_brackets_that_miss_the_second_layer(
     ],
     ids=["ab-equals-a", "rank-deficient", "no-jacobi"],
 )
+
+
+@pytest.mark.parametrize("command", ["certify", "predict"])
+@NOT_STRATIFIED
 def test_certify_and_predict_reject_an_algebra_that_is_not_stratified(
     capsys, tmp_path, command, name, basis, layers, table, detail
 ):
@@ -468,6 +471,19 @@ def test_certify_and_predict_reject_an_algebra_that_is_not_stratified(
         code, out, err = run(capsys, command, path, *extra)
         assert_one_error(code, out, err)
         assert err == "error: not a stratified Lie algebra: %s\n" % detail
+
+
+@pytest.mark.parametrize(
+    "argv", [["curvature", "--subspace", "a"], ["curvature"], ["pittet"]]
+)
+@NOT_STRATIFIED
+def test_curvature_and_pittet_reject_an_algebra_that_is_not_stratified(
+    capsys, tmp_path, argv, name, basis, layers, table, detail
+):
+    path = str(write_algebra(tmp_path, name, basis, layers, table))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert_one_error(code, out, err)
+    assert err == "error: not a stratified Lie algebra: %s\n" % detail
 
 
 def test_forms_d_reports_differential(capsys, tmp_path):

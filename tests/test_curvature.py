@@ -21,7 +21,12 @@ from carnot import (
     trichotomy_report,
     two_step_closed_forms,
 )
-from helpers import coprime_table, naive_sectional_curvature, random_table
+from helpers import (
+    coprime_table,
+    naive_sectional_curvature,
+    random_layered_table,
+    random_table,
+)
 
 F = Fraction
 
@@ -111,6 +116,45 @@ def test_curvature_with_coprime_denominators_matches_full_sum():
         assert value == two_step_closed_forms(algebra, u, v)
 
 
+def assert_sweep_matches_full_sum(basis, layers, table):
+    algebra = GradedLieAlgebra("sweep", basis, layers, table)
+    sums = curvature._plane_sums(algebra)
+    scale = 4 * algebra.denominator ** 2
+    assert all(type(total) is int and total for total in sums.values())
+    for u, v in itertools.combinations(range(len(basis)), 2):
+        expected = naive_sectional_curvature(table, basis, u, v)
+        assert Fraction(sums.get((u, v), 0), scale) == expected, (u, v)
+    assert set(sums) <= set(itertools.combinations(range(len(basis)), 2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_plane_sweep_matches_full_sum_on_random_tables(seed):
+    rng = random.Random("sweep/%d" % seed)
+    basis, table = random_table(rng, rng.randint(2, 8))
+    assert_sweep_matches_full_sum(basis, [basis], table)
+
+
+@pytest.mark.parametrize("kind", ["graded", "nearly", "ungraded"])
+@pytest.mark.parametrize("seed", range(10))
+def test_plane_sweep_matches_full_sum_on_layered_tables(kind, seed):
+    # ungraded tables have diagonal constants a_kii, the last term's factors
+    rng = random.Random("sweep/%s/%d" % (kind, seed))
+    assert_sweep_matches_full_sum(*random_layered_table(rng, kind))
+
+
+def test_plane_sweep_matches_full_sum_with_coprime_denominators():
+    assert_sweep_matches_full_sum(*coprime_table())
+
+
+def test_plane_sweep_reads_diagonal_constants():
+    # [c, a] = a and [c, b] = 2b: a_caa a_cbb enters plane (a, b) alone
+    basis = ["a", "b", "c"]
+    table = {("c", "a"): {"a": 1}, ("c", "b"): {"b": 2}}
+    assert_sweep_matches_full_sum(basis, [basis], table)
+    algebra = GradedLieAlgebra("diagonal", basis, [basis], table)
+    assert sectional_curvature(algebra, "a", "b") == -2
+
+
 def test_closed_forms_agree_on_rational_two_step_algebra():
     # [a, b] = z and [a, c] = z/3
     basis = ["a", "b", "c", "z"]
@@ -172,17 +216,22 @@ def test_trichotomy_holds_for_quaternionic_plane():
 
 @pytest.mark.parametrize("key", ["heisenberg_h:2", "heisenberg_o:1"])
 def test_trichotomy_computes_each_plane_once(key, monkeypatch):
+    # every plane comes from one sweep of the adjacency per report
     algebra, s = designated(key)
     calls = []
-    compute = curvature.sectional_curvature
+    compute = curvature._plane_sums
 
-    def counted(algebra, u, v):
-        calls.append((u, v))
-        return compute(algebra, u, v)
+    def counted(algebra):
+        calls.append(algebra)
+        return compute(algebra)
 
-    monkeypatch.setattr(curvature, "sectional_curvature", counted)
+    monkeypatch.setattr(curvature, "_plane_sums", counted)
     report = trichotomy_report(algebra, s, maximal_asserted=True)
-    assert len(calls) == len(set(calls)) == len(report.planes)
+    assert calls == [algebra]
+    n = algebra.dimension
+    pairs = [frozenset((a, b)) for a, b, _ in report.planes]
+    assert all(len(pair) == 2 for pair in pairs)
+    assert len(pairs) == len(set(pairs)) == n * (n - 1) // 2
 
 
 def test_trichotomy_on_a_line():

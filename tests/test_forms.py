@@ -28,6 +28,7 @@ from carnot import linalg
 from helpers import (
     basis_tuples,
     coprime_table,
+    graded_transport,
     naive_differential_value,
     naive_nullspace,
     random_form,
@@ -430,6 +431,18 @@ def item_six_table():
     return basis, [["a", "b", "c"], ["z"]], table
 
 
+def public_column_kernel(algebra, pairs):
+    """``naive_nullspace`` of the columns d(Y* ^ x*) of the public
+    differential, one Fraction row per monomial."""
+    columns = [
+        differential(wedge(dual(algebra, y), dual(algebra, x))).terms
+        for y, x in pairs
+    ]
+    monomials = sorted({m for column in columns for m in column})
+    rows = [[column.get(m, F(0)) for column in columns] for m in monomials]
+    return naive_nullspace(rows, len(columns)), len(rows)
+
+
 @pytest.mark.parametrize("make", [item_six_table, coprime_table])
 def test_pair_kernel_over_a_common_denominator(make):
     # the kernel read from integer columns equals the nullspace of the
@@ -437,14 +450,60 @@ def test_pair_kernel_over_a_common_denominator(make):
     algebra = GradedLieAlgebra("rational", *make())
     assert algebra.denominator > 1
     report = pittet_kernel(algebra)
-    columns = [
-        differential(wedge(dual(algebra, y), dual(algebra, x))).terms
-        for y, x in report.pairs
-    ]
-    monomials = sorted({m for column in columns for m in column})
-    rows = [[column.get(m, F(0)) for column in columns] for m in monomials]
-    assert report.kernel_basis == naive_nullspace(rows, len(columns))
-    assert 0 < report.kernel_dimension < len(columns)
+    assert report.kernel_basis == public_column_kernel(algebra, report.pairs)[0]
+    assert 0 < report.kernel_dimension < len(report.pairs)
+
+
+def counted_kernel(algebra, monkeypatch):
+    """``pittet_kernel`` and the number of rows it eliminated."""
+    calls = []
+    extend = linalg.extend_reduced
+
+    def counted(pivots, row):
+        calls.append(row)
+        return extend(pivots, row)
+
+    monkeypatch.setattr(linalg, "extend_reduced", counted)
+    return pittet_kernel(algebra), len(calls)
+
+
+@pytest.mark.parametrize(
+    "key, unread",
+    [("heisenberg_o:1", 0), ("heisenberg_h:2", 17), ("heisenberg_c:2", 0)],
+)
+def test_pair_kernel_stops_at_full_column_rank(key, unread, monkeypatch):
+    # octonionic and complex columns reach full rank on the last row
+    algebra = build(key).algebra
+    report, used = counted_kernel(algebra, monkeypatch)
+    kernel, nrows = public_column_kernel(algebra, report.pairs)
+    assert report.kernel_basis == kernel == ()
+    assert nrows - used == unread
+
+
+@pytest.mark.parametrize("key", ["heisenberg_c:1", "heisenberg_h:1"])
+def test_pair_kernel_with_closed_pairs_reads_every_row(key, monkeypatch):
+    algebra = build(key).algebra
+    report, used = counted_kernel(algebra, monkeypatch)
+    kernel, nrows = public_column_kernel(algebra, report.pairs)
+    assert report.kernel_basis == kernel != ()
+    assert used == nrows
+
+
+@pytest.mark.parametrize("key, seed", [("heisenberg_h:1", 0), ("heisenberg_c:2", 1)])
+def test_pair_kernel_after_a_graded_transport(key, seed):
+    algebra = build(key).algebra
+    label = algebra.basis
+    table = {
+        (label[u], label[v]): {label[w]: c for w, c in result.items()}
+        for u, v, result in algebra.structure_pairs()
+    }
+    layers = [[label[i] for i in layer] for layer in algebra.layers]
+    moved, _ = graded_transport(table, layers, random.Random("pittet/%d" % seed))
+    image = GradedLieAlgebra(key, label, layers, moved)
+    assert image.denominator > 1
+    report = pittet_kernel(image)
+    assert report.kernel_basis == public_column_kernel(image, report.pairs)[0]
+    assert report.kernel_dimension == pittet_kernel(algebra).kernel_dimension
 
 
 def test_pair_kernel_rejects_higher_degree():
