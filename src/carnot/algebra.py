@@ -423,10 +423,6 @@ def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
     return chain
 
 
-def nilpotency_degree(algebra: GradedLieAlgebra) -> int:
-    return len(lower_central_series(algebra)) - 1
-
-
 def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
     """Confirm the declared layers genuinely stratify the algebra.
 

@@ -9,6 +9,7 @@ by the certification examples, and free-form notes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -184,11 +185,9 @@ def build(key: str) -> CatalogEntry:
     if not sep or family not in BUILDERS:
         known = ", ".join(sorted(BUILDERS))
         raise InputError("unknown catalog id %r (families: %s)" % (key, known))
-    try:
-        n = int(param)
-    except ValueError:
-        raise InputError("catalog parameter must be an integer: %r" % key) from None
-    return BUILDERS[family](n)
+    if not re.fullmatch(r"-?(0|[1-9][0-9]*)", param):
+        raise InputError("catalog parameter must be an integer: %r" % key)
+    return BUILDERS[family](int(param))
 
 
 def default_entries() -> list[CatalogEntry]:
@@ -298,13 +297,20 @@ def save_algebra(entry_or_algebra, path) -> None:
         fh.write("\n")
 
 
-def load_algebra(path) -> GradedLieAlgebra:
+def read_json(path):
+    """The JSON document in the file at ``path``.  Bytes that are not UTF-8,
+    text that is not JSON, an integer past the interpreter's digit limit
+    and nesting too deep for the parser raise InputError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
             raise InputError("not valid JSON: %s" % exc) from exc
-    return algebra_from_dict(data)
+
+
+def load_algebra(path) -> GradedLieAlgebra:
+    return algebra_from_dict(read_json(path))
 
 
 def entry_summary(entry: CatalogEntry) -> dict:

@@ -74,8 +74,7 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
             raise InputError("--subspace lists %r twice" % repeated)
         return Subspace.from_labels(entry.algebra, labels)
     if args.subspace_file is not None:
-        with open(args.subspace_file, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = _catalog.read_json(args.subspace_file)
         rows = data.get("rows") if isinstance(data, dict) else None
         if not isinstance(rows, list) or not rows:
             raise InputError('subspace file needs {"rows": [[...], ...]}')
@@ -367,9 +366,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_forms_d(args) -> int:
     entry = _load_entry(args.source)
-    with open(args.form, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    form = form_from_dict(entry.algebra, data)
+    form = form_from_dict(entry.algebra, _catalog.read_json(args.form))
     if form.is_zero():
         raise InputError("the input form is zero")
     d = differential(form)
@@ -483,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

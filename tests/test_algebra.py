@@ -23,7 +23,6 @@ from carnot import (
     hausdorff_dimension,
     jacobi_check,
     lower_central_series,
-    nilpotency_degree,
     stratification_check,
     unipotent,
 )
@@ -479,7 +478,7 @@ def test_stratification_legs_force_the_lower_central_series():
             sizes = [len(layer) for layer in algebra.layers]
             want = [sum(sizes[j:]) for j in range(len(sizes) + 1)]
             assert [s.dim for s in lower_central_series(algebra)] == want
-            assert nilpotency_degree(algebra) == algebra.declared_degree
+            assert len(lower_central_series(algebra)) - 1 == algebra.declared_degree
             outcomes["pass"] += 1
         elif result.detail.startswith("bracket ["):
             assert "grading requires layer" in result.detail
@@ -500,7 +499,7 @@ def test_lower_central_series_dimensions():
 def test_nilpotency_degree_matches_declared():
     for key in ["heisenberg_c:2", "heisenberg_o:1", "unipotent:5", "abelian:4"]:
         algebra = build(key).algebra
-        assert nilpotency_degree(algebra) == algebra.declared_degree
+        assert len(lower_central_series(algebra)) - 1 == algebra.declared_degree
 
 
 def test_non_nilpotent_raises():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,12 @@ def assert_one_error(code, out, err):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_certify_rejects_a_non_horizontal_subspace(capsys):
+    code, out, err = run(capsys, "certify", "heisenberg_h:1", "--subspace", "h1,I")
+    assert_one_error(code, out, err)
+    assert err == "error: subspace is not horizontal\n"
 
 
 def write_rows(tmp_path, rows):
@@ -629,6 +636,38 @@ def test_algebra_file_rejects_unhashable_bracket_labels(capsys, tmp_path, bracke
     assert_one_error(*run(capsys, "check", str(path)))
 
 
+BAD_JSON_FILES = {
+    "not-utf8": b"\xff\xfe{",
+    "too-deep": b"[" * 200_000 + b"]" * 200_000,
+    "too-many-digits": b"[" + b"1" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_JSON_FILES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{}"),
+        ("certify", "heisenberg_h:1", "--subspace-file", "{}"),
+        ("forms-d", "heisenberg_h:1", "{}"),
+    ],
+    ids=["algebra", "subspace-file", "forms-d"],
+)
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(BAD_JSON_FILES[content])
+    assert_one_error(*run(capsys, *(a.format(path) for a in argv)))
+
+
+@pytest.mark.parametrize(
+    "key", ["heisenberg_h:1_0", "heisenberg_h:+1", "heisenberg_h:\u0662"]
+)
+def test_catalog_parameter_must_be_plain_decimal(capsys, key):
+    code, out, err = run(capsys, "check", key)
+    assert_one_error(code, out, err)
+    assert "catalog parameter must be an integer" in err
+
+
 def test_saved_entry_round_trips_through_cli(capsys, tmp_path):
     from carnot import build
 
@@ -681,3 +720,48 @@ def test_lattice_output_does_not_depend_on_the_hash_seed(tmp_path):
     ]
     assert runs[0].stdout == runs[1].stdout
     assert b"1/6*z" in runs[0].stdout
+
+
+CORPUS_RUNNER = """
+import contextlib, io, json, sys
+from carnot.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    sys.stdout.write("$ %s -> %d\\n%s" % (" ".join(argv), code, out.getvalue()))
+"""
+
+
+def test_cli_corpus_does_not_depend_on_the_hash_seed():
+    from test_acceptance import CLI_CORPUS
+
+    root = Path(carnot.__file__).parents[1]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", CORPUS_RUNNER],
+            input=json.dumps(CLI_CORPUS).encode("utf-8"),
+            capture_output=True,
+            check=True,
+            cwd=root,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    headers = [l for l in runs[0].stdout.splitlines() if l.startswith(b"$ ")]
+    assert len(headers) == len(CLI_CORPUS)
+
+
+# -- package surface -----------------------------------------------------------------
+
+
+def test_all_lists_exactly_the_public_names():
+    bound = {
+        name
+        for name, value in vars(carnot).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(carnot.__all__)) == len(carnot.__all__)
+    assert all(hasattr(carnot, name) for name in carnot.__all__)
+    assert bound == set(carnot.__all__)
