@@ -12,23 +12,26 @@ and divide once at the end, and so does ``integer_bracket``, the one
 bilinear sum over the supports of two vectors; the bracket, the structure
 pairs and single constants divide by D where they return.  Coefficients
 outside are Fractions throughout, so every decision this module makes
-(ranks, spans, equalities) is exact.
+(ranks, spans, equalities) is exact.  Constants that are not ints are
+read by ``linalg.coefficient``, the one parser, and the shape of an
+algebra (its name, basis, layers and labels, within MAX_DIMENSION) is
+checked once, in the ``GradedLieAlgebra`` constructor that every catalog
+id, file and library caller goes through.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO
+from .linalg import InputError, Matrix, Vector, ZERO, coefficient
 
-
-class InputError(ValueError):
-    """Malformed algebra data: unknown labels, duplicate pairs, bad layers."""
+# the most basis labels an algebra may have, catalog id or file alike: about
+# ten times the target dimension, and every subcommand stays within seconds
+MAX_DIMENSION = 512
 
 
 class NotNilpotentError(InputError):
@@ -46,38 +49,9 @@ class CheckResult:
         return self.ok
 
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def parse_coefficient(text) -> Fraction:
-    """Exact value of an integer or ``p/q`` string, as the JSON formats write
-    coefficients; anything else raises InputError."""
-    if not isinstance(text, str) or not _COEFF_RE.match(text):
-        raise InputError(
-            "coefficient must be an integer or p/q string, got %r" % (text,)
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputError("zero denominator in %r" % text) from None
-
-
-def coefficient(value) -> Fraction:
-    """Exact value of an int, a Fraction or a coefficient string.
-
-    Floats are rejected rather than converted, since their binary expansion
-    is not the number the caller wrote.  A Fraction is returned as it is.
-    """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, str):
-        return parse_coefficient(value)
-    if isinstance(value, float):
-        raise InputError("floating point coefficient rejected: %r" % (value,))
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError("bad coefficient %r" % (value,)) from exc
+def _is_label_list(value) -> bool:
+    """A list or tuple of ``str``; a string is a sequence of characters."""
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
 
 
 def require_two_step(algebra: GradedLieAlgebra, what: str) -> None:
@@ -95,11 +69,14 @@ class GradedLieAlgebra:
     ``brackets`` maps label pairs to sparse results, e.g.
     ``{("a", "b"): {"c": 1}}`` for [a, b] = c.  Listing both orientations of
     the same pair is an error even when the entries are consistent.
-    Construction validates shape only; Jacobi and the stratification
-    property are separate checks so that defective tables can be built
-    and then diagnosed.  ``denominator``, ``adjacency`` and ``into`` are
-    the integer structure constants of the module docstring; they are
-    shared, so callers read them and never write.
+    Construction validates shape only, once for every caller: a ``str``
+    name, a basis of at most MAX_DIMENSION labels, basis and layers as
+    lists or tuples of ``str`` (a string is not a list of labels), known
+    labels everywhere.  Jacobi and the stratification property are
+    separate checks so that defective tables can be built and then
+    diagnosed.  ``denominator``, ``adjacency`` and ``into`` are the integer
+    structure constants of the module docstring; they are shared, so
+    callers read them and never write.
     """
 
     def __init__(
@@ -109,8 +86,18 @@ class GradedLieAlgebra:
         layers: Sequence[Sequence[str]],
         brackets: Mapping[tuple[str, str], Mapping[str, object]],
     ) -> None:
-        self.name = str(name)
-        self.basis = tuple(str(b) for b in basis)
+        if isinstance(basis, (list, tuple)) and len(basis) > MAX_DIMENSION:
+            raise InputError(
+                "dimension %d is over the budget of %d" % (len(basis), MAX_DIMENSION)
+            )
+        if not isinstance(name, str):
+            raise InputError("algebra name must be a string")
+        if not _is_label_list(basis):
+            raise InputError("basis must be a list of label strings")
+        if not (isinstance(layers, (list, tuple)) and all(map(_is_label_list, layers))):
+            raise InputError("layers must be a list of lists of label strings")
+        self.name = name
+        self.basis = tuple(basis)
         if len(set(self.basis)) != len(self.basis):
             raise InputError("duplicate basis labels")
         if not self.basis:
@@ -177,7 +164,8 @@ class GradedLieAlgebra:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        # an unhashable label, such as a list, is no label either
+        except (KeyError, TypeError):
             raise InputError("unknown basis label %r" % (label,)) from None
 
     def label(self, i: int) -> str:
@@ -301,8 +289,10 @@ class Subspace:
         self.algebra = algebra
         rows = list(rows)
         for row in rows:
-            if len(row) != algebra.dimension:
-                raise InputError("row length does not match algebra dimension")
+            if isinstance(row, str) or len(row) != algebra.dimension:
+                raise InputError(
+                    "a subspace row needs %d coefficients" % algebra.dimension
+                )
         self.rows: Matrix = linalg.rref(rows)
 
     @classmethod

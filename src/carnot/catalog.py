@@ -13,13 +13,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    GradedLieAlgebra,
-    InputError,
-    Subspace,
-    hausdorff_dimension,
-    parse_coefficient,
-)
+from .algebra import GradedLieAlgebra, Subspace, hausdorff_dimension
+from .linalg import InputError, parse_coefficient
 
 
 @dataclass(frozen=True)
@@ -225,64 +220,29 @@ def algebra_to_dict(algebra: GradedLieAlgebra) -> dict:
     }
 
 
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
-    try:
-        name = data["name"]
-        basis = data["basis"]
-        layers = data["layers"]
-        bracket_list = data["brackets"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("algebra JSON needs name, basis, layers, brackets") from exc
-    # a string is a sequence too: "abc" must not pass as three labels
-    if not isinstance(name, str):
-        raise InputError("algebra name must be a string")
-    if not _is_string_list(basis):
-        raise InputError("basis must be a list of strings")
-    if not isinstance(layers, list) or not all(map(_is_string_list, layers)):
-        raise InputError("layers must be a list of lists of strings")
-    if not isinstance(bracket_list, list):
-        raise InputError("brackets must be a list")
-    known = set(basis)
+    """Read ``algebra_to_dict``'s layout back.  Coefficients must be JSON
+    strings; the name, basis, layers and labels are checked by the
+    ``GradedLieAlgebra`` constructor.  A pair listed twice in one
+    orientation is rejected here, since the dict of pairs would merge it."""
     pairs: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for item in bracket_list:
-        try:
-            left, right = item["left"], item["right"]
-            result = item["result"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("bracket entries need left, right, result") from exc
-        # labels become dict keys: a list here would not even hash
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise InputError("bracket left and right must be label strings")
-        if not isinstance(result, list):
-            raise InputError("bracket result must be a list of terms")
-        for label in (left, right):
-            if label not in known:
-                raise InputError("bracket references unknown label %r" % label)
-        if (left, right) in pairs or (right, left) in pairs:
-            raise InputError(
-                "bracket pair (%s, %s) listed in both orientations or twice"
-                % (left, right)
-            )
-        entry: dict[str, Fraction] = {}
-        for term in result:
-            try:
-                label, coeff = term["basis"], term["coeff"]
-            except (KeyError, TypeError) as exc:
-                raise InputError("bracket result terms need basis and coeff") from exc
-            if not isinstance(label, str):
-                raise InputError("bracket result basis must be a label string")
-            if label not in known:
-                raise InputError("bracket result references unknown label %r" % label)
-            entry[label] = entry.get(label, Fraction(0)) + parse_coefficient(coeff)
-        pairs[(left, right)] = entry
-    for layer in layers:
-        for label in layer:
-            if label not in known:
-                raise InputError("layer references unknown label %r" % label)
+    try:
+        for item in data["brackets"]:
+            pair = (item["left"], item["right"])
+            if pair in pairs:
+                raise InputError("bracket pair (%s, %s) listed twice" % pair)
+            entry = pairs[pair] = {}
+            for term in item["result"]:
+                label = term["basis"]
+                entry[label] = entry.get(label, 0) + parse_coefficient(term["coeff"])
+        name, basis, layers = data["name"], data["basis"], data["layers"]
+    # a list where a label goes does not hash, and a string or a number
+    # where an object goes cannot be indexed by a key
+    except (KeyError, TypeError) as exc:
+        raise InputError(
+            "algebra JSON needs name, basis, layers and brackets of "
+            "{left, right, result: [{basis, coeff}]}"
+        ) from exc
     return GradedLieAlgebra(name, basis, layers, pairs)
 
 

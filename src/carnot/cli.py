@@ -17,14 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog as _catalog
-from .algebra import (
-    InputError,
-    Subspace,
-    hausdorff_dimension,
-    jacobi_check,
-    parse_coefficient,
-    stratification_check,
-)
+from .algebra import Subspace, hausdorff_dimension, jacobi_check, stratification_check
 from .catalog import CatalogEntry
 from .curvature import trichotomy_report
 from .forms import (
@@ -36,6 +29,7 @@ from .forms import (
 )
 from .group import build_scalable_lattice, check_group_closure, check_scaling_closure
 from .horizontal import is_isotropic, is_regular
+from .linalg import InputError, parse_coefficient
 from .predictor import HypothesisBundle, coverage_table
 
 
@@ -76,19 +70,9 @@ def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
     if args.subspace_file is not None:
         data = _catalog.read_json(args.subspace_file)
         rows = data.get("rows") if isinstance(data, dict) else None
-        if not isinstance(rows, list) or not rows:
-            raise InputError('subspace file needs {"rows": [[...], ...]}')
-        parsed = []
-        for row in rows:
-            if not isinstance(row, list):
-                raise InputError("subspace row must be a JSON list, got %r" % (row,))
-            if len(row) != entry.algebra.dimension:
-                raise InputError(
-                    "subspace row has %d entries, expected %d"
-                    % (len(row), entry.algebra.dimension)
-                )
-            parsed.append(tuple(parse_coefficient(e) for e in row))
-        s = Subspace(entry.algebra, parsed)
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InputError('subspace file needs {"rows": [...]} of JSON lists')
+        s = Subspace(entry.algebra, [list(map(parse_coefficient, r)) for r in rows])
         if s.dim == 0:
             raise InputError("subspace rows span the zero subspace")
         return s
@@ -365,7 +349,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_forms_d(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     form = form_from_dict(entry.algebra, _catalog.read_json(args.form))
     if form.is_zero():
         raise InputError("the input form is zero")

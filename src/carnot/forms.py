@@ -25,15 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .algebra import (
-    GradedLieAlgebra,
-    InputError,
-    Subspace,
-    coefficient,
-    parse_coefficient,
-    require_two_step,
-)
-from .linalg import Vector, ZERO
+from .algebra import GradedLieAlgebra, Subspace, require_two_step
+from .linalg import InputError, Vector, ZERO, coefficient, parse_coefficient
 
 Monomial = tuple[int, ...]
 
@@ -72,8 +65,9 @@ class InvariantForm:
         terms: Mapping[Monomial, object] | None = None,
     ) -> None:
         n = algebra.dimension
-        if not 1 <= degree <= n:
-            raise InputError("form degree must be between 1 and %d" % n)
+        # type(...) is int turns away bools, floats and strings alike
+        if type(degree) is not int or not 1 <= degree <= n:
+            raise InputError("form degree must be an integer from 1 to %d" % n)
         self.algebra = algebra
         self.degree = degree
         clean: dict[Monomial, Fraction] = {}
@@ -81,8 +75,8 @@ class InvariantForm:
             mono = tuple(mono)
             if len(mono) != degree:
                 raise InputError("monomial %r has wrong arity" % (mono,))
-            if any(not 0 <= i < n for i in mono):
-                raise InputError("monomial index out of range in %r" % (mono,))
+            if any(type(i) is not int or not 0 <= i < n for i in mono):
+                raise InputError("monomial %r needs int indices below %d" % (mono, n))
             if any(a >= b for a, b in zip(mono, mono[1:])):
                 raise InputError("monomial %r is not strictly increasing" % (mono,))
             c = coefficient(coeff)
@@ -152,7 +146,7 @@ class InvariantForm:
             )
         total = ZERO
         for mono, coeff in self.terms.items():
-            rows = [[Fraction(v[i]) for v in vectors] for i in mono]
+            rows = [[coefficient(v[i]) for v in vectors] for i in mono]
             total += coeff * _det(rows)
         return total
 
@@ -398,26 +392,20 @@ def form_to_dict(form: InvariantForm) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def form_from_dict(algebra: GradedLieAlgebra, data: dict) -> InvariantForm:
-    """Read ``form_to_dict``'s layout back.  The degree and the indices must
-    be JSON integers and the terms and indices lists: a string, a float or a
-    boolean is rejected rather than read as some other monomial."""
-    if not (
-        isinstance(data, dict)
-        and _is_int(data.get("degree"))
-        and isinstance(data.get("terms"), list)
-    ):
-        raise InputError("form JSON needs an integer degree and a terms list")
+    """Read ``form_to_dict``'s layout back.  Coefficients must be JSON
+    strings; the degree and the monomials are checked by ``InvariantForm``,
+    so a string, a float or a boolean is never read as some other one."""
     terms: dict[Monomial, Fraction] = {}
-    for item in data["terms"]:
-        indices = item.get("indices") if isinstance(item, dict) else None
-        if not isinstance(indices, list) or not all(map(_is_int, indices)):
-            raise InputError("form terms need an integer indices list and a coeff")
-        mono = tuple(indices)
-        coeff = parse_coefficient(item.get("coeff"))
-        terms[mono] = terms.get(mono, ZERO) + coeff
-    return InvariantForm(algebra, data["degree"], terms)
+    try:
+        for item in data["terms"]:
+            mono = tuple(item["indices"])
+            terms[mono] = terms.get(mono, ZERO) + parse_coefficient(item["coeff"])
+        degree = data["degree"]
+    # a string or a number where an object goes cannot be indexed by a key,
+    # and a list inside the indices does not hash
+    except (KeyError, TypeError) as exc:
+        raise InputError(
+            "form JSON needs a degree and terms of {indices, coeff}"
+        ) from exc
+    return InvariantForm(algebra, degree, terms)

@@ -23,15 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import (
-    CheckResult,
-    Dilation,
-    GradedLieAlgebra,
-    InputError,
-    coefficient,
-    require_two_step,
-)
-from .linalg import HALF, Matrix, Vector
+from .algebra import CheckResult, Dilation, GradedLieAlgebra, require_two_step
+from .linalg import HALF, InputError, Matrix, Vector, coefficient
 
 
 class GroupElement:
@@ -125,7 +118,7 @@ class LatticeSpec:
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
-        x = [e if type(e) is Fraction else Fraction(e) for e in v]
+        x = [coefficient(e) for e in v]
         if len(x) != len(self._columns):
             raise ValueError("vector length does not match the algebra")
         coords = self._coordinates(*linalg.numerators(x))

@@ -10,11 +10,18 @@ cross-multiplying with the cofactors of the gcd of the entries being
 cleared, then divided by their content (Bareiss, Math. Comp. 22, 1968).
 The reduced form is unique, so a basis row divided by its pivot entry is
 a row of ``rref``; Fractions are built only for the entries returned.
+
+This module also holds the one reading of an exact number from outside:
+``parse_coefficient`` takes an integer or ``p/q`` string, ``coefficient``
+an int, a Fraction or such a string, and anything else (floats, Python's
+wider string grammar, digit strings past the interpreter's limit) raises
+InputError.  Every other module imports them from here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +31,50 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+class InputError(ValueError):
+    """Malformed input: a bad coefficient, unknown labels, a bad shape."""
+
+
+# ASCII digits only, and no trailing newline as ``$`` would allow
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_coefficient(text) -> Fraction:
+    """Exact value of an integer or ``p/q`` string, as the JSON formats write
+    coefficients; anything else raises InputError."""
+    if not isinstance(text, str) or not _COEFF_RE.fullmatch(text):
+        raise InputError(
+            "coefficient must be an integer or p/q string, got %r" % (text,)
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError("zero denominator in %r" % text) from None
+    except ValueError:
+        # past the interpreter's limit on the digits of an int read from text
+        raise InputError(
+            "coefficient of %d characters is too long" % len(text)
+        ) from None
+
+
+def coefficient(value) -> Fraction:
+    """Exact value of an int, a Fraction or a coefficient string.
+
+    Floats are rejected rather than converted, since their binary expansion
+    is not the number the caller wrote.  A Fraction is returned as it is.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        return parse_coefficient(value)
+    if isinstance(value, float):
+        raise InputError("floating point coefficient rejected: %r" % (value,))
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError("bad coefficient %r" % (value,)) from exc
 
 
 def zero_vector(n: int) -> Vector:
@@ -71,8 +122,8 @@ def _eliminate(
     rows: Iterable[Sequence | dict], ncols: int | None
 ) -> tuple[dict[int, dict[int, int]], int | None]:
     """The reduced integer rows as ``{pivot column: {column: int}}``, and
-    ncols.  Entries that are not rationals, such as ``"p/q"`` strings, go
-    through ``Fraction`` first."""
+    ncols.  Entries that are not ints or Fractions, such as ``"p/q"``
+    strings, go through ``coefficient`` first."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if isinstance(row, dict):
@@ -86,7 +137,7 @@ def _eliminate(
             integers = numerators(row)[0]
         except AttributeError:
             items = row.items() if isinstance(row, dict) else enumerate(row)
-            integers = numerators({j: Fraction(e) for j, e in items})[0]
+            integers = numerators({j: coefficient(e) for j, e in items})[0]
         extend_reduced(pivots, integers)
     return pivots, ncols
 

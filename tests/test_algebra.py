@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carnot
 from carnot import (
     Dilation,
     GradedLieAlgebra,
     InputError,
+    InvariantForm,
     NotNilpotentError,
     Subspace,
     algebra_from_dict,
     algebra_to_dict,
     build,
+    build_scalable_lattice,
     default_entries,
     dilation,
     hausdorff_dimension,
@@ -26,6 +29,8 @@ from carnot import (
     stratification_check,
     unipotent,
 )
+from carnot import linalg
+from carnot.algebra import MAX_DIMENSION
 from helpers import (
     coprime_table,
     matrix_commutator,
@@ -184,11 +189,73 @@ def test_bool_constants_are_read_as_zero_and_one():
     assert algebra.into[3] == ((0, 1, 1),)
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", " 1", "1/0", ""])
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e3", " 1", "1/0", "", "1_0", "3\n", "\u0663"]
+)
 def test_rejects_coefficient_strings_outside_the_json_format(text):
     algebra = build("heisenberg_c:1").algebra
     with pytest.raises(InputError):
         algebra.vector({"K": text})
+
+
+def test_one_input_error_class_for_every_module():
+    assert carnot.InputError is carnot.linalg.InputError is carnot.algebra.InputError
+
+
+@pytest.mark.parametrize("value", [0.1, "1_0", "1e2", " 3/2 ", "3\n", "\u0663"])
+def test_library_entry_points_read_numbers_with_the_one_parser(value):
+    # each of these used to go through Fraction(), which takes floats and
+    # Python's own string grammar
+    algebra = build("heisenberg_c:1").algebra
+    row = (value, 0, 1)
+    form = InvariantForm(algebra, 1, {(0,): 1})
+    lattice = build_scalable_lattice(algebra)
+    calls = (
+        lambda: Subspace(algebra, [row]),
+        lambda: linalg.rref([row]),
+        lambda: lattice.membership(row),
+        lambda: form.evaluate([row]),
+    )
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "name, basis, layers",
+    [
+        ("x", "abc", ["ab", "c"]),
+        ("x", ["a", "b", "c"], ["ab", "c"]),
+        ("x", ["a", "b", "c"], "abc"),
+        (5, ["a", "b", "c"], [["a", "b"], ["c"]]),
+    ],
+    ids=["str-basis", "str-layers", "str-layer-list", "int-name"],
+)
+def test_constructor_rejects_strings_for_label_lists_and_a_non_string_name(
+    name, basis, layers
+):
+    with pytest.raises(InputError):
+        GradedLieAlgebra(name, basis, layers, {})
+
+
+def test_unhashable_labels_and_string_rows_are_input_errors():
+    algebra = build("heisenberg_c:1").algebra
+    with pytest.raises(InputError):
+        algebra.index(["j1"])
+    with pytest.raises(InputError):
+        Subspace.from_labels(algebra, [["j1"]])
+    # "100" has the length of a row, but a string is not a row
+    with pytest.raises(InputError):
+        Subspace(algebra, ["100"])
+
+
+def test_the_dimension_budget_admits_512_labels_and_no_more():
+    labels = ["x%d" % i for i in range(MAX_DIMENSION)]
+    assert MAX_DIMENSION == 512
+    assert GradedLieAlgebra("budget", labels, [labels], {}).dimension == 512
+    over = labels + ["y"]
+    with pytest.raises(InputError, match="over the budget of 512"):
+        GradedLieAlgebra("over", over, [over], {})
 
 
 def test_accepts_integer_and_ratio_strings():

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, text output, JSON documents."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,11 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carnot
-from carnot import GradedLieAlgebra, algebra_to_dict, save_algebra
+from carnot import GradedLieAlgebra, algebra_to_dict, build, save_algebra
 from carnot.cli import main
 
 
@@ -481,14 +485,18 @@ def test_certify_and_predict_reject_an_algebra_that_is_not_stratified(
 
 
 @pytest.mark.parametrize(
-    "argv", [["curvature", "--subspace", "a"], ["curvature"], ["pittet"]]
+    "argv",
+    [["curvature", "--subspace", "a"], ["curvature"], ["pittet"], ["forms-d", "{}"]],
 )
 @NOT_STRATIFIED
 def test_curvature_and_pittet_reject_an_algebra_that_is_not_stratified(
     capsys, tmp_path, argv, name, basis, layers, table, detail
 ):
     path = str(write_algebra(tmp_path, name, basis, layers, table))
-    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    form = tmp_path / "form.json"
+    term = {"indices": [0], "coeff": "1"}
+    form.write_text(json.dumps({"degree": 1, "terms": [term]}), encoding="utf-8")
+    code, out, err = run(capsys, argv[0], path, *(a.format(form) for a in argv[1:]))
     assert_one_error(code, out, err)
     assert err == "error: not a stratified Lie algebra: %s\n" % detail
 
@@ -657,6 +665,123 @@ def test_unreadable_json_is_an_input_error(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
     path.write_bytes(BAD_JSON_FILES[content])
     assert_one_error(*run(capsys, *(a.format(path) for a in argv)))
+
+
+MANY_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (
+            ("check", "{}"),
+            {
+                "name": "digits",
+                "basis": ["a", "b", "c"],
+                "layers": [["a", "b"], ["c"]],
+                "brackets": [
+                    {
+                        "left": "a",
+                        "right": "b",
+                        "result": [{"basis": "c", "coeff": MANY_DIGITS}],
+                    }
+                ],
+            },
+        ),
+        (
+            ("certify", "heisenberg_c:1", "--subspace-file", "{}"),
+            {"rows": [["1/" + MANY_DIGITS, "0", "0"]]},
+        ),
+        (
+            ("forms-d", "heisenberg_c:1", "{}"),
+            {"degree": 1, "terms": [{"indices": [0], "coeff": "-" + MANY_DIGITS}]},
+        ),
+    ],
+    ids=["algebra", "subspace-file", "forms-d"],
+)
+def test_a_coefficient_past_the_digit_limit_is_an_input_error(
+    capsys, tmp_path, argv, document
+):
+    # the interpreter will not read an int of over 4300 digits from text
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert_one_error(code, out, err)
+    assert "too long" in err
+
+
+def test_a_dimension_over_the_budget_is_an_input_error(capsys):
+    code, out, err = run(capsys, "check", "abelian:513")
+    assert_one_error(code, out, err)
+    assert err == "error: dimension 513 is over the budget of 512\n"
+
+
+# valid documents of each file kind, with the command that reads them
+DOCUMENTS = [
+    (("check", "{}"), algebra_to_dict(build("heisenberg_h:1").algebra)),
+    (
+        ("certify", "{}", "--subspace", "h1,i1"),
+        algebra_to_dict(build("heisenberg_c:2").algebra),
+    ),
+    (
+        ("certify", "heisenberg_h:1", "--subspace-file", "{}"),
+        {"rows": [["1"] + ["0"] * 6, ["0", "0", "1/2", "3", "0", "0", "0"]]},
+    ),
+    (
+        ("forms-d", "heisenberg_h:1", "{}"),
+        {
+            "degree": 2,
+            "terms": [
+                {"indices": [0, 4], "coeff": "-3/2"},
+                {"indices": [1, 2], "coeff": "1"},
+            ],
+        },
+    ),
+]
+DROP = object()
+MUTANTS = [DROP, None, True, 2.5, "", [], {}, MANY_DIGITS, 10**40]
+
+
+def subtree_paths(doc, path=()):
+    """The path of every subtree of a JSON document, keys and positions."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from subtree_paths(child, path + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the subtree at ``path`` replaced by ``value``,
+    or removed when ``value`` is DROP."""
+    if not path:
+        return None if value is DROP else value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
+    argv, doc = data.draw(st.sampled_from(DOCUMENTS))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(subtree_paths(doc))))
+        doc = mutated(doc, path, data.draw(st.sampled_from(MUTANTS)))
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(path) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,17 @@ def test_zero_forms_of_every_degree_hash_alike():
     assert len({one, 1 * one, one - one + one}) == 1
 
 
+@pytest.mark.parametrize(
+    "degree, mono",
+    [(True, (0,)), (1.0, (0,)), ("1", (0,)), (1, (True,)), (1, (0.0,)), (1, ("0",))],
+)
+def test_form_rejects_non_integer_degree_and_indices(degree, mono):
+    # the checks live in the constructor, so library callers meet them too
+    algebra = build("abelian:3").algebra
+    with pytest.raises(InputError):
+        InvariantForm(algebra, degree, {mono: 1})
+
+
 def test_form_rejects_float_coefficients():
     algebra = build("abelian:3").algebra
     with pytest.raises(InputError):
