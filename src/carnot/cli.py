@@ -365,7 +365,8 @@ def cmd_forms_d(args) -> int:
             [list(mono), w] for mono, w in weight.by_monomial
         ],
     }
-    lines = [
+    # the %r lines walk every term of both forms: build them only to print
+    lines = [] if args.json else [
         "source: %s" % entry.key,
         "input: %r" % form,
         "differential: %r" % d,

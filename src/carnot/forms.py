@@ -80,9 +80,12 @@ class InvariantForm:
             if any(a >= b for a, b in zip(mono, mono[1:])):
                 raise InputError("monomial %r is not strictly increasing" % (mono,))
             c = coefficient(coeff)
-            if c != 0:
-                clean[mono] = clean.get(mono, ZERO) + c
-        self.terms = {m: c for m, c in sorted(clean.items()) if c != 0}
+            if c:
+                # keys that differ can name one monomial: add only then
+                if mono in clean:
+                    c += clean[mono]
+                clean[mono] = c
+        self.terms = {m: c for m, c in sorted(clean.items()) if c}
 
     @classmethod
     def dual(cls, algebra: GradedLieAlgebra, label_or_index) -> "InvariantForm":
@@ -346,36 +349,39 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     wedge pairs.
 
     Generators are all products Y* ^ x* with Y from the second layer and x
-    from the first, ordered lexicographically.  Requires a 2-step (or
-    abelian) algebra; the kernel dimension counts independent closed
-    2-forms of this shape.
-    Each column is ``_integer_differential`` of a generator, a monomial
-    with coefficient +-1: D 3! times its differential.  Every column has
-    that same scale, so the kernel is that of the exact columns.  The
-    nonzero integer rows go straight to ``linalg.extend_reduced``, and the
-    elimination stops at full column rank.
+    from the first, ordered lexicographically.  Requires a graded 2-step
+    (or abelian) algebra, nothing bracketing into the first layer and the
+    second bracketing with nothing, else InputError; the kernel dimension
+    counts independent closed 2-forms of this shape.
+    Then dx* = 0 and dY* = sum over a < b of A_ab^Y a* ^ b*, so d(Y* ^ x*)
+    = dY* ^ x* up to the one scale of the convention, and the row of a
+    first-layer monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at
+    (Y, b) and A_bc^Y at (Y, a) straight off the adjacency.  The kernel
+    basis is canonical, so the nonzero rows go to
+    ``linalg.extend_reduced`` in monomial order, and the elimination stops
+    at full column rank.
     """
     require_two_step(algebra, "the pittet kernel")
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
     v1 = algebra.layers[0]
-    pairs = []
-    # one sparse row per monomial, in any order: the kernel basis is canonical
-    rows: dict[Monomial, dict[int, int]] = {}
-    for y in v2:
-        for x in v1:
-            col = len(pairs)
-            pairs.append((algebra.basis[y], algebra.basis[x]))
-            # Y* ^ x* is one monomial, signed by the order of y and x
-            pair = {(min(y, x), max(y, x)): 1 if y < x else -1}
-            for m, c in _integer_differential(algebra, pair).items():
-                if c:
-                    rows.setdefault(m, {})[col] = c
-    # the kernel is {0} once every column has a pivot, whatever rows remain
+    ad = algebra.adjacency
+    if any(algebra.into[x] for x in v1) or any(ad[y] for y in v2):
+        raise InputError("the pittet kernel needs a graded 2-step algebra")
+    pairs = [(algebra.basis[y], algebra.basis[x]) for y in v2 for x in v1]
+    # column of (Y, x) is offset[Y] + offset[x], in V2 x V1 order
+    offset = {y: k * len(v1) for k, y in enumerate(v2)}
+    offset.update((x, i) for i, x in enumerate(v1))
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows.values():
+    for a, b, c in itertools.combinations(sorted(v1), 3):
+        # the kernel is {0} once every column has a pivot, whatever rows remain
         if len(pivots) == len(pairs):
             break
-        linalg.extend_reduced(pivots, row)
+        row = {}
+        for u, v, x, sign in ((a, b, c, 1), (a, c, b, -1), (b, c, a, 1)):
+            for y, e in ad[u].get(v, {}).items():
+                row[offset[y] + offset[x]] = sign * e
+        if row:
+            linalg.extend_reduced(pivots, row)
     kernel = linalg.reduced_kernel(pivots, len(pairs))
     return PittetReport(tuple(pairs), len(kernel), kernel)
 

@@ -516,6 +516,21 @@ def test_forms_d_reports_differential(capsys, tmp_path):
     ]
 
 
+def test_forms_d_json_renders_no_text_lines(capsys, tmp_path, monkeypatch):
+    def unused(form):
+        raise AssertionError("text line built under --json")
+
+    monkeypatch.setattr(carnot.InvariantForm, "__repr__", unused)
+    path = tmp_path / "form.json"
+    path.write_text(
+        json.dumps({"degree": 1, "terms": [{"indices": [2], "coeff": "1"}]}),
+        encoding="utf-8",
+    )
+    code, doc, _ = run_json(capsys, "forms-d", "heisenberg_c:1", str(path))
+    assert code == 0
+    assert doc["closed"] is False
+
+
 def test_forms_d_closed_form(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(

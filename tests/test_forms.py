@@ -24,7 +24,8 @@ from carnot import (
     scaling_weight,
     wedge,
 )
-from carnot import linalg
+from carnot import forms, linalg
+from carnot.catalog import default_entries
 from helpers import (
     basis_tuples,
     coprime_table,
@@ -108,6 +109,15 @@ def test_form_rejects_float_coefficients():
         InvariantForm(algebra, 1, {(0,): 0.1})
     with pytest.raises(InputError):
         0.1 * dual(algebra, "x1")
+
+
+def test_form_sums_keys_that_name_one_monomial():
+    algebra = build("abelian:3").algebra
+    form = InvariantForm(algebra, 2, {(0, 1): F(1, 2), range(0, 2): "1/3"})
+    assert form.terms == {(0, 1): F(5, 6)}
+    cancelled = InvariantForm(algebra, 2, {(0, 1): 2, range(0, 2): -2, (1, 2): 1})
+    assert cancelled.terms == {(1, 2): 1}
+    assert InvariantForm(algebra, 2, {(0, 1): 1, range(0, 2): -1}).is_zero()
 
 
 small_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -480,7 +490,7 @@ def counted_kernel(algebra, monkeypatch):
 
 @pytest.mark.parametrize(
     "key, unread",
-    [("heisenberg_o:1", 0), ("heisenberg_h:2", 17), ("heisenberg_c:2", 0)],
+    [("heisenberg_o:1", 0), ("heisenberg_h:2", 20), ("heisenberg_c:2", 0)],
 )
 def test_pair_kernel_stops_at_full_column_rank(key, unread, monkeypatch):
     # octonionic and complex columns reach full rank on the last row
@@ -515,6 +525,104 @@ def test_pair_kernel_after_a_graded_transport(key, seed):
     report = pittet_kernel(image)
     assert report.kernel_basis == public_column_kernel(image, report.pairs)[0]
     assert report.kernel_dimension == pittet_kernel(algebra).kernel_dimension
+
+
+def label_table(algebra):
+    """The label-keyed bracket table and the label layers of ``algebra``."""
+    label = algebra.basis
+    table = {
+        (label[u], label[v]): {label[w]: c for w, c in result.items()}
+        for u, v, result in algebra.structure_pairs()
+    }
+    return table, [[label[i] for i in layer] for layer in algebra.layers]
+
+
+def interleaved(key):
+    """``key`` declared again over a basis alternating V1 and V2 labels."""
+    table, layers = label_table(build(key).algebra)
+    basis = [l for pair in itertools.zip_longest(*layers) for l in pair if l]
+    assert basis != [l for layer in layers for l in layer]
+    return GradedLieAlgebra(key, basis, layers, table)
+
+
+def transported(key, seed):
+    algebra = build(key).algebra
+    table, layers = label_table(algebra)
+    moved, _ = graded_transport(table, layers, random.Random("pittet/%d" % seed))
+    return GradedLieAlgebra(key, algebra.basis, layers, moved)
+
+
+def random_two_layer(count):
+    """The first ``count`` seeded 2-layer graded tables with dim V1 = 3."""
+    found = []
+    for seed in itertools.count():
+        basis, layers, table = random_layered_table(random.Random(seed), "graded")
+        if len(layers) == 2 and len(layers[0]) == 3:
+            found.append(GradedLieAlgebra("random%d" % seed, basis, layers, table))
+        if len(found) == count:
+            return found
+
+
+SMALL_TWO_STEP = [
+    entry.key
+    for entry in default_entries()
+    if entry.algebra.declared_degree == 2
+    and entry.algebra.dimension <= build("heisenberg_o:2").algebra.dimension
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda k=key: build(k).algebra, id=key) for key in SMALL_TWO_STEP]
+    + [
+        pytest.param(lambda: GradedLieAlgebra("six", *item_six_table()), id="six"),
+        pytest.param(lambda: GradedLieAlgebra("coprime", *coprime_table()), id="coprime"),
+        pytest.param(lambda: transported("heisenberg_h:1", 0), id="moved-h1"),
+        pytest.param(lambda: transported("heisenberg_c:2", 1), id="moved-c2"),
+        pytest.param(lambda: transported("heisenberg_o:1", 2), id="moved-o1"),
+        pytest.param(lambda: interleaved("heisenberg_h:1"), id="interleaved-h1"),
+        pytest.param(lambda: interleaved("heisenberg_c:2"), id="interleaved-c2"),
+    ]
+    + [
+        pytest.param(lambda a=a: a, id=a.name) for a in random_two_layer(6)
+    ],
+)
+def test_pair_kernel_matches_the_public_differential(make):
+    # rows read off the adjacency span the same space as the columns of the
+    # public differential, so the canonical kernel bases are equal
+    algebra = make()
+    report = pittet_kernel(algebra)
+    assert report.kernel_basis == public_column_kernel(algebra, report.pairs)[0]
+
+
+def test_pair_kernel_rows_in_monomial_order(monkeypatch):
+    differentials = []
+    core = forms._integer_differential
+
+    def spy(*args):
+        differentials.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(forms, "_integer_differential", spy)
+    report, used = counted_kernel(build("heisenberg_o:3").algebra, monkeypatch)
+    assert report.kernel_basis == ()
+    assert used == 363
+    assert differentials == []
+
+
+UNGRADED = [
+    # [a, b] = c brackets into the first layer
+    ({("a", "b"): {"c": 1}}, [["a", "b", "c"], ["z"]]),
+    # [a, z] = y brackets the second layer
+    ({("a", "b"): {"z": 1}, ("a", "z"): {"y": 1}}, [["a", "b", "c"], ["y", "z"]]),
+]
+
+
+@pytest.mark.parametrize("table, layers", UNGRADED)
+def test_pair_kernel_rejects_an_ungraded_table(table, layers):
+    basis = [l for layer in layers for l in layer]
+    with pytest.raises(InputError, match="graded 2-step"):
+        pittet_kernel(GradedLieAlgebra("ungraded", basis, layers, table))
 
 
 def test_pair_kernel_rejects_higher_degree():
