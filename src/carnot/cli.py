@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import catalog as _catalog
 from .algebra import Subspace, hausdorff_dimension, jacobi_check, stratification_check
@@ -99,7 +100,8 @@ _REL_SYMBOL = {
 }
 
 
-def _emit(payload: dict, args, text_lines: list[str]) -> None:
+def _emit(payload: dict, args, text_lines: Iterable[str]) -> None:
+    """Print the payload under --json, else iterate and print the lines."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -365,16 +367,17 @@ def cmd_forms_d(args) -> int:
             [list(mono), w] for mono, w in weight.by_monomial
         ],
     }
-    # the %r lines walk every term of both forms: build them only to print
-    lines = [] if args.json else [
-        "source: %s" % entry.key,
-        "input: %r" % form,
-        "differential: %r" % d,
-        "closed: %s" % ("yes" if d.is_zero() else "no"),
-        "scaling weight: %s"
-        % (weight.uniform if weight.uniform is not None else "mixed"),
-    ]
-    _emit(payload, args, lines)
+
+    def lines():
+        yield "source: %s" % entry.key
+        yield "input: %r" % form
+        yield "differential: %r" % d
+        yield "closed: %s" % ("yes" if d.is_zero() else "no")
+        yield "scaling weight: %s" % (
+            weight.uniform if weight.uniform is not None else "mixed"
+        )
+
+    _emit(payload, args, lines())
     return 0
 
 

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace, require_two_step
@@ -81,10 +81,7 @@ class InvariantForm:
                 raise InputError("monomial %r is not strictly increasing" % (mono,))
             c = coefficient(coeff)
             if c:
-                # keys that differ can name one monomial: add only then
-                if mono in clean:
-                    c += clean[mono]
-                clean[mono] = c
+                clean[mono] = clean[mono] + c if mono in clean else c
         self.terms = {m: c for m, c in sorted(clean.items()) if c}
 
     @classmethod
@@ -345,21 +342,16 @@ class PittetReport:
 
 
 def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
-    """Kernel of the differential on the span of (second dual, first dual)
-    wedge pairs.
-
-    Generators are all products Y* ^ x* with Y from the second layer and x
-    from the first, ordered lexicographically.  Requires a graded 2-step
-    (or abelian) algebra, nothing bracketing into the first layer and the
-    second bracketing with nothing, else InputError; the kernel dimension
+    """Kernel of the differential on the span of the (second dual, first
+    dual) wedge pairs Y* ^ x*, ordered lexicographically; its dimension
     counts independent closed 2-forms of this shape.
-    Then dx* = 0 and dY* = sum over a < b of A_ab^Y a* ^ b*, so d(Y* ^ x*)
-    = dY* ^ x* up to the one scale of the convention, and the row of a
-    first-layer monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at
-    (Y, b) and A_bc^Y at (Y, a) straight off the adjacency.  The kernel
-    basis is canonical, so the nonzero rows go to
-    ``linalg.extend_reduced`` in monomial order, and the elimination stops
-    at full column rank.
+    Requires a graded 2-step (or abelian) algebra, nothing bracketing into
+    the first layer and the second bracketing with nothing, else InputError.
+    Then dx* = 0, so d(Y* ^ x*) = dY* ^ x*: the row of a first-layer
+    monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at (Y, b) and
+    A_bc^Y at (Y, a) off the adjacency.  The kernel basis is canonical, so
+    the nonzero rows go to ``linalg.extend_reduced`` in monomial order
+    until every column has a pivot: the kernel is then {0}.
     """
     require_two_step(algebra, "the pittet kernel")
     v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
@@ -367,23 +359,31 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     ad = algebra.adjacency
     if any(algebra.into[x] for x in v1) or any(ad[y] for y in v2):
         raise InputError("the pittet kernel needs a graded 2-step algebra")
-    pairs = [(algebra.basis[y], algebra.basis[x]) for y in v2 for x in v1]
-    # column of (Y, x) is offset[Y] + offset[x], in V2 x V1 order
-    offset = {y: k * len(v1) for k, y in enumerate(v2)}
-    offset.update((x, i) for i, x in enumerate(v1))
+    column = {yx: k for k, yx in enumerate(itertools.product(v2, v1))}
+    pairs = [(algebra.basis[y], algebra.basis[x]) for y, x in column]
     pivots: dict[int, dict[int, int]] = {}
-    for a, b, c in itertools.combinations(sorted(v1), 3):
-        # the kernel is {0} once every column has a pivot, whatever rows remain
+    for a, b, c in _bracketing_triples(sorted(v1), ad):
         if len(pivots) == len(pairs):
             break
         row = {}
         for u, v, x, sign in ((a, b, c, 1), (a, c, b, -1), (b, c, a, 1)):
             for y, e in ad[u].get(v, {}).items():
-                row[offset[y] + offset[x]] = sign * e
-        if row:
-            linalg.extend_reduced(pivots, row)
+                row[column[y, x]] = sign * e
+        linalg.extend_reduced(pivots, row)
     kernel = linalg.reduced_kernel(pivots, len(pairs))
     return PittetReport(tuple(pairs), len(kernel), kernel)
+
+
+def _bracketing_triples(v1: list[int], ad) -> Iterator[tuple[int, int, int]]:
+    """The monomials a < b < c of the sorted ``v1`` with a bracketing pair,
+    in order, in work bounded by those pairs times dim V1."""
+    active = [u for u in v1 if ad[u]]
+    for i, a in enumerate(v1):
+        # with [a, .] = 0 the pair (b, c) must bracket, so b is active
+        later = v1[i + 1 :] if ad[a] else [b for b in active if b > a]
+        for j, b in enumerate(later):
+            tails = later[j + 1 :] if b in ad[a] else sorted(ad[a].keys() | ad[b])
+            yield from ((a, b, c) for c in tails if c > b)
 
 
 # -- JSON handling for CLI form literals -----------------------------------

@@ -610,6 +610,42 @@ def test_pair_kernel_rows_in_monomial_order(monkeypatch):
     assert differentials == []
 
 
+class CountedRows(tuple):
+    """An adjacency that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, u):
+        CountedRows.reads += 1
+        return tuple.__getitem__(self, u)
+
+
+def test_pair_kernel_work_follows_the_brackets(monkeypatch):
+    # a real Heisenberg algebra times a 300-dimensional abelian factor: of
+    # the C(302, 3) = 4,515,100 first-layer monomials only the 300 holding a
+    # and b are nonzero rows, and the work stays linear in dim V1
+    basis = ["a", "b"] + ["x%d" % i for i in range(300)] + ["y"]
+    layers = [basis[:-1], ["y"]]
+    algebra = GradedLieAlgebra("h x abelian", basis, layers, {("a", "b"): {"y": 1}})
+    monkeypatch.setattr(algebra, "adjacency", CountedRows(algebra.adjacency))
+    monkeypatch.setattr(CountedRows, "reads", 0)
+    visited = []
+    triples = forms._bracketing_triples
+
+    def spy(*args):
+        for triple in triples(*args):
+            visited.append(triple)
+            yield triple
+
+    monkeypatch.setattr(forms, "_bracketing_triples", spy)
+    report, used = counted_kernel(algebra, monkeypatch)
+    assert len(visited) == used == 300
+    assert CountedRows.reads < 16 * len(basis)
+    assert report.kernel_basis == tuple(
+        tuple(F(int(i == k)) for i in range(302)) for k in (0, 1)
+    )
+
+
 UNGRADED = [
     # [a, b] = c brackets into the first layer
     ({("a", "b"): {"c": 1}}, [["a", "b", "c"], ["z"]]),
