@@ -340,13 +340,16 @@ def cmd_lattice(args) -> int:
         "detail": {name: check.detail for name, check in checks.items()},
     }
     payload.update(("%s_closed" % name, check.ok) for name, check in checks.items())
-    lines = ["source: %s" % entry.key, "generators:"]
-    lines += ["  %s" % entry.algebra.describe(g) for g in spec.generators]
-    lines += [
-        "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
-        for name, check in checks.items()
-    ]
-    _emit(payload, args, lines)
+
+    def lines():
+        yield "source: %s" % entry.key
+        yield "generators:"
+        for g in spec.generators:
+            yield "  %s" % entry.algebra.describe(g)
+        for name, check in checks.items():
+            yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
+
+    _emit(payload, args, lines())
     return 0 if all(checks.values()) else 1
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -82,14 +81,15 @@ def group_scaling(t, g: GroupElement) -> GroupElement:
 class LatticeSpec:
     """Basis whose integer span should be a scaled-in lattice.
 
-    There are exactly ``dimension`` generators and they must span the
-    algebra, so the matrix G with the generators as rows is invertible and
-    v has the coordinates v G^-1.  ``linalg.integer_inverse`` gives G^-1
-    once, as sparse integer rows over the lcm q of its denominators,
+    There are exactly ``dimension`` generators of ``dimension`` entries and
+    they must span the algebra, so the matrix G with the generators as rows
+    is invertible and v has the coordinates v G^-1.  Each generator is read
+    once by ``linalg.numerators`` into integers over its own denominator,
+    ``_scaled[i] = (w, s)``, and ``linalg.integer_inverse`` of those pairs
+    gives G^-1 as sparse integer rows over the lcm q of its denominators,
     ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the coordinates
     sum_k w_k _columns[k] / (q r), integers exactly when q r divides every
-    sum.  Each generator is also kept as integer numerators over its own
-    denominator, ``_scaled[i] = (w, s)``.
+    sum.
     """
 
     algebra: GradedLieAlgebra
@@ -108,32 +108,37 @@ class LatticeSpec:
                 "a lattice needs exactly %d generators, got %d"
                 % (n, len(self.generators))
             )
-        found = linalg.integer_inverse(self.generators)
+        if any(isinstance(g, str) or len(g) != n for g in self.generators):
+            raise InputError("a lattice generator needs %d coefficients" % n)
+        scaled = tuple(map(linalg.numerators, self.generators))
+        found = linalg.integer_inverse(scaled)
         if found is None:
             raise InputError("lattice generators must span the algebra")
         columns, q = found
         object.__setattr__(self, "_denominator", q)
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_scaled", tuple(map(linalg.numerators, self.generators)))
+        object.__setattr__(self, "_scaled", scaled)
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
-        x = [coefficient(e) for e in v]
-        if len(x) != len(self._columns):
+        n = len(self._columns)
+        if len(v) != n:
             raise ValueError("vector length does not match the algebra")
-        coords = self._coordinates(*linalg.numerators(x))
-        return None if coords is None else tuple(map(Fraction, coords))
+        coords = self._coordinates(*linalg.numerators(v))
+        return None if coords is None else linalg.densify(coords, n)
 
-    def _coordinates(self, w: dict[int, int], r: int) -> list[int] | None:
-        """Integer generator coordinates of the vector w / r, or None."""
-        sums = [0] * len(self._columns)
+    def _coordinates(self, w: dict[int, int], r: int) -> dict[int, int] | None:
+        """Integer generator coordinates ``{i: c}`` of the vector w / r, or
+        None.  Only the coordinates that the support of w reaches through
+        ``_columns`` are summed and tested; the others are 0."""
+        sums: dict[int, int] = {}
         for k, a in w.items():
             for i, c in self._columns[k].items():
-                sums[i] += a * c
+                sums[i] = sums.get(i, 0) + a * c
         qr = self._denominator * r
-        if any(total % qr for total in sums):
+        if any(total % qr for total in sums.values()):
             return None
-        return [total // qr for total in sums]
+        return {i: total // qr for i, total in sums.items()}
 
 
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:

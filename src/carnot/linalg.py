@@ -86,11 +86,17 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def numerators(values: Mapping | Sequence) -> tuple[dict, int]:
-    """``({key: w}, r)``: the ints and Fractions of a ``{key: value}`` dict,
-    or of a sequence keyed by position, as integers w over the lcm r of
-    their denominators, value = w / r, with the zeros absent."""
+    """``({key: w}, r)``: the entries of a ``{key: value}`` dict, or of a
+    sequence keyed by position, as integers w over the lcm r of their
+    denominators, value = w / r, with the zeros absent.  Every entry is
+    read: if one is not an int or a Fraction, all go through
+    ``coefficient``, so ``"p/q"`` strings are read and ``None`` raises."""
     items = values.items() if isinstance(values, dict) else enumerate(values)
-    nonzero = [(k, e) for k, e in items if e]
+    try:
+        nonzero = [(k, e) for k, e in items if e.numerator]
+    except AttributeError:
+        items = values.items() if isinstance(values, dict) else enumerate(values)
+        return numerators({k: coefficient(e) for k, e in items})
     r = math.lcm(*(e.denominator for _, e in nonzero))
     return {k: e.numerator * (r // e.denominator) for k, e in nonzero}, r
 
@@ -122,8 +128,7 @@ def _eliminate(
     rows: Iterable[Sequence | dict], ncols: int | None
 ) -> tuple[dict[int, dict[int, int]], int | None]:
     """The reduced integer rows as ``{pivot column: {column: int}}``, and
-    ncols.  Entries that are not ints or Fractions, such as ``"p/q"``
-    strings, go through ``coefficient`` first."""
+    ncols; each row is read by ``numerators``."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if isinstance(row, dict):
@@ -133,12 +138,7 @@ def _eliminate(
             ncols = len(row)
         elif len(row) != ncols:
             raise ValueError("ragged matrix")
-        try:
-            integers = numerators(row)[0]
-        except AttributeError:
-            items = row.items() if isinstance(row, dict) else enumerate(row)
-            integers = numerators({j: coefficient(e) for j, e in items})[0]
-        extend_reduced(pivots, integers)
+        extend_reduced(pivots, numerators(row)[0])
     return pivots, ncols
 
 
@@ -228,17 +228,19 @@ def in_row_span(reduced: Matrix, v: Sequence) -> bool:
     return rank((*reduced, v)) == len(reduced)
 
 
-def integer_inverse(rows: Sequence[Sequence]) -> tuple[tuple[dict, ...], int] | None:
-    """Inverse of a square matrix as sparse integer rows over one
-    denominator q, from one elimination of ``[A | I]``; None if singular.
-    Reduced row i is the primitive row [a_i e_i | a_i inverse[i]], so q,
-    the lcm of the a_i, is the lcm of the inverse's denominators."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    pivots, _ = _eliminate(
-        ({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(rows)), 2 * n
-    )
+def integer_inverse(
+    scaled: Sequence[tuple[dict[int, int], int]]
+) -> tuple[tuple[dict, ...], int] | None:
+    """Inverse of the square matrix with rows w_i / s_i, given as the pairs
+    ``(w_i, s_i)`` of ``numerators``, as sparse integer rows over one
+    denominator q; None if singular.  One elimination of the sparse integer
+    rows ``[W | diag(s)]``, which are the rows of ``[A | I]`` each scaled by
+    s_i: reduced row i is the primitive row [a_i e_i | a_i inverse[i]], so
+    q, the lcm of the a_i, is the lcm of the inverse's denominators."""
+    n = len(scaled)
+    pivots: dict[int, dict[int, int]] = {}
+    for i, (w, s) in enumerate(scaled):
+        extend_reduced(pivots, {**w, n + i: s})
     if any(p >= n for p in pivots):
         return None
     q = math.lcm(*(pivots[i][i] for i in range(n)))
@@ -250,11 +252,14 @@ def integer_inverse(rows: Sequence[Sequence]) -> tuple[tuple[dict, ...], int] | 
 
 def inverse(rows: Sequence[Sequence]) -> Matrix | None:
     """Inverse of a square matrix; None if the matrix is singular."""
-    found = integer_inverse(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    found = integer_inverse([numerators(row) for row in rows])
     if found is None:
         return None
     scaled, q = found
-    return tuple(densify(row, len(scaled), q) for row in scaled)
+    return tuple(densify(row, n, q) for row in scaled)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:

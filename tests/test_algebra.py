@@ -15,6 +15,7 @@ from carnot import (
     GradedLieAlgebra,
     InputError,
     InvariantForm,
+    LatticeSpec,
     NotNilpotentError,
     Subspace,
     algebra_from_dict,
@@ -215,6 +216,24 @@ def test_library_entry_points_read_numbers_with_the_one_parser(value):
         lambda: linalg.rref([row]),
         lambda: lattice.membership(row),
         lambda: form.evaluate([row]),
+    )
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_falsy_entries_that_are_not_numbers_are_input_errors():
+    # None, [] and "" used to be skipped as zeros before any entry was read
+    algebra = build("heisenberg_c:1").algebra
+    lattice = build_scalable_lattice(algebra)
+    calls = (
+        lambda: linalg.rref([[None, 1, 0]]),
+        lambda: linalg.rref([[[], 1]]),
+        lambda: linalg.rank([{0: None, 1: 1}], 2),
+        lambda: Subspace(algebra, [("", 0, 1)]),
+        lambda: LatticeSpec(algebra, ((1, 0, 0), (0, None, 1), (0, 0, 1))),
+        lambda: lattice.membership((None, 0, 0)),
+        lambda: algebra.bracket((0, [], 0), (1, 0, 0)),
     )
     for call in calls:
         with pytest.raises(InputError):

@@ -20,6 +20,7 @@ from carnot import (
     group_scaling,
     multiply,
 )
+from carnot import linalg
 
 from helpers import (
     coprime_table,
@@ -274,6 +275,39 @@ def test_membership_rejects_wrong_length():
         spec.membership((F(1), F(1), F(0), F(0)))
 
 
+def test_generators_of_the_wrong_length_are_input_errors():
+    algebra = build("heisenberg_c:1").algebra
+    j1, k1 = algebra.basis_vector("j1"), algebra.basis_vector("k1")
+    half_k = tuple(F(1, 2) * c for c in algebra.basis_vector("K"))
+    for bad in (half_k[:2], (*half_k, F(0))):
+        with pytest.raises(InputError, match="a lattice generator needs 3 coefficients"):
+            LatticeSpec(algebra, (j1, k1, bad))
+    with pytest.raises(InputError, match="a lattice generator needs 3 coefficients"):
+        LatticeSpec(algebra, (j1, "0/1", half_k))
+
+
+def test_the_generators_are_read_once_and_not_re_eliminated(monkeypatch):
+    # one numerators call per generator, and the inverse eliminates those
+    # integer rows directly rather than a dense [G | I] through _eliminate
+    algebra = build("heisenberg_o:2").algebra
+    generators = build_scalable_lattice(algebra).generators
+    calls = {"numerators": 0, "_eliminate": 0}
+
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    spy("numerators")
+    spy("_eliminate")
+    LatticeSpec(algebra, generators)
+    assert calls == {"numerators": algebra.dimension, "_eliminate": 0}
+
+
 def coprime_spec():
     # generators with the coprime denominators 3, 7 and 11 and negative
     # entries, over an algebra whose constants have denominator 1001
@@ -348,6 +382,26 @@ def test_scaling_closure_matches_dilation_oracle(make_spec):
     spec = make_spec()
     scaling = check_scaling_closure(spec)
     assert (scaling.ok, scaling.detail) == naive_scaling_closure(spec)
+
+
+_TWO_STEP_KEYS = [e.key for e in default_entries() if e.algebra.declared_degree <= 2]
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [lambda key=key: build_scalable_lattice(build(key).algebra) for key in _TWO_STEP_KEYS]
+    + [wide_center_spec, skewed_spec, sheared_spec, item6_spec, coprime_spec],
+    ids=_TWO_STEP_KEYS + ["wide_center", "skewed", "sheared", "item6", "coprime"],
+)
+def test_integer_columns_match_the_oracle_inverse(make_spec):
+    spec = make_spec()
+    n = spec.algebra.dimension
+    expected = naive_inverse(spec.generators)
+    got = tuple(
+        tuple(F(spec._columns[k].get(i, 0), spec._denominator) for i in range(n))
+        for k in range(n)
+    )
+    assert got == expected
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exact linear algebra kernels."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -295,6 +296,37 @@ def test_in_row_span_rejects_a_vector_of_another_length():
     for v in ((1,), (2, 3), (2, 3, 5, 0), (1, 0, 1, 9)):
         with pytest.raises(ValueError, match="ragged matrix"):
             linalg.in_row_span(reduced, v)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_inverse_of_numerator_pairs_matches_oracle(seed):
+    # dense rational squares; on odd seeds one row is a combination of two
+    # others, so the matrix is singular
+    rng = random.Random(seed)
+    n = 2 + seed % 5
+    rows = [
+        [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)
+    ]
+    if seed % 2:
+        rows[-1] = [a - F(2, 3) * b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+    expected = naive_inverse(rows)
+    assert (expected is None) == bool(seed % 2)
+    found = linalg.integer_inverse([linalg.numerators(row) for row in rows])
+    if expected is None:
+        assert found is None
+        return
+    columns, q = found
+    assert all(type(e) is int for row in columns for e in row.values())
+    assert tuple(tuple(F(row.get(i, 0), q) for i in range(n)) for row in columns) == expected
+    # q is the lcm of the inverse's denominators, not a multiple of it
+    assert q == math.lcm(*(e.denominator for row in expected for e in row))
+
+
+def test_inverse_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="not square"):
+        linalg.inverse([(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="not square"):
+        linalg.inverse([(1, 0, 0), (0, 1, 0)])
 
 
 def test_numerators_over_the_lcm_of_the_denominators():
