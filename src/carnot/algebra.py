@@ -282,7 +282,10 @@ class Subspace:
     """Subspace of the underlying vector space, canonicalised to RREF.
 
     Two subspaces are equal exactly when their reduced row bases agree, so
-    equality is span equality.
+    equality is span equality.  Each reduced row is also held in integers,
+    ``integer_rows[k] = (w, s)`` with ``rows[k] = w / s``: w is the sparse
+    primitive row ``{position: int}`` and s its pivot entry, as
+    ``linalg.numerators`` reads a reduced row.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
@@ -294,6 +297,7 @@ class Subspace:
                     "a subspace row needs %d coefficients" % algebra.dimension
                 )
         self.rows: Matrix = linalg.rref(rows)
+        self.integer_rows = tuple(map(linalg.numerators, self.rows))
 
     @classmethod
     def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":
@@ -302,6 +306,7 @@ class Subspace:
         s.algebra = algebra
         positions = sorted({algebra.index(l) for l in labels})
         s.rows = tuple(map(algebra.basis_vector, positions))
+        s.integer_rows = tuple(({i: 1}, 1) for i in positions)
         return s
 
     @property
@@ -316,23 +321,15 @@ class Subspace:
 
     def is_horizontal(self) -> bool:
         """True when every spanning vector lies in the first layer."""
-        first = self.algebra.layers[0]
-        allowed = set(first)
-        for row in self.rows:
-            for i, c in enumerate(row):
-                if c and i not in allowed:
-                    return False
-        return True
+        weights = self.algebra.weights
+        return all(weights[i] == 1 for w, _ in self.integer_rows for i in w)
 
     def coordinate_labels(self) -> tuple[str, ...] | None:
-        """Labels if this is a span of basis vectors, else None."""
-        labels = []
-        for row in self.rows:
-            support = [i for i, c in enumerate(row) if c]
-            if len(support) != 1 or row[support[0]] != 1:
-                return None
-            labels.append(self.algebra.basis[support[0]])
-        return tuple(labels)
+        """Labels if this is a span of basis vectors, else None.  A reduced
+        row with one nonzero entry is a unit row."""
+        if any(len(w) != 1 for w, _ in self.integer_rows):
+            return None
+        return tuple(self.algebra.basis[i] for w, _ in self.integer_rows for i in w)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import catalog as _catalog
 from .algebra import Subspace, hausdorff_dimension, jacobi_check, stratification_check
@@ -100,12 +100,14 @@ _REL_SYMBOL = {
 }
 
 
-def _emit(payload: dict, args, text_lines: Iterable[str]) -> None:
-    """Print the payload under --json, else iterate and print the lines."""
+def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
+    """Print ``payload()`` as JSON under --json, else iterate and print
+    ``lines``, so that only the printed form is built.  Every subcommand
+    computes its results first; these two builders only format them."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
@@ -125,21 +127,19 @@ def _vector_strings(v) -> list[str]:
 
 def cmd_catalog(args) -> int:
     summaries = [_catalog.entry_summary(e) for e in _catalog.default_entries()]
-    payload = {"entries": summaries}
-    lines = []
-    for summary in summaries:
-        designated = summary["designated_subspace"]
-        lines.append(
-            "%-16s dim=%-3d layers=%s hausdorff=%d subspace=%s"
-            % (
+
+    def lines():
+        for summary in summaries:
+            designated = summary["designated_subspace"]
+            yield "%-16s dim=%-3d layers=%s hausdorff=%d subspace=%s" % (
                 summary["key"],
                 summary["dimension"],
                 ",".join(str(d) for d in summary["layer_dimensions"]),
                 summary["hausdorff_dimension"],
                 ",".join(designated) if designated else "-",
             )
-        )
-    _emit(payload, args, lines)
+
+    _emit(args, lambda: {"entries": summaries}, lines())
     return 0
 
 
@@ -148,23 +148,27 @@ def cmd_check(args) -> int:
     algebra = entry.algebra
     jacobi = jacobi_check(algebra)
     strat = stratification_check(algebra)
-    payload = {
-        "source": entry.key,
-        "dimension": algebra.dimension,
-        "degree": algebra.declared_degree,
-        "hausdorff_dimension": hausdorff_dimension(algebra),
-        "weights": list(algebra.weights),
-        "jacobi": {"ok": jacobi.ok, "detail": jacobi.detail},
-        "stratification": {"ok": strat.ok, "detail": strat.detail},
-    }
-    lines = [
-        "source: %s" % entry.key,
-        "dimension: %d (degree %d)" % (algebra.dimension, algebra.declared_degree),
-        "hausdorff dimension: %d" % payload["hausdorff_dimension"],
-        "jacobi: %s (%s)" % ("ok" if jacobi.ok else "FAIL", jacobi.detail),
-        "stratification: %s (%s)" % ("ok" if strat.ok else "FAIL", strat.detail),
-    ]
-    _emit(payload, args, lines)
+    hausdorff = hausdorff_dimension(algebra)
+
+    def payload():
+        return {
+            "source": entry.key,
+            "dimension": algebra.dimension,
+            "degree": algebra.declared_degree,
+            "hausdorff_dimension": hausdorff,
+            "weights": list(algebra.weights),
+            "jacobi": {"ok": jacobi.ok, "detail": jacobi.detail},
+            "stratification": {"ok": strat.ok, "detail": strat.detail},
+        }
+
+    def lines():
+        yield "source: %s" % entry.key
+        yield "dimension: %d (degree %d)" % (algebra.dimension, algebra.declared_degree)
+        yield "hausdorff dimension: %d" % hausdorff
+        yield "jacobi: %s (%s)" % ("ok" if jacobi.ok else "FAIL", jacobi.detail)
+        yield "stratification: %s (%s)" % ("ok" if strat.ok else "FAIL", strat.detail)
+
+    _emit(args, payload, lines())
     return 0 if jacobi.ok and strat.ok else 1
 
 
@@ -173,37 +177,33 @@ def cmd_certify(args) -> int:
     s = _resolve_subspace(entry, args)
     iso = is_isotropic(entry.algebra, s)
     reg = is_regular(entry.algebra, s)
-    witness = None
-    if iso.witness is not None:
-        witness = [_vector_strings(v) for v in iso.witness]
-    payload = {
-        "source": entry.key,
-        "subspace": _subspace_name(s),
-        "isotropic": iso.isotropic,
-        "regular": reg.regular,
-        "rank": reg.rank,
-        "required_rank": reg.required_rank,
-        "witness": witness,
-    }
-    lines = [
-        "source: %s" % entry.key,
-        "subspace: %s (dim %d)" % (_subspace_name(s), s.dim),
-        "isotropic: %s" % ("yes" if iso.isotropic else "no"),
-    ]
-    if witness is not None:
-        lines.append(
-            "  witness pair: %s | %s"
-            % (
-                entry.algebra.describe(iso.witness[0]),
-                entry.algebra.describe(iso.witness[1]),
+
+    def payload():
+        witness = iso.witness
+        return {
+            "source": entry.key,
+            "subspace": _subspace_name(s),
+            "isotropic": iso.isotropic,
+            "regular": reg.regular,
+            "rank": reg.rank,
+            "required_rank": reg.required_rank,
+            "witness": None if witness is None else list(map(_vector_strings, witness)),
+        }
+
+    def lines():
+        yield "source: %s" % entry.key
+        yield "subspace: %s (dim %d)" % (_subspace_name(s), s.dim)
+        yield "isotropic: %s" % ("yes" if iso.isotropic else "no")
+        if iso.witness is not None:
+            yield "  witness pair: %s | %s" % tuple(
+                map(entry.algebra.describe, iso.witness)
             )
+        yield "regular: %s (rank %d of %d)" % (
+            "yes" if reg.regular else "no", reg.rank, reg.required_rank
         )
-    lines.append(
-        "regular: %s (rank %d of %d)"
-        % ("yes" if reg.regular else "no", reg.rank, reg.required_rank)
-    )
-    lines.append("certified: %s" % ("yes" if iso.isotropic and reg.regular else "no"))
-    _emit(payload, args, lines)
+        yield "certified: %s" % ("yes" if iso.isotropic and reg.regular else "no")
+
+    _emit(args, payload, lines())
     return 0 if iso.isotropic and reg.regular else 1
 
 
@@ -226,19 +226,20 @@ def cmd_predict(args) -> int:
             "bounds": [b.as_dict() for b in row.bounds],
         }
 
-    payload = {
-        "source": entry.key,
-        "subspace": _subspace_name(s),
-        "filling": [row_dict(r) for r in table.filling],
-        "divergence": [row_dict(r) for r in table.divergence],
-        "notes": list(table.notes),
-    }
+    def payload():
+        return {
+            "source": entry.key,
+            "subspace": _subspace_name(s),
+            "filling": [row_dict(r) for r in table.filling],
+            "divergence": [row_dict(r) for r in table.divergence],
+            "notes": list(table.notes),
+        }
 
     def row_lines(rows, name, base):
-        out = ["%s:" % name]
+        yield "%s:" % name
         for row in rows:
             if not row.bounds:
-                out.append("  %s^%d: unknown" % (row.target, row.m))
+                yield "  %s^%d: unknown" % (row.target, row.m)
                 continue
             parts = [
                 "%s %s [%s]"
@@ -246,15 +247,17 @@ def cmd_predict(args) -> int:
                 for b in row.bounds
             ]
             flag = "  CONFLICT" if row.conflict else ""
-            out.append("  %s^%d: %s%s" % (row.target, row.m, "; ".join(parts), flag))
-        return out
+            yield "  %s^%d: %s%s" % (row.target, row.m, "; ".join(parts), flag)
 
-    lines = ["source: %s" % entry.key, "subspace: %s" % _subspace_name(s)]
-    lines += row_lines(table.filling, "filling functions", "l")
-    lines += row_lines(table.divergence, "divergence", "r")
-    lines.append("notes:")
-    lines += ["  - %s" % note for note in table.notes]
-    _emit(payload, args, lines)
+    def lines():
+        yield "source: %s" % entry.key
+        yield "subspace: %s" % _subspace_name(s)
+        yield from row_lines(table.filling, "filling functions", "l")
+        yield from row_lines(table.divergence, "divergence", "r")
+        yield "notes:"
+        yield from ("  - %s" % note for note in table.notes)
+
+    _emit(args, payload, lines())
     conflict = any(r.conflict for r in table.filling + table.divergence)
     return 1 if conflict else 0
 
@@ -263,6 +266,11 @@ def cmd_curvature(args) -> int:
     entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
     report = trichotomy_report(entry.algebra, s, maximal_asserted=args.assert_maximal)
+    items = {
+        "flat_inside": "flat inside subspace",
+        "negative_toward_horizontal": "negative toward horizontal",
+        "positive_toward_vertical": "positive toward vertical",
+    }
 
     def item_dict(item):
         return {
@@ -271,62 +279,53 @@ def cmd_curvature(args) -> int:
             "witnesses": [[a, b, str(v)] for a, b, v in item.witnesses],
         }
 
-    payload = {
-        "source": entry.key,
-        "subspace": _subspace_name(s),
-        "ordered_basis": list(report.ordered_basis),
-        "planes": [[a, b, str(v)] for a, b, v in report.planes],
-        "flat_inside": item_dict(report.flat_inside),
-        "negative_toward_horizontal": item_dict(report.negative_toward_horizontal),
-        "positive_toward_vertical": item_dict(report.positive_toward_vertical),
-    }
+    def payload():
+        return {
+            "source": entry.key,
+            "subspace": _subspace_name(s),
+            "ordered_basis": list(report.ordered_basis),
+            "planes": [[a, b, str(v)] for a, b, v in report.planes],
+            **{key: item_dict(getattr(report, key)) for key in items},
+        }
 
-    def item_line(name, item):
-        if item.holds is None:
-            verdict = "not evaluated"
-        else:
-            verdict = "holds" if item.holds else "FAILS"
-        return "%s: %s (%s)" % (name, verdict, item.detail)
+    def lines():
+        yield "source: %s" % entry.key
+        yield "subspace: %s" % _subspace_name(s)
+        yield "ordered basis: %s" % ", ".join(report.ordered_basis)
+        for key, name in items.items():
+            item = getattr(report, key)
+            verdict = {None: "not evaluated", True: "holds", False: "FAILS"}[item.holds]
+            yield "%s: %s (%s)" % (name, verdict, item.detail)
 
-    lines = [
-        "source: %s" % entry.key,
-        "subspace: %s" % _subspace_name(s),
-        "ordered basis: %s" % ", ".join(report.ordered_basis),
-        item_line("flat inside subspace", report.flat_inside),
-        item_line("negative toward horizontal", report.negative_toward_horizontal),
-        item_line("positive toward vertical", report.positive_toward_vertical),
-    ]
-    _emit(payload, args, lines)
-    items = (
-        report.flat_inside,
-        report.negative_toward_horizontal,
-        report.positive_toward_vertical,
-    )
-    return 1 if any(item.holds is False for item in items) else 0
+    _emit(args, payload, lines())
+    return 1 if any(getattr(report, key).holds is False for key in items) else 0
 
 
 def cmd_pittet(args) -> int:
     entry = _load_valid_entry(args.source)
     report = pittet_kernel(entry.algebra)
-    payload = {
-        "source": entry.key,
-        "pairs": [[a, b] for a, b in report.pairs],
-        "kernel_dimension": report.kernel_dimension,
-        "kernel_basis": [_vector_strings(v) for v in report.kernel_basis],
-    }
-    lines = [
-        "source: %s" % entry.key,
-        "generating pairs: %d" % len(report.pairs),
-        "kernel dimension: %d" % report.kernel_dimension,
-    ]
-    for v in report.kernel_basis:
-        combo = " + ".join(
-            "%s*(%s^%s)" % (c, a, b)
-            for c, (a, b) in zip(v, report.pairs)
-            if c != 0
-        )
-        lines.append("  closed: %s" % combo)
-    _emit(payload, args, lines)
+
+    def payload():
+        return {
+            "source": entry.key,
+            "pairs": [[a, b] for a, b in report.pairs],
+            "kernel_dimension": report.kernel_dimension,
+            "kernel_basis": [_vector_strings(v) for v in report.kernel_basis],
+        }
+
+    def lines():
+        yield "source: %s" % entry.key
+        yield "generating pairs: %d" % len(report.pairs)
+        yield "kernel dimension: %d" % report.kernel_dimension
+        for v in report.kernel_basis:
+            combo = " + ".join(
+                "%s*(%s^%s)" % (c, a, b)
+                for c, (a, b) in zip(v, report.pairs)
+                if c != 0
+            )
+            yield "  closed: %s" % combo
+
+    _emit(args, payload, lines())
     return 0
 
 
@@ -334,12 +333,14 @@ def cmd_lattice(args) -> int:
     entry = _load_entry(args.source)
     spec = build_scalable_lattice(entry.algebra)
     checks = {"group": check_group_closure(spec), "scaling": check_scaling_closure(spec)}
-    payload = {
-        "source": entry.key,
-        "generators": [_vector_strings(g) for g in spec.generators],
-        "detail": {name: check.detail for name, check in checks.items()},
-    }
-    payload.update(("%s_closed" % name, check.ok) for name, check in checks.items())
+
+    def payload():
+        return {
+            "source": entry.key,
+            "generators": [_vector_strings(g) for g in spec.generators],
+            "detail": {name: check.detail for name, check in checks.items()},
+            **{"%s_closed" % name: check.ok for name, check in checks.items()},
+        }
 
     def lines():
         yield "source: %s" % entry.key
@@ -349,7 +350,7 @@ def cmd_lattice(args) -> int:
         for name, check in checks.items():
             yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
 
-    _emit(payload, args, lines())
+    _emit(args, payload, lines())
     return 0 if all(checks.values()) else 1
 
 
@@ -360,16 +361,18 @@ def cmd_forms_d(args) -> int:
         raise InputError("the input form is zero")
     d = differential(form)
     weight = scaling_weight(form)
-    payload = {
-        "source": entry.key,
-        "input": form_to_dict(form),
-        "differential": form_to_dict(d),
-        "closed": d.is_zero(),
-        "scaling_weight": weight.uniform,
-        "scaling_weight_by_monomial": [
-            [list(mono), w] for mono, w in weight.by_monomial
-        ],
-    }
+
+    def payload():
+        return {
+            "source": entry.key,
+            "input": form_to_dict(form),
+            "differential": form_to_dict(d),
+            "closed": d.is_zero(),
+            "scaling_weight": weight.uniform,
+            "scaling_weight_by_monomial": [
+                [list(mono), w] for mono, w in weight.by_monomial
+            ],
+        }
 
     def lines():
         yield "source: %s" % entry.key
@@ -380,7 +383,7 @@ def cmd_forms_d(args) -> int:
             weight.uniform if weight.uniform is not None else "mixed"
         )
 
-    _emit(payload, args, lines())
+    _emit(args, payload, lines())
     return 0
 
 

@@ -125,12 +125,11 @@ def trichotomy_report(
     a positively curved plane with some vector of ``s``.
     """
     require_two_step(algebra, "the curvature trichotomy")
-    labels = s.coordinate_labels()
-    if labels is None:
+    if s.coordinate_labels() is None:
         raise InputError("trichotomy needs a span of basis vectors")
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
-    chosen = [algebra.index(l) for l in labels]
+    chosen = [i for w, _ in s.integer_rows for i in w]
     first = [i for i in algebra.layers[0] if i not in set(chosen)]
     rest = [i for i in range(algebra.dimension) if algebra.layer_of(i) > 1]
     order = chosen + first + rest

@@ -321,14 +321,13 @@ def check_cube_closed(algebra: GradedLieAlgebra, s: Subspace, omit: int) -> bool
     calling with an uncertified ``s`` simply reports what the differential
     says.
     """
-    labels = s.coordinate_labels()
-    if labels is None:
+    if s.coordinate_labels() is None:
         raise InputError("cube ordering needs a span of basis vectors")
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     if not 0 <= omit <= max(s.dim, 0):
         raise InputError("omit must be between 0 and dim s")
-    chosen = [algebra.index(l) for l in labels]
+    chosen = [i for w, _ in s.integer_rows for i in w]
     rest = [i for i in range(algebra.dimension) if i not in set(chosen)]
     gamma = cube_form(algebra, omit, chosen + rest)
     return differential(gamma).is_zero()

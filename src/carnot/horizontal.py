@@ -56,12 +56,13 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
 
     Bilinearity means checking the canonical spanning rows suffices; the
     witness is the first offending pair of rows.  Only zeros matter, so the
-    brackets are ``integer_bracket``s of the rows' numerators, undivided.
+    brackets are ``integer_bracket``s of the rows' ``integer_rows``,
+    undivided.
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
     first = set(algebra.layers[0])
-    rows = [(row, linalg.numerators(row)[0]) for row in s.rows]
+    rows = zip(s.rows, (w for w, _ in s.integer_rows))
     for (x, xs), (y, ys) in itertools.combinations(rows, 2):
         bracket = algebra.integer_bracket(xs, ys)
         if any(c and t not in first for t, c in bracket.items()):
@@ -73,7 +74,7 @@ def _regularity_rows(
     algebra: GradedLieAlgebra, s: Subspace
 ) -> tuple[list[dict[int, int]], int]:
     """The rows of ``regularity_matrix`` as integers ``{column: a}`` over
-    one scale.  With X_q = w / r over integer numerators, entry (i, q, u)
+    one scale.  With X_q = w / r read from ``integer_rows``, entry (i, q, u)
     is the t component of ``integer_bracket({u: 1}, w)`` over 2 r D, taken
     over the lcm of the r.  First-layer targets t, which only ungraded
     tables have, are skipped."""
@@ -82,10 +83,9 @@ def _regularity_rows(
     v1 = sorted(algebra.layers[0])
     targets = [t for t, weight in enumerate(algebra.weights) if weight > 1]
     position = {t: i for i, t in enumerate(targets)}
-    scaled = [linalg.numerators(xq) for xq in s.rows]
-    lcm = math.lcm(*(r for _, r in scaled))
+    lcm = math.lcm(*(r for _, r in s.integer_rows))
     rows: list[dict[int, int]] = [{} for _ in range(len(targets) * s.dim)]
-    for q, (w, r) in enumerate(scaled):
+    for q, (w, r) in enumerate(s.integer_rows):
         for col, u in enumerate(v1):
             for t, a in algebra.integer_bracket({u: 1}, w).items():
                 i = position.get(t)
