@@ -54,13 +54,17 @@ def _is_label_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
 
 
-def require_two_step(algebra: GradedLieAlgebra, what: str) -> None:
-    """Raise InputError unless ``algebra`` has at most two layers."""
+def require_two_step(
+    algebra: GradedLieAlgebra, what: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The layers (V1, V2) of ``algebra``, V2 empty for a one-layer
+    algebra; InputError if it has more than two layers."""
     if algebra.declared_degree > 2:
         raise InputError(
             "%s needs a 2-step algebra, got %d layers"
             % (what, algebra.declared_degree)
         )
+    return (*algebra.layers, ())[:2]
 
 
 class GradedLieAlgebra:

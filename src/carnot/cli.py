@@ -103,12 +103,22 @@ _REL_SYMBOL = {
 def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
     """Print ``payload()`` as JSON under --json, else iterate and print
     ``lines``, so that only the printed form is built.  Every subcommand
-    computes its results first; these two builders only format them."""
-    if args.json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    computes its results first; these two builders only format them.
+    Results are exact at any size, so the interpreter's limit on the digits
+    of an int turned into text (from Python 3.10.7 on) is lifted while they
+    print; input parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(payload(), indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _subspace_name(s: Subspace) -> str:

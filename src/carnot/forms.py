@@ -352,9 +352,7 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     the nonzero rows go to ``linalg.extend_reduced`` in monomial order
     until every column has a pivot: the kernel is then {0}.
     """
-    require_two_step(algebra, "the pittet kernel")
-    v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
-    v1 = algebra.layers[0]
+    v1, v2 = require_two_step(algebra, "the pittet kernel")
     ad = algebra.adjacency
     if any(algebra.into[x] for x in v1) or any(ad[y] for y in v2):
         raise InputError("the pittet kernel needs a graded 2-step algebra")

@@ -11,8 +11,9 @@ first-layer pairs generate.  It is closed by construction: V2 is central,
 so [x, y]/2 = sum (a_i b_j - a_j b_i) [e_i, e_j]/2 lies in M for x, y in
 the span, and the dilation by 2 maps V1 to 2 V1 and V2 to 4 V2.  The two
 closure checks confirm it in Python ints, with D the algebra's common
-denominator.  Brackets off V2, or short of spanning it, mean the algebra
-is not stratified and raise InputError.
+denominator.  First-layer brackets off V2 or short of spanning it, and a
+second layer that brackets, mean the algebra is not a stratified 2-step
+one and raise InputError.
 """
 
 from __future__ import annotations
@@ -146,10 +147,9 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     the module docstring) in ascending pivot order.  Each halved bracket is
     read from the integer adjacency over 2 D and fed in lexicographic pair
     order to one ``linalg.hermite_extend`` basis, until that basis is the
-    identity on V2, which no integer row can refine."""
-    require_two_step(algebra, "a scalable lattice")
-    v1 = algebra.layers[0]
-    v2 = algebra.layers[1] if algebra.declared_degree == 2 else ()
+    identity on V2, which no integer row can refine.  The group law needs
+    V2 central, so a second layer that brackets raises InputError."""
+    v1, v2 = require_two_step(algebra, "a scalable lattice")
     identity = {i: {i: 1} for i in v2}
     basis: dict[int, dict[int, int]] = {}
     for a, b in itertools.combinations(v1, 2):
@@ -159,6 +159,8 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
                 break
     if len(basis) != len(v2) or set().union(*basis.values()) - set(v2):
         raise InputError("the first-layer brackets do not span the second layer")
+    if any(algebra.adjacency[y] for y in v2):
+        raise InputError("the second layer brackets, so it is not central")
     r = 2 * algebra.denominator
     second = [linalg.densify(basis[p], algebra.dimension, r) for p in sorted(basis)]
     return LatticeSpec(algebra, (*map(algebra.basis_vector, v1), *second))

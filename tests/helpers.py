@@ -170,6 +170,23 @@ def naive_rref(rows) -> tuple:
     return tuple(tuple(row) for row in work[:r])
 
 
+def naive_is_horizontal(rows, first_layer) -> bool:
+    """Every nonzero entry of the dense rows sits at a first-layer position."""
+    first = set(first_layer)
+    return all(c == 0 or i in first for row in rows for i, c in enumerate(row))
+
+
+def naive_coordinate_labels(rows, basis):
+    """The labels of the dense rows if each one is a unit vector, else None."""
+    labels = []
+    for row in rows:
+        support = [i for i, c in enumerate(row) if c != 0]
+        if len(support) != 1 or row[support[0]] != 1:
+            return None
+        labels.append(basis[support[0]])
+    return tuple(labels)
+
+
 def naive_nullspace(rows, ncols) -> tuple:
     """Right-kernel basis read off ``naive_rref``: one vector per free
     column, with a 1 there and minus the free column at the pivots."""

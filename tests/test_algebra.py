@@ -31,12 +31,14 @@ from carnot import (
     unipotent,
 )
 from carnot import linalg
-from carnot.algebra import MAX_DIMENSION
+from carnot.algebra import MAX_DIMENSION, require_two_step
 from helpers import (
     coprime_table,
     matrix_commutator,
     matrix_to_coords,
     naive_bracket,
+    naive_coordinate_labels,
+    naive_is_horizontal,
     naive_jacobi,
     random_layered_table,
     random_table,
@@ -734,6 +736,72 @@ def test_from_labels_is_the_reduced_span_of_its_unit_vectors(seed):
         assert hash(quick) == hash(eliminated)
         distinct = sorted(set(labels), key=algebra.index)
         assert quick.coordinate_labels() == tuple(distinct)
+
+
+def sample_subspaces(seed):
+    """Every default designated subspace, and per default entry a seeded
+    ``from_labels`` span and two seeded sets of dense rational rows, one on
+    the first layer and one anywhere; a row with one nonzero entry reduces
+    to a unit row."""
+    rng = random.Random(seed)
+    for entry in default_entries():
+        algebra = entry.algebra
+        n = algebra.dimension
+        if entry.designated_subspace is not None:
+            yield entry.designated_subspace
+        labels = rng.sample(algebra.basis, rng.randint(1, n))
+        yield Subspace.from_labels(algebra, labels)
+        for support in (list(algebra.layers[0]), list(range(n))):
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                row = [F(0)] * n
+                for i in rng.sample(support, rng.randint(1, min(3, len(support)))):
+                    row[i] = F(rng.randint(-3, 3), rng.randint(1, 4))
+                rows.append(row)
+            yield Subspace(algebra, rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_rows_are_the_numerators_of_the_reduced_rows(seed):
+    for s in sample_subspaces(seed):
+        assert s.integer_rows == tuple(map(linalg.numerators, s.rows))
+        for w, pivot in s.integer_rows:
+            assert pivot == w[min(w)] > 0 and math.gcd(*w.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_horizontal_and_coordinate_tests_match_a_dense_scan(seed):
+    seen = Counter()
+    for s in sample_subspaces(seed):
+        algebra = s.algebra
+        horizontal = naive_is_horizontal(s.rows, algebra.layers[0])
+        labels = naive_coordinate_labels(s.rows, algebra.basis)
+        assert s.is_horizontal() == horizontal
+        assert s.coordinate_labels() == labels
+        seen[horizontal, labels is None] += 1
+    # each outcome of both tests is reached
+    assert len(seen) == 4
+
+
+def test_horizontal_and_coordinate_tests_read_no_dense_row():
+    algebra = build("heisenberg_h:2").algebra
+    h1, i1 = algebra.basis_vector("h1"), algebra.basis_vector("i1")
+    for s in (
+        Subspace(algebra, [[2 * a for a in h1], [a - b for a, b in zip(h1, i1)]]),
+        Subspace(algebra, [[a + b for a, b in zip(h1, algebra.basis_vector("I"))]]),
+    ):
+        expected = s.is_horizontal(), s.coordinate_labels()
+        s.rows = None
+        assert (s.is_horizontal(), s.coordinate_labels()) == expected
+
+
+def test_require_two_step_returns_the_layers():
+    heisenberg = build("heisenberg_h:1").algebra
+    assert require_two_step(heisenberg, "x") == heisenberg.layers
+    abelian = build("abelian:3").algebra
+    assert require_two_step(abelian, "x") == (abelian.layers[0], ())
+    with pytest.raises(InputError, match="^x needs a 2-step algebra, got 3 layers$"):
+        require_two_step(build("unipotent:4").algebra, "x")
 
 
 def test_subspace_unknown_label():

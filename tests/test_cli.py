@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import carnot
 from carnot import GradedLieAlgebra, algebra_to_dict, build, save_algebra
 from carnot.cli import main
+from carnot.curvature import sectional_curvature
+from carnot.linalg import InputError, parse_coefficient
 
 
 def run(capsys, *argv):
@@ -441,6 +443,21 @@ def test_lattice_rejects_brackets_that_miss_the_second_layer(
     assert err == "error: the first-layer brackets do not span the second layer\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_lattice_rejects_a_second_layer_that_brackets(capsys, tmp_path, extra):
+    # [a, z] = y: the 2-step group law behind the generators does not hold
+    path = write_algebra(
+        tmp_path,
+        "noncentral",
+        ["a", "b", "c", "y", "z"],
+        [["a", "b", "c"], ["y", "z"]],
+        {("a", "b"): {"z": 1}, ("b", "c"): {"y": 1}, ("a", "z"): {"y": 1}},
+    )
+    code, out, err = run(capsys, "lattice", str(path), *extra)
+    assert_one_error(code, out, err)
+    assert err == "error: the second layer brackets, so it is not central\n"
+
+
 NOT_STRATIFIED = pytest.mark.parametrize(
     "name, basis, layers, table, detail",
     [
@@ -529,6 +546,43 @@ def test_forms_d_json_renders_no_text_lines(capsys, tmp_path, monkeypatch):
     code, doc, _ = run_json(capsys, "forms-d", "heisenberg_c:1", str(path))
     assert code == 0
     assert doc["closed"] is False
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's
+    arguments in the returned list and passes the call on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "heisenberg_c:1"],
+        ["pittet", "heisenberg_c:1"],
+        ["certify", "heisenberg_h:2", "--subspace", "h1,i1"],
+    ],
+    ids=["lattice", "pittet", "certify-witness"],
+)
+def test_only_the_printed_form_is_built(capsys, monkeypatch, argv):
+    # JSON entries are rendered by _vector_strings, text vectors by describe
+    strings = count_calls(monkeypatch, carnot.cli, "_vector_strings")
+    described = count_calls(monkeypatch, GradedLieAlgebra, "describe")
+    run(capsys, *argv)
+    assert strings == []
+    text_described = len(described)
+    run(capsys, *argv, "--json")
+    assert strings != []
+    assert len(described) == text_described
+    if argv[0] != "pittet":
+        assert text_described > 0
 
 
 def test_forms_d_closed_form(capsys, tmp_path):
@@ -723,6 +777,48 @@ def test_a_coefficient_past_the_digit_limit_is_an_input_error(
     code, out, err = run(capsys, *(a.format(path) for a in argv))
     assert_one_error(code, out, err)
     assert "too long" in err
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's limit on the digits of an int turned into
+    text (Python 3.10.7 on) for the block, and put it back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_results_past_the_digit_limit_print_exactly(capsys, tmp_path):
+    # K(a, z) = c^2 / 4 for [a, b] = c z has about 5000 digits
+    table = {("a", "b"): {"z": "1" * 2500}}
+    path = write_algebra(
+        tmp_path, "digits", ["a", "b", "z"], [["a", "b"], ["z"]], table
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "curvature", str(path), "--subspace", "a")
+    assert code == 0, err
+    assert "positive toward vertical: holds" in out
+    code, doc, err = run_json(capsys, "curvature", str(path), "--subspace", "a")
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    algebra = carnot.load_algebra(str(path))
+    with no_digit_limit():
+        expected = [
+            [a, b, str(sectional_curvature(algebra, a, b))] for a, b, _ in doc["planes"]
+        ]
+    assert doc["planes"] == expected
+    assert max(len(value) for _, _, value in doc["planes"]) > 4300
+    # input parsing keeps the limit
+    with pytest.raises(InputError, match="too long"):
+        parse_coefficient("1" * 5000)
+    path.write_text("[%s]" % ("1" * 5000), encoding="utf-8")
+    with pytest.raises(InputError, match="not valid JSON"):
+        carnot.catalog.read_json(str(path))
 
 
 def test_a_dimension_over_the_budget_is_an_input_error(capsys):

@@ -178,6 +178,19 @@ def test_bracket_off_the_second_layer_is_kept():
         build_scalable_lattice(algebra)
 
 
+def test_a_second_layer_that_brackets_is_rejected():
+    # [a, z] = y: the first-layer brackets span V2, but V2 is not central,
+    # so the 2-step group law that the closures assume does not hold
+    algebra = GradedLieAlgebra(
+        "noncentral",
+        ["a", "b", "c", "y", "z"],
+        [["a", "b", "c"], ["y", "z"]],
+        {("a", "b"): {"z": 1}, ("b", "c"): {"y": 1}, ("a", "z"): {"y": 1}},
+    )
+    with pytest.raises(InputError, match="second layer brackets, so it is not central"):
+        build_scalable_lattice(algebra)
+
+
 def wide_center_spec():
     # 3/2 K instead of 1/2 K: dilation by 2 still lands in the span but
     # the product j1 * k1 needs -K/2, a third of the generator

@@ -17,6 +17,7 @@ from carnot import (
     is_regular,
     regularity_matrix,
 )
+from carnot import linalg
 from helpers import naive_bracket, naive_rref, random_layered_table
 
 F = Fraction
@@ -200,6 +201,21 @@ def test_verdicts_do_not_depend_on_spanning_rows():
     assert recombined == direct
     assert is_regular(algebra, recombined).rank == is_regular(algebra, direct).rank
     assert bool(is_isotropic(algebra, recombined)) == bool(is_isotropic(algebra, direct))
+
+
+def test_certificates_read_the_integer_rows_once(monkeypatch):
+    # the subspace reads its reduced rows into integers when it is built;
+    # isotropy and regularity read those, and no dense row again
+    algebra = build("heisenberg_h:2").algebra
+    s = Subspace(algebra, random_horizontal_rows(random.Random(3), algebra, 2))
+    reads = []
+    original = linalg.numerators
+    monkeypatch.setattr(
+        linalg, "numerators", lambda values: reads.append(values) or original(values)
+    )
+    is_isotropic(algebra, s)
+    is_regular(algebra, s)
+    assert not any(values is row for values in reads for row in s.rows)
 
 
 # -- dimension bound -----------------------------------------------------------
