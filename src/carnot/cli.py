@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable
 
 from . import catalog as _catalog
@@ -100,19 +100,41 @@ _REL_SYMBOL = {
 }
 
 
+def _render(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for trees of str, int, bool,
+    None, list, tuple and str-keyed dict, else TypeError; no call per str or int."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        ends, parts = "{}", [_quote(k) + ": " + (
+            _quote(v) if type(v) is str else repr(v) if type(v) is int
+            else _render(v, inner)) for k, v in sorted(doc.items())]
+    elif isinstance(doc, (list, tuple)):
+        ends, parts = "[]", [
+            _quote(v) if type(v) is str else repr(v) if type(v) is int
+            else _render(v, inner) for v in doc]
+    elif doc is None or isinstance(doc, bool):
+        return {None: "null", True: "true", False: "false"}[doc]
+    elif isinstance(doc, (str, int)):
+        return _quote(doc) if isinstance(doc, str) else int.__repr__(doc)
+    else:
+        raise TypeError("%s is not rendered as JSON" % type(doc).__name__)
+    body = ("," + inner).join(parts)
+    return ends[0] + inner + body + indent + ends[1] if parts else ends
+
+
 def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
-    """Print ``payload()`` as JSON under --json, else iterate and print
+    """Print ``_render(payload())`` under --json, else iterate and print
     ``lines``, so that only the printed form is built.  Every subcommand
     computes its results first; these two builders only format them.
     Results are exact at any size, so the interpreter's limit on the digits
-    of an int turned into text (from Python 3.10.7 on) is lifted while they
-    print; input parsing keeps it."""
+    of an int turned into text (from Python 3.10.7 on) is lifted while either
+    prints; input parsing keeps it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
         if args.json:
-            print(json.dumps(payload(), indent=2, sort_keys=True))
+            print(_render(payload()))
         else:
             for line in lines:
                 print(line)

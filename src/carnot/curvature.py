@@ -39,7 +39,11 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     j = v if isinstance(v, int) else algebra.index(v)
     if i == j:
         raise InputError("need two distinct directions")
-    total = _plane_sums(algebra).get((min(i, j), max(i, j)), 0)
+    return _curvature_of(algebra, _plane_sums(algebra).get((min(i, j), max(i, j)), 0))
+
+
+def _curvature_of(algebra: GradedLieAlgebra, total: int) -> Fraction:
+    """A plane's curvature from its ``_plane_sums`` integer 4 D^2 K."""
     return Fraction(total, 4 * algebra.denominator ** 2)
 
 
@@ -137,11 +141,10 @@ def trichotomy_report(
 
     # ``order`` puts ``s`` first, so every pair looked up below is a key
     sums = _plane_sums(algebra)
-    scale = 4 * algebra.denominator ** 2
     curvature = {}
     for a, b in itertools.combinations(order, 2):
         total = sums.get((a, b) if a < b else (b, a))
-        curvature[a, b] = Fraction(total, scale) if total else ZERO
+        curvature[a, b] = _curvature_of(algebra, total) if total else ZERO
     planes = tuple(
         (algebra.basis[a], algebra.basis[b], value)
         for (a, b), value in curvature.items()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import carnot
 from carnot import GradedLieAlgebra, algebra_to_dict, build, save_algebra
+from carnot import cli
 from carnot.cli import main
 from carnot.curvature import sectional_curvature
 from carnot.linalg import InputError, parse_coefficient
@@ -234,6 +236,15 @@ def test_predict_json_shape(capsys):
     assert by_m[11]["status"] == "bounded"
     assert by_m[11]["bounds"][0]["exponent"] == "14/13"
     assert by_m[7] == {"m": 7, "status": "unknown", "bounds": []}
+
+
+def test_predict_keeps_the_gap_row_at_the_top_dimension(capsys):
+    # k = 2 puts the gap at k + 2 = 4 = dim; its upper bound equals the
+    # high-band equivalence there, which is no conflict
+    code, out, _ = run(capsys, "predict", "abelian:4", "--subspace", "x1,x2,x3")
+    assert code == 0
+    assert "  F^4: <= l^(4/3) [gap-upper]; ~ l^(4/3) [high-subeuclidean]\n" in out
+    assert "CONFLICT" not in out
 
 
 def test_predict_lattice_off(capsys):
@@ -819,6 +830,53 @@ def test_results_past_the_digit_limit_print_exactly(capsys, tmp_path):
     path.write_text("[%s]" % ("1" * 5000), encoding="utf-8")
     with pytest.raises(InputError, match="not valid JSON"):
         carnot.catalog.read_json(str(path))
+
+
+# characters json escapes: quotes, backslashes, controls, non-ASCII beyond the
+# basic plane, line separators and lone surrogates
+ESCAPED = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                           "\u2028", "\U0001f600", "\ud800", "\udfff"])
+JSON_STRINGS = st.lists(st.characters() | ESCAPED, max_size=8).map("".join)
+JSON_INTS = st.integers() | st.builds(
+    lambda sign, low: sign * (10 ** 4300 + low),
+    st.sampled_from([1, -1]),
+    st.integers(0, 10 ** 6),
+)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(JSON_TREES)
+def test_render_is_json_dumps_with_indent_and_sorted_keys(doc):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with no_digit_limit():
+        assert cli._render(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.0]}, [{"b": {3: 4}}]],
+    ids=["float", "fraction", "set", "int-key", "nested-float", "nested-int-key"],
+)
+def test_render_rejects_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        cli._render(doc)
+
+
+def test_json_output_is_indented_json_with_sorted_keys(capsys):
+    from test_acceptance import CLI_CORPUS
+
+    for argv in (a for a in CLI_CORPUS if "--json" in a):
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 def test_a_dimension_over_the_budget_is_an_input_error(capsys):

@@ -116,6 +116,19 @@ def test_curvature_with_coprime_denominators_matches_full_sum():
         assert value == two_step_closed_forms(algebra, u, v)
 
 
+@pytest.mark.parametrize("labels", [["a"], ["b", "c"], ["c", "a"]])
+def test_trichotomy_planes_with_coprime_denominators_match_full_sum(labels):
+    basis, layers, table = coprime_table()
+    algebra = GradedLieAlgebra("coprime", basis, layers, table)
+    report = trichotomy_report(algebra, Subspace.from_labels(algebra, labels))
+    assert len(report.planes) == 10
+    for u, v, value in report.planes:
+        assert type(value) is Fraction
+        assert value == naive_sectional_curvature(
+            table, basis, basis.index(u), basis.index(v)
+        ), (u, v)
+
+
 def assert_sweep_matches_full_sum(basis, layers, table):
     algebra = GradedLieAlgebra("sweep", basis, layers, table)
     sums = curvature._plane_sums(algebra)

@@ -209,6 +209,7 @@ def test_conflicts():
     assert not _detect_conflict(())
     assert not _detect_conflict((gb("equivalent", 2), gb("at_least", 2)))
     assert not _detect_conflict((gb("at_least", 2), gb("at_most", 2)))
+    assert not _detect_conflict((gb("equivalent", 2), gb("at_most", 2)))
     assert _detect_conflict((gb("equivalent", 2), gb("equivalent", 3)))
     assert _detect_conflict((gb("equivalent", 2), gb("at_least", 3)))
     assert _detect_conflict((gb("equivalent", 2), gb("strictly_above", 2)))
