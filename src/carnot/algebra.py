@@ -289,7 +289,7 @@ class Subspace:
     equality is span equality.  Each reduced row is also held in integers,
     ``integer_rows[k] = (w, s)`` with ``rows[k] = w / s``: w is the sparse
     primitive row ``{position: int}`` and s its pivot entry, as
-    ``linalg.numerators`` reads a reduced row.
+    ``linalg.reduced_rows`` hands them over from the elimination.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
@@ -300,8 +300,10 @@ class Subspace:
                 raise InputError(
                     "a subspace row needs %d coefficients" % algebra.dimension
                 )
-        self.rows: Matrix = linalg.rref(rows)
-        self.integer_rows = tuple(map(linalg.numerators, self.rows))
+        self.integer_rows = linalg.reduced_rows(rows)
+        self.rows: Matrix = tuple(
+            linalg.densify(w, algebra.dimension, s) for w, s in self.integer_rows
+        )
 
     @classmethod
     def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":

@@ -3,17 +3,21 @@
 Families: Heisenberg groups over the complex, quaternion and octonion
 algebras, strictly upper triangular matrices, and abelian space.  Each
 entry carries the algebra, an optional designated horizontal subspace used
-by the certification examples, and free-form notes.
+by the certification examples, and free-form notes.  A family gives the
+labels apart from the brackets, which the catalog listing never makes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from .algebra import GradedLieAlgebra, Subspace, hausdorff_dimension
+from .algebra import GradedLieAlgebra, Subspace
 from .linalg import InputError, parse_coefficient
 
 
@@ -25,6 +29,35 @@ class CatalogEntry:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+class _Layout:
+    """An entry without its brackets: the layers, whose concatenation is
+    the basis, the designated labels in basis order or None, the notes."""
+
+    __slots__ = ("key", "layers", "designated", "notes")
+
+    def __init__(self, key: str, layers: tuple, designated: list | None, notes):
+        self.key, self.layers = key, layers
+        self.designated, self.notes = designated, notes
+
+
+_FAMILIES: dict[str, Callable] = {}
+
+
+def _family(layout: Callable[[int], tuple[_Layout, Callable[[], dict]]]):
+    """Register a family by its function of n, which returns the layout and
+    a maker of the brackets, and return the builder of its entries."""
+    _FAMILIES[layout.__name__] = layout
+    return functools.wraps(layout)(lambda n: _entry(*layout(n)))
+
+
+def _entry(layout: _Layout, brackets: Callable[[], dict]) -> CatalogEntry:
+    basis = [label for layer in layout.layers for label in layer]
+    algebra = GradedLieAlgebra(layout.key, basis, layout.layers, brackets())
+    labels = layout.designated
+    designated = None if labels is None else Subspace.from_labels(algebra, labels)
+    return CatalogEntry(layout.key, algebra, designated, layout.notes)
+
+
 _HOROSPHERE_NOTE = (
     "boundary geometry: this group is a horosphere in a negatively curved "
     "rank-one symmetric space, so low-dimensional filling equivalences "
@@ -32,44 +65,37 @@ _HOROSPHERE_NOTE = (
 )
 
 
-def heisenberg_c(n: int) -> CatalogEntry:
+def _relations(n: int, table) -> Callable[[], dict]:
+    """The maker of the brackets [a_q, b_q] = c, for q = 1..n in turn and
+    each row (a, b, c) of ``table`` in order."""
+    return lambda: {
+        ("%s%d" % (a, q), "%s%d" % (b, q)): {c: 1}
+        for q in range(1, n + 1)
+        for a, b, c in table
+    }
+
+
+@_family
+def heisenberg_c(n: int):
     """Complex Heisenberg algebra: dimension 2n+1, layers (2n, 1)."""
     if n < 1:
         raise InputError("heisenberg_c needs n >= 1")
-    js = ["j%d" % q for q in range(1, n + 1)]
-    ks = ["k%d" % q for q in range(1, n + 1)]
-    basis = js + ks + ["K"]
-    brackets = {("k%d" % q, "j%d" % q): {"K": 1} for q in range(1, n + 1)}
-    algebra = GradedLieAlgebra("heisenberg_c:%d" % n, basis, [js + ks, ["K"]], brackets)
+    first = ["%s%d" % (a, q) for a in "jk" for q in range(1, n + 1)]
     notes = (
         "no designated horizontal subspace is shipped; span(j1..jn) is one "
         "valid choice and the certification tools accept any",
         _HOROSPHERE_NOTE,
     )
-    return CatalogEntry("heisenberg_c:%d" % n, algebra, None, notes)
+    layout = _Layout("heisenberg_c:%d" % n, (first, ["K"]), None, notes)
+    return layout, _relations(n, [("k", "j", "K")])
 
 
-def heisenberg_h(n: int) -> CatalogEntry:
+@_family
+def heisenberg_h(n: int):
     """Quaternionic Heisenberg algebra: dimension 4n+3, layers (4n, 3)."""
     if n < 1:
         raise InputError("heisenberg_h needs n >= 1")
-    groups = {a: ["%s%d" % (a, q) for q in range(1, n + 1)] for a in "hijk"}
-    basis = groups["h"] + groups["i"] + groups["j"] + groups["k"] + ["I", "J", "K"]
-    brackets: dict[tuple[str, str], dict[str, int]] = {}
-    for q in range(1, n + 1):
-        brackets[("i%d" % q, "h%d" % q)] = {"I": 1}
-        brackets[("j%d" % q, "h%d" % q)] = {"J": 1}
-        brackets[("k%d" % q, "h%d" % q)] = {"K": 1}
-        brackets[("k%d" % q, "j%d" % q)] = {"I": 1}
-        brackets[("i%d" % q, "k%d" % q)] = {"J": 1}
-        brackets[("j%d" % q, "i%d" % q)] = {"K": 1}
-    algebra = GradedLieAlgebra(
-        "heisenberg_h:%d" % n,
-        basis,
-        [basis[: 4 * n], ["I", "J", "K"]],
-        brackets,
-    )
-    designated = Subspace.from_labels(algebra, groups["h"])
+    first = ["%s%d" % (a, q) for a in "hijk" for q in range(1, n + 1)]
     notes = (
         "hausdorff dimension follows the grading formula (4n+6 here); the "
         "topological dimension 4n+3 is a different invariant and the two are "
@@ -77,11 +103,16 @@ def heisenberg_h(n: int) -> CatalogEntry:
         "designated subspace: span(h1..hn)",
         _HOROSPHERE_NOTE,
     )
-    return CatalogEntry("heisenberg_h:%d" % n, algebra, designated, notes)
+    layout = _Layout("heisenberg_h:%d" % n, (first, list("IJK")), first[:n], notes)
+    return layout, _relations(n, [
+        ("i", "h", "I"), ("j", "h", "J"), ("k", "h", "K"),
+        ("k", "j", "I"), ("i", "k", "J"), ("j", "i", "K"),
+    ])
 
 
-# octonion imaginary units: [a_q, d_q] = A, plus the 21 same-index relations
+# octonion imaginary units: [a_q, d_q] = A, then the 21 same-index relations
 _OCTONION_RELATIONS = (
+    *((a, "d", cap) for a, cap in zip("efghijk", "EFGHIJK")),
     ("i", "f", "E"), ("k", "h", "E"), ("j", "g", "E"),
     ("e", "i", "F"), ("j", "h", "F"), ("g", "k", "F"),
     ("k", "f", "G"), ("e", "j", "G"), ("h", "i", "G"),
@@ -92,37 +123,25 @@ _OCTONION_RELATIONS = (
 )
 
 
-def heisenberg_o(n: int) -> CatalogEntry:
+@_family
+def heisenberg_o(n: int):
     """Octonionic Heisenberg algebra: dimension 8n+7, layers (8n, 7)."""
     if n < 1:
         raise InputError("heisenberg_o needs n >= 1")
-    letters = "defghijk"
-    groups = {a: ["%s%d" % (a, q) for q in range(1, n + 1)] for a in letters}
-    basis = [label for a in letters for label in groups[a]]
-    centre = ["E", "F", "G", "H", "I", "J", "K"]
-    brackets: dict[tuple[str, str], dict[str, int]] = {}
-    for q in range(1, n + 1):
-        for a, cap in zip("efghijk", centre):
-            brackets[("%s%d" % (a, q), "d%d" % q)] = {cap: 1}
-        for a, b, cap in _OCTONION_RELATIONS:
-            brackets[("%s%d" % (a, q), "%s%d" % (b, q))] = {cap: 1}
-    algebra = GradedLieAlgebra(
-        "heisenberg_o:%d" % n,
-        basis + centre,
-        [basis, centre],
-        brackets,
-    )
-    designated = Subspace.from_labels(algebra, groups["d"])
+    first = ["%s%d" % (a, q) for a in "defghijk" for q in range(1, n + 1)]
+    centre = list("EFGHIJK")
     notes = (
         "hausdorff dimension follows the grading formula (8n+14 here); the "
         "topological dimension 8n+7 is a different invariant",
         "designated subspace: span(d1..dn)",
         _HOROSPHERE_NOTE,
     )
-    return CatalogEntry("heisenberg_o:%d" % n, algebra, designated, notes)
+    layout = _Layout("heisenberg_o:%d" % n, (first, centre), first[:n], notes)
+    return layout, _relations(n, _OCTONION_RELATIONS)
 
 
-def unipotent(n: int) -> CatalogEntry:
+@_family
+def unipotent(n: int):
     """Strictly upper triangular n x n matrices, graded by superdiagonal.
 
     Labels are Euv for the elementary matrix with a 1 in row u, column v;
@@ -131,72 +150,61 @@ def unipotent(n: int) -> CatalogEntry:
     """
     if not 3 <= n <= 9:
         raise InputError("unipotent needs 3 <= n <= 9 (labels are digit pairs)")
-    basis = []
-    layers = []
-    for s in range(1, n):
-        layer = ["E%d%d" % (u, u + s) for u in range(1, n - s + 1)]
-        basis.extend(layer)
-        layers.append(layer)
-    brackets: dict[tuple[str, str], dict[str, int]] = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                brackets[("E%d%d" % (a, b), "E%d%d" % (b, c))] = {"E%d%d" % (a, c): 1}
-    algebra = GradedLieAlgebra("unipotent:%d" % n, basis, layers, brackets)
-    designated = Subspace.from_labels(
-        algebra, ["E%d%d" % (2 * q - 1, 2 * q) for q in range(1, n // 2 + 1)]
+    layers = tuple(
+        ["E%d%d" % (u, u + s) for u in range(1, n - s + 1)] for s in range(1, n)
     )
+    designated = ["E%d%d" % (2 * q - 1, 2 * q) for q in range(1, n // 2 + 1)]
     notes = (
         "first layer is the first superdiagonal and has dimension n-1",
         "designated subspace: span(E12, E34, ...), pairwise commuting "
         "elementary matrices",
     )
-    return CatalogEntry("unipotent:%d" % n, algebra, designated, notes)
+    return _Layout("unipotent:%d" % n, layers, designated, notes), lambda: {
+        ("E%d%d" % (a, b), "E%d%d" % (b, c)): {"E%d%d" % (a, c): 1}
+        for a, b, c in itertools.combinations(range(1, n + 1), 3)
+    }
 
 
-def abelian(n: int) -> CatalogEntry:
+@_family
+def abelian(n: int):
     """Abelian algebra of dimension n; a single layer and no brackets."""
     if n < 1:
         raise InputError("abelian needs n >= 1")
     basis = ["x%d" % q for q in range(1, n + 1)]
-    algebra = GradedLieAlgebra("abelian:%d" % n, basis, [basis], {})
-    designated = Subspace.from_labels(algebra, basis)
     notes = ("designated subspace: the whole space",)
-    return CatalogEntry("abelian:%d" % n, algebra, designated, notes)
-
-
-BUILDERS = {
-    "heisenberg_c": heisenberg_c,
-    "heisenberg_h": heisenberg_h,
-    "heisenberg_o": heisenberg_o,
-    "unipotent": unipotent,
-    "abelian": abelian,
-}
+    return _Layout("abelian:%d" % n, (basis,), basis, notes), lambda: {}
 
 
 def build(key: str) -> CatalogEntry:
     """Build an entry from an id such as ``heisenberg_h:2``."""
     family, sep, param = key.partition(":")
-    if not sep or family not in BUILDERS:
-        known = ", ".join(sorted(BUILDERS))
+    if not sep or family not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise InputError("unknown catalog id %r (families: %s)" % (key, known))
     if not re.fullmatch(r"-?(0|[1-9][0-9]*)", param):
         raise InputError("catalog parameter must be an integer: %r" % key)
-    return BUILDERS[family](int(param))
+    return _entry(*_FAMILIES[family](int(param)))
+
+
+# the standard verification set: all families at small sizes
+_HEISENBERG = ("heisenberg_c", "heisenberg_h", "heisenberg_o")
+_DEFAULTS = (
+    *((family, n) for n in (1, 2, 3) for family in _HEISENBERG),
+    *(("unipotent", n) for n in range(3, 7)),
+    *(("abelian", n) for n in range(1, 9)),
+)
 
 
 def default_entries() -> list[CatalogEntry]:
     """The standard verification set: all families at small sizes."""
-    entries = []
-    for n in (1, 2, 3):
-        entries.append(heisenberg_c(n))
-        entries.append(heisenberg_h(n))
-        entries.append(heisenberg_o(n))
-    for n in range(3, 7):
-        entries.append(unipotent(n))
-    for n in range(1, 9):
-        entries.append(abelian(n))
-    return entries
+    return [_entry(*_FAMILIES[f](n)) for f, n in _DEFAULTS]
+
+
+def default_summaries() -> list[dict]:
+    """``entry_summary`` of each of ``default_entries``, from the layouts
+    alone: no bracket is made and no algebra built."""
+    layouts = (_FAMILIES[f](n)[0] for f, n in _DEFAULTS)
+    return [_summary(l.key, l.layers, l.designated, l.notes) for l in layouts]
 
 
 # -- JSON schema ----------------------------------------------------------
@@ -274,15 +282,19 @@ def load_algebra(path) -> GradedLieAlgebra:
 
 
 def entry_summary(entry: CatalogEntry) -> dict:
-    algebra = entry.algebra
     designated = None
     if entry.designated_subspace is not None:
-        designated = list(entry.designated_subspace.coordinate_labels() or ())
+        designated = entry.designated_subspace.coordinate_labels() or ()
+    return _summary(entry.key, entry.algebra.layers, designated, entry.notes)
+
+
+def _summary(key: str, layers, designated, notes) -> dict:
+    sizes = [len(layer) for layer in layers]
     return {
-        "key": entry.key,
-        "dimension": algebra.dimension,
-        "layer_dimensions": [len(layer) for layer in algebra.layers],
-        "hausdorff_dimension": hausdorff_dimension(algebra),
-        "designated_subspace": designated,
-        "notes": list(entry.notes),
+        "key": key,
+        "dimension": sum(sizes),
+        "layer_dimensions": sizes,
+        "hausdorff_dimension": sum(d * k for d, k in enumerate(sizes, start=1)),
+        "designated_subspace": None if designated is None else list(designated),
+        "notes": list(notes),
     }

@@ -158,7 +158,7 @@ def _vector_strings(v) -> list[str]:
 
 
 def cmd_catalog(args) -> int:
-    summaries = [_catalog.entry_summary(e) for e in _catalog.default_entries()]
+    summaries = _catalog.default_summaries()
 
     def lines():
         for summary in summaries:

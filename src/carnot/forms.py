@@ -85,6 +85,13 @@ class InvariantForm:
         self.terms = {m: c for m, c in sorted(clean.items()) if c}
 
     @classmethod
+    def _of_terms(cls, algebra, degree: int, terms: dict) -> "InvariantForm":
+        """``terms`` as given: sorted, zero-free, valid monomials of ``degree``."""
+        form = cls.__new__(cls)
+        form.algebra, form.degree, form.terms = algebra, degree, terms
+        return form
+
+    @classmethod
     def dual(cls, algebra: GradedLieAlgebra, label_or_index) -> "InvariantForm":
         i = (
             label_or_index
@@ -218,7 +225,8 @@ def differential(form: InvariantForm) -> InvariantForm:
     the structure constants, each product coeff * c is an integer over
     E * D, so every output coefficient is an integer sum divided once by
     E * D * (p+1)!: exact, with one Fraction per output monomial, and a
-    monomial whose integer sum cancels is absent.
+    monomial whose integer sum cancels is absent.  Output monomials merge a
+    valid one with a pair outside it, so they need sorting, not checks.
     """
     algebra = form.algebra
     p = form.degree
@@ -226,9 +234,9 @@ def differential(form: InvariantForm) -> InvariantForm:
         return InvariantForm(algebra, min(p + 1, algebra.dimension), {})
     terms, e = linalg.numerators(form.terms)
     scale = e * algebra.denominator * math.factorial(p + 1)
-    out = _integer_differential(algebra, terms)
-    return InvariantForm(
-        algebra, p + 1, {m: Fraction(n, scale) for m, n in out.items() if n}
+    out = sorted(_integer_differential(algebra, terms).items())
+    return InvariantForm._of_terms(
+        algebra, p + 1, {m: Fraction(n, scale) for m, n in out if n}
     )
 
 

@@ -19,6 +19,7 @@ one and raise InputError.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -111,14 +112,23 @@ class LatticeSpec:
             )
         if any(isinstance(g, str) or len(g) != n for g in self.generators):
             raise InputError("a lattice generator needs %d coefficients" % n)
-        scaled = tuple(map(linalg.numerators, self.generators))
+        self._invert(tuple(map(linalg.numerators, self.generators)))
+
+    @classmethod
+    def _from_scaled(cls, algebra: GradedLieAlgebra, scaled) -> "LatticeSpec":
+        """The spec of the generators given as their ``numerators`` pairs."""
+        n, spec = algebra.dimension, cls.__new__(cls)
+        generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
+        vars(spec).update(algebra=algebra, generators=generators)
+        spec._invert(scaled)
+        return spec
+
+    def _invert(self, scaled: tuple[tuple[dict[int, int], int], ...]) -> None:
         found = linalg.integer_inverse(scaled)
         if found is None:
             raise InputError("lattice generators must span the algebra")
         columns, q = found
-        object.__setattr__(self, "_denominator", q)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_scaled", scaled)
+        vars(self).update(_denominator=q, _columns=columns, _scaled=scaled)
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
@@ -147,23 +157,32 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     the module docstring) in ascending pivot order.  Each halved bracket is
     read from the integer adjacency over 2 D and fed in lexicographic pair
     order to one ``linalg.hermite_extend`` basis, until that basis is the
-    identity on V2, which no integer row can refine.  The group law needs
-    V2 central, so a second layer that brackets raises InputError."""
+    identity on V2, which no integer row can refine, so the supports are
+    scanned first for a bracket off V2.  The group law needs V2 central, so
+    a second layer that brackets raises InputError.  A Hermite row h goes
+    to ``_from_scaled`` as (h / g, 2 D / g), g = gcd(2 D, h)."""
     v1, v2 = require_two_step(algebra, "a scalable lattice")
+    ad, weights = algebra.adjacency, algebra.weights
+    images = (e for u in v1 for v, e in ad[u].items() if weights[v] == 1)
+    if any(weights[w] != 2 for e in images for w in e):
+        raise InputError("the first-layer brackets do not span the second layer")
     identity = {i: {i: 1} for i in v2}
     basis: dict[int, dict[int, int]] = {}
     for a, b in itertools.combinations(v1, 2):
-        if b in algebra.adjacency[a]:
-            linalg.hermite_extend(basis, dict(algebra.adjacency[a][b]))
+        if b in ad[a]:
+            linalg.hermite_extend(basis, dict(ad[a][b]))
             if basis == identity:
                 break
-    if len(basis) != len(v2) or set().union(*basis.values()) - set(v2):
+    if len(basis) != len(v2):
         raise InputError("the first-layer brackets do not span the second layer")
-    if any(algebra.adjacency[y] for y in v2):
+    if any(ad[y] for y in v2):
         raise InputError("the second layer brackets, so it is not central")
     r = 2 * algebra.denominator
-    second = [linalg.densify(basis[p], algebra.dimension, r) for p in sorted(basis)]
-    return LatticeSpec(algebra, (*map(algebra.basis_vector, v1), *second))
+    second = []
+    for p, h in sorted(basis.items()):
+        g = math.gcd(r, *h.values())
+        second.append(({j: e // g for j, e in sorted(h.items())}, r // g))
+    return LatticeSpec._from_scaled(algebra, (*(({u: 1}, 1) for u in v1), *second))
 
 
 def check_group_closure(spec: LatticeSpec) -> CheckResult:

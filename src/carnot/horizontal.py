@@ -74,23 +74,27 @@ def _regularity_rows(
     algebra: GradedLieAlgebra, s: Subspace
 ) -> tuple[list[dict[int, int]], int]:
     """The rows of ``regularity_matrix`` as integers ``{column: a}`` over
-    one scale.  With X_q = w / r read from ``integer_rows``, entry (i, q, u)
-    is the t component of ``integer_bracket({u: 1}, w)`` over 2 r D, taken
-    over the lcm of the r.  First-layer targets t, which only ungraded
-    tables have, are skipped."""
+    one scale, zeros absent.  With X_q = w / r read from ``integer_rows``,
+    entry (i, q, u) is the t component of D [b_u, w] = -D [w, b_u], summed
+    over the first-layer u in adjacency[v] for v in w, over 2 r D, taken
+    over the lcm of the r; first-layer targets t (ungraded) are skipped."""
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
-    v1 = sorted(algebra.layers[0])
-    targets = [t for t, weight in enumerate(algebra.weights) if weight > 1]
+    column = {u: col for col, u in enumerate(sorted(algebra.layers[0]))}
+    targets = (t for t, weight in enumerate(algebra.weights) if weight > 1)
     position = {t: i for i, t in enumerate(targets)}
     lcm = math.lcm(*(r for _, r in s.integer_rows))
-    rows: list[dict[int, int]] = [{} for _ in range(len(targets) * s.dim)]
+    rows: list[dict[int, int]] = [{} for _ in range(len(position) * s.dim)]
     for q, (w, r) in enumerate(s.integer_rows):
-        for col, u in enumerate(v1):
-            for t, a in algebra.integer_bracket({u: 1}, w).items():
-                i = position.get(t)
-                if i is not None and a:
-                    rows[i * s.dim + q][col] = a * (lcm // r)
+        for v, b in w.items():
+            kb = lcm // r * b
+            for u, entry in algebra.adjacency[v].items():
+                if u in column:
+                    for t, c in entry.items():
+                        if t in position:
+                            row = rows[position[t] * s.dim + q]
+                            row[column[u]] = row.get(column[u], 0) - kb * c
+    rows = [{col: a for col, a in row.items() if a} for row in rows]
     return rows, 2 * lcm * algebra.denominator
 
 
@@ -105,8 +109,10 @@ def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
 def is_regular(algebra: GradedLieAlgebra, s: Subspace) -> RegularityResult:
     """Full row rank of the stacked system decides regularity."""
     required = (algebra.dimension - len(algebra.layers[0])) * s.dim
-    rank = linalg.rank(_regularity_rows(algebra, s)[0], len(algebra.layers[0]))
-    return RegularityResult(rank == required, rank, required)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in _regularity_rows(algebra, s)[0]:
+        linalg.extend_reduced(pivots, row)
+    return RegularityResult(len(pivots) == required, len(pivots), required)
 
 
 def gromov_dimension_bound(algebra: GradedLieAlgebra, k: int) -> BoundReport:

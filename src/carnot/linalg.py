@@ -120,6 +120,13 @@ def rref(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matrix:
     return tuple(densify(pivots[p], ncols, pivots[p][p]) for p in sorted(pivots))
 
 
+def reduced_rows(rows: Iterable[Sequence | dict], ncols: int | None = None) -> tuple:
+    """The rows of ``rref`` as ``(w, s)`` in pivot order: w the primitive
+    integer row ``{column: int}`` and s = w[pivot] > 0, the row being w / s."""
+    pivots = _eliminate(rows, ncols)[0]
+    return tuple((pivots[p], pivots[p][p]) for p in sorted(pivots))
+
+
 def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
     return len(_eliminate(rows, ncols)[0])
 

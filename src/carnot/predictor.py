@@ -307,11 +307,14 @@ def coverage_table(bundle: HypothesisBundle) -> CoverageTable:
     divergence = predict_divergence(bundle)
 
     def rows(target: str, bounds: list[GrowthBound], span) -> tuple[CoverageRow, ...]:
-        out = []
-        for m in span:
-            here = tuple(b for b in bounds if b.m == m)
-            out.append(CoverageRow(target, m, here, _detect_conflict(here)))
-        return tuple(out)
+        # every rule emits its bounds inside ``span``
+        by_m: dict[int, list[GrowthBound]] = {m: [] for m in span}
+        for b in bounds:
+            by_m[b.m].append(b)
+        return tuple(
+            CoverageRow(target, m, tuple(here), bool(here) and _detect_conflict(here))
+            for m, here in by_m.items()
+        )
 
     notes = [
         "certified subspace dimension %d (k = %d)" % (bundle.subspace.dim, bundle.k),

@@ -40,6 +40,7 @@ from helpers import (
     naive_coordinate_labels,
     naive_is_horizontal,
     naive_jacobi,
+    naive_rref,
     random_layered_table,
     random_table,
     strict_upper_matrix,
@@ -767,6 +768,28 @@ def test_integer_rows_are_the_numerators_of_the_reduced_rows(seed):
         assert s.integer_rows == tuple(map(linalg.numerators, s.rows))
         for w, pivot in s.integer_rows:
             assert pivot == w[min(w)] > 0 and math.gcd(*w.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_rows_from_the_elimination_match_naive_rref(seed):
+    # rows with negative entries over the coprime denominators 7, 11 and
+    # 13, half of them zero so that the pivots come in any order, plus
+    # redundant rows: a combination of two of them and zero
+    rng = random.Random(seed)
+    algebra = build(rng.choice(["heisenberg_h:1", "unipotent:4", "abelian:5"])).algebra
+    n = algebra.dimension
+    rows = [
+        [
+            F(rng.randint(-9, 9), rng.choice((7, 11, 13))) * rng.randint(0, 1)
+            for _ in range(n)
+        ]
+        for _ in range(rng.randint(1, n))
+    ]
+    rows += [[F(-2, 3) * a + b for a, b in zip(rows[0], rows[-1])], [F(0)] * n]
+    rng.shuffle(rows)
+    s = Subspace(algebra, rows)
+    assert s.rows == naive_rref(rows)
+    assert s.integer_rows == tuple(map(linalg.numerators, s.rows))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from carnot import catalog
 from carnot import (
     InputError,
     algebra_from_dict,
@@ -184,3 +185,13 @@ def test_load_rejects_malformed_file(tmp_path):
     path.write_text('{"name": "x"}')
     with pytest.raises(InputError):
         load_algebra(path)
+
+
+def test_the_listing_summaries_come_from_the_layouts_alone(monkeypatch):
+    expected = [entry_summary(e) for e in default_entries()]
+
+    def no_algebra(*args):
+        raise AssertionError("the listing built an algebra")
+
+    monkeypatch.setattr(catalog, "GradedLieAlgebra", no_algebra)
+    assert catalog.default_summaries() == expected

@@ -441,8 +441,15 @@ def test_predict_and_lattice_agree_on_a_rational_algebra(capsys, tmp_path):
         ("short", ["a", "b", "y", "z"], [["a", "b"], ["y", "z"]], {("a", "b"): {"z": 1}}),
         # one layer with [a, b] = a: the bracket leaves the (empty) second layer
         ("ab-equals-a", ["a", "b"], [["a", "b"]], {("a", "b"): {"a": 1}}),
+        # [a, b] = z already spans V2, and [b, c] = b leaves it after that
+        (
+            "late-leak",
+            ["a", "b", "c", "z"],
+            [["a", "b", "c"], ["z"]],
+            {("a", "b"): {"z": 1}, ("b", "c"): {"b": 1}},
+        ),
     ],
-    ids=["rank-deficient", "one-layer"],
+    ids=["rank-deficient", "one-layer", "leak-after-span"],
 )
 def test_lattice_rejects_brackets_that_miss_the_second_layer(
     capsys, tmp_path, name, basis, layers, table

@@ -689,3 +689,31 @@ def test_form_from_dict_rejects_garbage():
         form_from_dict(
             algebra, {"degree": 1, "terms": [{"indices": [0], "coeff": "0.5"}]}
         )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_differential_terms_are_those_the_constructor_makes(seed):
+    # the differential builds its result without the constructor's checks;
+    # on a random table, which need not satisfy Jacobi, its terms must still
+    # be what InvariantForm would keep: sorted, valid, zero-free Fractions
+    rng = random.Random(seed)
+    basis, table = random_table(rng, rng.randint(2, 7))
+    algebra = GradedLieAlgebra("random", basis, [basis], table)
+    degree = rng.randint(1, len(basis))
+    f = random_form(rng, algebra, degree, max_terms=5, denominators=(1, 2, 3, 5))
+    df = differential(f)
+    assert df == InvariantForm(algebra, df.degree, df.terms)
+    assert list(df.terms) == sorted(df.terms)
+    assert all(type(c) is Fraction and c for c in df.terms.values())
+    assert df.degree == min(degree + 1, len(basis))
+
+
+@pytest.mark.parametrize("key", ["heisenberg_h:1", "heisenberg_o:1", "unipotent:5"])
+def test_the_differential_squares_to_zero_on_random_forms(key):
+    algebra = build(key).algebra
+    rng = random.Random(key)
+    for degree in (1, 2, 3):
+        f = random_form(rng, algebra, degree, max_terms=6, denominators=(1, 2, 7))
+        df = differential(f)
+        assert list(df.terms) == sorted(df.terms)
+        assert differential(df).is_zero()

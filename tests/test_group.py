@@ -178,6 +178,20 @@ def test_bracket_off_the_second_layer_is_kept():
         build_scalable_lattice(algebra)
 
 
+def test_a_bracket_off_the_second_layer_after_it_is_spanned_is_rejected():
+    # [a, b] = z makes the Hermite basis the identity on V2 at the first
+    # pair, so the loop stops before [b, c] = b, which leaves V2; the 2-step
+    # group law would then give a closure verdict for a law that fails
+    algebra = GradedLieAlgebra(
+        "late-leak",
+        ["a", "b", "c", "z"],
+        [["a", "b", "c"], ["z"]],
+        {("a", "b"): {"z": 1}, ("b", "c"): {"b": 1}},
+    )
+    with pytest.raises(InputError, match="do not span the second layer"):
+        build_scalable_lattice(algebra)
+
+
 def test_a_second_layer_that_brackets_is_rejected():
     # [a, z] = y: the first-layer brackets span V2, but V2 is not central,
     # so the 2-step group law that the closures assume does not hold
@@ -398,6 +412,24 @@ def test_scaling_closure_matches_dilation_oracle(make_spec):
 
 
 _TWO_STEP_KEYS = [e.key for e in default_entries() if e.algebra.declared_degree <= 2]
+
+
+@pytest.mark.parametrize(
+    "make_algebra",
+    [lambda key=key: build(key).algebra for key in _TWO_STEP_KEYS]
+    + [lambda: GradedLieAlgebra("coprime", *coprime_table())],
+    ids=_TWO_STEP_KEYS + ["coprime"],
+)
+def test_the_built_lattice_is_the_one_its_generators_give(make_algebra):
+    # build_scalable_lattice hands over integer pairs; reading its dense
+    # generators back gives the same pairs, inverse and denominator
+    algebra = make_algebra()
+    spec = build_scalable_lattice(algebra)
+    again = LatticeSpec(algebra, spec.generators)
+    assert spec == again
+    assert spec._scaled == again._scaled
+    assert spec._columns == again._columns
+    assert spec._denominator == again._denominator
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,8 @@ from carnot import (
     is_regular,
     regularity_matrix,
 )
-from carnot import linalg
-from helpers import naive_bracket, naive_rref, random_layered_table
+from carnot import horizontal, linalg
+from helpers import naive_bracket, naive_rref, random_layered_table, random_table
 
 F = Fraction
 
@@ -94,16 +94,20 @@ def first_layer_and_targets(algebra):
     return sorted(first), [t for t in range(algebra.dimension) if t not in first]
 
 
+def label_table(algebra):
+    basis = algebra.basis
+    return {
+        (basis[u], basis[v]): {basis[w]: c for w, c in entry.items()}
+        for u, v, entry in algebra.structure_pairs()
+    }
+
+
 def component_oracle(algebra, s):
     """The regularity matrix entry by entry, as half the target component
     of ``naive_bracket`` over the algebra's listed structure constants, with
     columns over the sorted first layer and rows over the other directions."""
     v1, targets = first_layer_and_targets(algebra)
-    basis = algebra.basis
-    table = {
-        (basis[u], basis[v]): {basis[w]: c for w, c in entry.items()}
-        for u, v, entry in algebra.structure_pairs()
-    }
+    basis, table = algebra.basis, label_table(algebra)
     return tuple(
         tuple(
             naive_bracket(table, basis, algebra.basis_vector(u), row)[t] / 2
@@ -112,6 +116,32 @@ def component_oracle(algebra, s):
         for t in targets
         for row in s.rows
     )
+
+
+def per_pair_rows(algebra, s):
+    """The sparse regularity rows built one (q, u) at a time: for each
+    spanning row X_q and each u of the sorted first layer, the nonzero
+    target components of ``naive_bracket(b_u, X_q)`` halved, at column u."""
+    v1, targets = first_layer_and_targets(algebra)
+    basis, table = algebra.basis, label_table(algebra)
+    rows = [{} for _ in range(len(targets) * s.dim)]
+    for q, x in enumerate(s.rows):
+        for col, u in enumerate(v1):
+            image = naive_bracket(table, basis, algebra.basis_vector(u), x)
+            for i, t in enumerate(targets):
+                if image[t]:
+                    rows[i * s.dim + q][col] = image[t] / 2
+    return rows
+
+
+def assert_rows_match_per_pair(algebra, s):
+    rows, scale = horizontal._regularity_rows(algebra, s)
+    assert [{c: F(a, scale) for c, a in row.items()} for row in rows] == (
+        per_pair_rows(algebra, s)
+    )
+    result = is_regular(algebra, s)
+    assert result.rank == len(naive_rref(component_oracle(algebra, s)))
+    return result
 
 
 @pytest.mark.parametrize(
@@ -172,6 +202,44 @@ def test_certificates_match_components_on_random_tables(kind):
 
         outcomes[result.regular] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+
+def test_regularity_rows_match_per_pair_brackets_on_random_tables():
+    outcomes = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        basis, table = random_table(rng, rng.randint(3, 7))
+        k = rng.randint(1, len(basis) - 1)
+        algebra = GradedLieAlgebra("random", basis, [basis[:k], basis[k:]], table)
+        s = Subspace(algebra, random_horizontal_rows(rng, algebra, rng.randint(1, k)))
+        outcomes[assert_rows_match_per_pair(algebra, s).regular] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
+
+
+@pytest.mark.parametrize("key", ["unipotent:5", "unipotent:6", "unipotent:7"])
+def test_regularity_rows_match_per_pair_brackets_above_the_second_layer(key):
+    # brackets of the first layer with X_q only reach layer 2, so the rows
+    # of the targets in layer 3 and above are empty
+    algebra = build(key).algebra
+    rng = random.Random(key)
+    for count in (1, 2):
+        s = Subspace(algebra, random_horizontal_rows(rng, algebra, count))
+        assert_rows_match_per_pair(algebra, s)
+
+
+def test_regularity_entries_that_cancel_are_absent():
+    # [a, b] = [a, c] = z, so [a, b - c] = 0 and no entry of X = b - c is left
+    algebra = GradedLieAlgebra(
+        "cancel",
+        ["a", "b", "c", "z"],
+        [["a", "b", "c"], ["z"]],
+        {("a", "b"): {"z": 1}, ("a", "c"): {"z": 1}},
+    )
+    s = Subspace(algebra, [[0, 1, -1, 0]])
+    assert horizontal._regularity_rows(algebra, s)[0] == [{}]
+    assert assert_rows_match_per_pair(algebra, s).rank == 0
+    s = Subspace(algebra, [[0, 1, -1, 0], [0, 2, 3, 0]])
+    assert_rows_match_per_pair(algebra, s)
 
 
 def test_unipotent_checkerboard_is_isotropic_but_not_regular():
