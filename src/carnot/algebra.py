@@ -76,11 +76,11 @@ class GradedLieAlgebra:
     Construction validates shape only, once for every caller: a ``str``
     name, a basis of at most MAX_DIMENSION labels, basis and layers as
     lists or tuples of ``str`` (a string is not a list of labels), known
-    labels everywhere.  Jacobi and the stratification property are
-    separate checks so that defective tables can be built and then
-    diagnosed.  ``denominator``, ``adjacency`` and ``into`` are the integer
-    structure constants of the module docstring; they are shared, so
-    callers read them and never write.
+    labels everywhere.  Jacobi and stratification are left to ``validity``,
+    run once on first use, so that defective tables can be built and then
+    diagnosed; ``require_valid`` is the gate every verdict goes through.
+    ``denominator``, ``adjacency`` and ``into`` are the integer structure
+    constants of the module docstring, shared: callers read, never write.
     """
 
     def __init__(
@@ -154,6 +154,19 @@ class GradedLieAlgebra:
         self.denominator = d
         self.adjacency = tuple(adjacency)
         self.into = tuple(map(tuple, into))
+        self._validity: tuple[CheckResult, CheckResult] | None = None
+
+    def validity(self) -> tuple[CheckResult, CheckResult]:
+        """``(jacobi_check(self), stratification_check(self))``, kept."""
+        if self._validity is None:
+            self._validity = (jacobi_check(self), stratification_check(self))
+        return self._validity
+
+    def require_valid(self) -> None:
+        """InputError on the first check of ``validity`` that fails."""
+        for result in self.validity():
+            if not result:
+                raise InputError("not a stratified Lie algebra: %s" % result.detail)
 
     # -- basic accessors -------------------------------------------------
 
@@ -318,12 +331,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        # a zero-dimensional subspace has no row to take the width from
-        if len(v) != self.algebra.dimension:
-            raise ValueError("vector length does not match the algebra")
-        return linalg.in_row_span(self.rows, v)
 
     def is_horizontal(self) -> bool:
         """True when every spanning vector lies in the first layer."""

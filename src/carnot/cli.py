@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable
 
 from . import catalog as _catalog
-from .algebra import Subspace, hausdorff_dimension, jacobi_check, stratification_check
+from .algebra import Subspace, hausdorff_dimension
 from .catalog import CatalogEntry
 from .curvature import trichotomy_report
 from .forms import (
@@ -47,13 +47,9 @@ def _load_entry(source: str) -> CatalogEntry:
 
 
 def _load_valid_entry(source: str) -> CatalogEntry:
-    """``_load_entry``, then InputError unless Jacobi and the stratification
-    hold, so that nothing is derived from an invalid algebra."""
+    """``_load_entry``, then the algebra's ``require_valid`` gate."""
     entry = _load_entry(source)
-    for check in (jacobi_check, stratification_check):
-        result = check(entry.algebra)
-        if not result:
-            raise InputError("not a stratified Lie algebra: %s" % result.detail)
+    entry.algebra.require_valid()
     return entry
 
 
@@ -178,8 +174,7 @@ def cmd_catalog(args) -> int:
 def cmd_check(args) -> int:
     entry = _load_entry(args.source)
     algebra = entry.algebra
-    jacobi = jacobi_check(algebra)
-    strat = stratification_check(algebra)
+    jacobi, strat = algebra.validity()
     hausdorff = hausdorff_dimension(algebra)
 
     def payload():
@@ -362,7 +357,7 @@ def cmd_pittet(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    entry = _load_entry(args.source)
+    entry = _load_valid_entry(args.source)
     spec = build_scalable_lattice(entry.algebra)
     checks = {"group": check_group_closure(spec), "scaling": check_scaling_closure(spec)}
 

@@ -119,7 +119,8 @@ class CurvatureReport:
 def trichotomy_report(
     algebra: GradedLieAlgebra, s: Subspace, maximal_asserted: bool = False
 ) -> CurvatureReport:
-    """Three sign statements for planes meeting a certified subspace.
+    """Three sign statements for planes meeting a certified subspace of a
+    valid algebra of at most two layers.
 
     With the basis reordered so that ``s`` comes first: planes inside ``s``
     are flat; every remaining horizontal direction spans a negatively
@@ -128,6 +129,7 @@ def trichotomy_report(
     item is reported as not evaluated); every second-layer direction spans
     a positively curved plane with some vector of ``s``.
     """
+    algebra.require_valid()
     require_two_step(algebra, "the curvature trichotomy")
     if s.coordinate_labels() is None:
         raise InputError("trichotomy needs a span of basis vectors")

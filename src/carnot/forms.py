@@ -352,18 +352,17 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     """Kernel of the differential on the span of the (second dual, first
     dual) wedge pairs Y* ^ x*, ordered lexicographically; its dimension
     counts independent closed 2-forms of this shape.
-    Requires a graded 2-step (or abelian) algebra, nothing bracketing into
-    the first layer and the second bracketing with nothing, else InputError.
-    Then dx* = 0, so d(Y* ^ x*) = dY* ^ x*: the row of a first-layer
+    Requires an algebra that passes ``require_valid`` with at most two
+    layers, else InputError.  The grading then puts every bracket in V2,
+    so dx* = 0 and d(Y* ^ x*) = dY* ^ x*: the row of a first-layer
     monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at (Y, b) and
     A_bc^Y at (Y, a) off the adjacency.  The kernel basis is canonical, so
     the nonzero rows go to ``linalg.extend_reduced`` in monomial order
     until every column has a pivot: the kernel is then {0}.
     """
+    algebra.require_valid()
     v1, v2 = require_two_step(algebra, "the pittet kernel")
     ad = algebra.adjacency
-    if any(algebra.into[x] for x in v1) or any(ad[y] for y in v2):
-        raise InputError("the pittet kernel needs a graded 2-step algebra")
     column = {yx: k for k, yx in enumerate(itertools.product(v2, v1))}
     pairs = [(algebra.basis[y], algebra.basis[x]) for y, x in column]
     pivots: dict[int, dict[int, int]] = {}

@@ -11,9 +11,8 @@ first-layer pairs generate.  It is closed by construction: V2 is central,
 so [x, y]/2 = sum (a_i b_j - a_j b_i) [e_i, e_j]/2 lies in M for x, y in
 the span, and the dilation by 2 maps V1 to 2 V1 and V2 to 4 V2.  The two
 closure checks confirm it in Python ints, with D the algebra's common
-denominator.  First-layer brackets off V2 or short of spanning it, and a
-second layer that brackets, mean the algebra is not a stratified 2-step
-one and raise InputError.
+denominator.  The algebra must be valid and 2-step, so [V1, V1] = V2 and
+V2 is central, all that the construction uses.
 """
 
 from __future__ import annotations
@@ -154,18 +153,16 @@ class LatticeSpec:
 
 def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     """Generators: the first-layer basis, then the Hermite basis of M (see
-    the module docstring) in ascending pivot order.  Each halved bracket is
+    the module docstring) in ascending pivot order, for a valid algebra of
+    at most two layers, whose grading keeps every first-layer bracket on V2
+    and whose generation gives them rank dim V2.  Each halved bracket is
     read from the integer adjacency over 2 D and fed in lexicographic pair
     order to one ``linalg.hermite_extend`` basis, until that basis is the
-    identity on V2, which no integer row can refine, so the supports are
-    scanned first for a bracket off V2.  The group law needs V2 central, so
-    a second layer that brackets raises InputError.  A Hermite row h goes
+    identity on V2, which no integer row can refine.  A Hermite row h goes
     to ``_from_scaled`` as (h / g, 2 D / g), g = gcd(2 D, h)."""
+    algebra.require_valid()
     v1, v2 = require_two_step(algebra, "a scalable lattice")
-    ad, weights = algebra.adjacency, algebra.weights
-    images = (e for u in v1 for v, e in ad[u].items() if weights[v] == 1)
-    if any(weights[w] != 2 for e in images for w in e):
-        raise InputError("the first-layer brackets do not span the second layer")
+    ad = algebra.adjacency
     identity = {i: {i: 1} for i in v2}
     basis: dict[int, dict[int, int]] = {}
     for a, b in itertools.combinations(v1, 2):
@@ -173,10 +170,6 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
             linalg.hermite_extend(basis, dict(ad[a][b]))
             if basis == identity:
                 break
-    if len(basis) != len(v2):
-        raise InputError("the first-layer brackets do not span the second layer")
-    if any(ad[y] for y in v2):
-        raise InputError("the second layer brackets, so it is not central")
     r = 2 * algebra.denominator
     second = []
     for p, h in sorted(basis.items()):

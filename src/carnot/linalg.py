@@ -229,12 +229,6 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
             row[j] //= g
 
 
-def in_row_span(reduced: Matrix, v: Sequence) -> bool:
-    """Membership test against a matrix already in reduced form: v adds
-    nothing to its rank.  A v of another length is a ragged matrix."""
-    return rank((*reduced, v)) == len(reduced)
-
-
 def integer_inverse(
     scaled: Sequence[tuple[dict[int, int], int]]
 ) -> tuple[tuple[dict, ...], int] | None:
@@ -255,18 +249,6 @@ def integer_inverse(
         {k - n: e * (q // pivots[i][i]) for k, e in pivots[i].items() if k >= n}
         for i in range(n)
     ), q
-
-
-def inverse(rows: Sequence[Sequence]) -> Matrix | None:
-    """Inverse of a square matrix; None if the matrix is singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    found = integer_inverse([numerators(row) for row in rows])
-    if found is None:
-        return None
-    scaled, q = found
-    return tuple(densify(row, n, q) for row in scaled)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Vector | None:

@@ -87,7 +87,7 @@ class GrowthBound:
 
 
 class HypothesisBundle:
-    """Input data for the predictor, certified at construction.
+    """Predictor input: a valid algebra and a subspace certified here.
 
     ``lattice_scalable`` defaults to automatic: nilpotency degree at most 2
     guarantees a lattice preserved by the dilation by 2, higher degree does
@@ -103,6 +103,7 @@ class HypothesisBundle:
         lattice_scalable: bool | None = None,
         k1_max_isotropic: int | None = None,
     ) -> None:
+        algebra.require_valid()
         if subspace.dim < 1:
             raise InputError("the certified subspace must be nonzero")
         self.algebra = algebra

@@ -115,6 +115,54 @@ def coprime_table():
     return basis, [["a", "b", "c"], ["y", "z"]], table
 
 
+# tables that build but fail the validity gate, keyed by test id: (name,
+# basis, layers, table, the detail of the first failing check)
+NOT_STRATIFIED_CASES = {
+    "ab-equals-a": (
+        "ab-equals-a",
+        ["a", "b"],
+        [["a", "b"]],
+        {("a", "b"): {"a": 1}},
+        "bracket [a, b] has a layer-1 component a; grading requires layer 2",
+    ),
+    "rank-deficient": (
+        "short",
+        ["a", "b", "y", "z"],
+        [["a", "b"], ["y", "z"]],
+        {("a", "b"): {"z": 1}},
+        "[V_1, V_1] spans a 1-dimensional space but layer 2 has dimension 2",
+    ),
+    "no-jacobi": (
+        "no-jacobi",
+        ["a", "b", "c"],
+        [["a", "b", "c"]],
+        {("a", "b"): {"c": 1}, ("a", "c"): {"b": 1}, ("b", "c"): {"c": 1}},
+        "jacobi fails on (a, b, c)",
+    ),
+}
+
+# and two 2-layer tables whose first-layer brackets span V2: [b, c] = b
+# leaves V2 after [a, b] = z has spanned it, and [a, z] = y makes V2
+# non-central
+GATE_CASES = {
+    **NOT_STRATIFIED_CASES,
+    "late-leak": (
+        "late-leak",
+        ["a", "b", "c", "z"],
+        [["a", "b", "c"], ["z"]],
+        {("a", "b"): {"z": 1}, ("b", "c"): {"b": 1}},
+        "jacobi fails on (a, b, c)",
+    ),
+    "noncentral": (
+        "noncentral",
+        ["a", "b", "c", "y", "z"],
+        [["a", "b", "c"], ["y", "z"]],
+        {("a", "b"): {"z": 1}, ("b", "c"): {"y": 1}, ("a", "z"): {"y": 1}},
+        "bracket [a, z] has a layer-2 component y; grading requires layer 3",
+    ),
+}
+
+
 def naive_sectional_curvature(table, basis, i, j) -> Fraction:
     """Milnor's plane curvature of (e_i, e_j) for the orthonormal basis,
     summed over every k, with alpha_uvw read from the label-keyed table."""

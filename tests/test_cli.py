@@ -20,6 +20,7 @@ from carnot import cli
 from carnot.cli import main
 from carnot.curvature import sectional_curvature
 from carnot.linalg import InputError, parse_coefficient
+from helpers import GATE_CASES, NOT_STRATIFIED_CASES
 
 
 def run(capsys, *argv):
@@ -434,74 +435,43 @@ def test_predict_and_lattice_agree_on_a_rational_algebra(capsys, tmp_path):
     assert "scalable lattice: assumed available" in out
 
 
+# the lattice runs behind the validity gate, which rejects each of these
 @pytest.mark.parametrize(
-    "name, basis, layers, table",
+    "name, basis, layers, table, detail",
     [
         # [V1, V1] misses y: a padding y/2 used to stand in for it
-        ("short", ["a", "b", "y", "z"], [["a", "b"], ["y", "z"]], {("a", "b"): {"z": 1}}),
+        GATE_CASES["rank-deficient"],
         # one layer with [a, b] = a: the bracket leaves the (empty) second layer
-        ("ab-equals-a", ["a", "b"], [["a", "b"]], {("a", "b"): {"a": 1}}),
+        GATE_CASES["ab-equals-a"],
         # [a, b] = z already spans V2, and [b, c] = b leaves it after that
-        (
-            "late-leak",
-            ["a", "b", "c", "z"],
-            [["a", "b", "c"], ["z"]],
-            {("a", "b"): {"z": 1}, ("b", "c"): {"b": 1}},
-        ),
+        GATE_CASES["late-leak"],
     ],
     ids=["rank-deficient", "one-layer", "leak-after-span"],
 )
 def test_lattice_rejects_brackets_that_miss_the_second_layer(
-    capsys, tmp_path, name, basis, layers, table
+    capsys, tmp_path, name, basis, layers, table, detail
 ):
     path = write_algebra(tmp_path, name, basis, layers, table)
     code, out, err = run(capsys, "lattice", str(path))
     assert code == 2
     assert out == ""
-    assert err == "error: the first-layer brackets do not span the second layer\n"
+    assert err == "error: not a stratified Lie algebra: %s\n" % detail
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_lattice_rejects_a_second_layer_that_brackets(capsys, tmp_path, extra):
     # [a, z] = y: the 2-step group law behind the generators does not hold
-    path = write_algebra(
-        tmp_path,
-        "noncentral",
-        ["a", "b", "c", "y", "z"],
-        [["a", "b", "c"], ["y", "z"]],
-        {("a", "b"): {"z": 1}, ("b", "c"): {"y": 1}, ("a", "z"): {"y": 1}},
-    )
+    name, basis, layers, table, detail = GATE_CASES["noncentral"]
+    path = write_algebra(tmp_path, name, basis, layers, table)
     code, out, err = run(capsys, "lattice", str(path), *extra)
     assert_one_error(code, out, err)
-    assert err == "error: the second layer brackets, so it is not central\n"
+    assert err == "error: not a stratified Lie algebra: %s\n" % detail
 
 
 NOT_STRATIFIED = pytest.mark.parametrize(
     "name, basis, layers, table, detail",
-    [
-        (
-            "ab-equals-a",
-            ["a", "b"],
-            [["a", "b"]],
-            {("a", "b"): {"a": 1}},
-            "bracket [a, b] has a layer-1 component a; grading requires layer 2",
-        ),
-        (
-            "short",
-            ["a", "b", "y", "z"],
-            [["a", "b"], ["y", "z"]],
-            {("a", "b"): {"z": 1}},
-            "[V_1, V_1] spans a 1-dimensional space but layer 2 has dimension 2",
-        ),
-        (
-            "no-jacobi",
-            ["a", "b", "c"],
-            [["a", "b", "c"]],
-            {("a", "b"): {"c": 1}, ("a", "c"): {"b": 1}, ("b", "c"): {"c": 1}},
-            "jacobi fails on (a, b, c)",
-        ),
-    ],
-    ids=["ab-equals-a", "rank-deficient", "no-jacobi"],
+    list(NOT_STRATIFIED_CASES.values()),
+    ids=list(NOT_STRATIFIED_CASES),
 )
 
 
@@ -521,7 +491,13 @@ def test_certify_and_predict_reject_an_algebra_that_is_not_stratified(
 
 @pytest.mark.parametrize(
     "argv",
-    [["curvature", "--subspace", "a"], ["curvature"], ["pittet"], ["forms-d", "{}"]],
+    [
+        ["curvature", "--subspace", "a"],
+        ["curvature"],
+        ["pittet"],
+        ["forms-d", "{}"],
+        ["lattice"],
+    ],
 )
 @NOT_STRATIFIED
 def test_curvature_and_pittet_reject_an_algebra_that_is_not_stratified(

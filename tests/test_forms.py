@@ -476,7 +476,10 @@ def test_pair_kernel_over_a_common_denominator(make):
 
 
 def counted_kernel(algebra, monkeypatch):
-    """``pittet_kernel`` and the number of rows it eliminated."""
+    """``pittet_kernel`` and the number of rows it eliminated.  The validity
+    gate's stratification leg extends a reduced basis too, so it runs, and
+    is kept, before the counter goes in."""
+    algebra.require_valid()
     calls = []
     extend = linalg.extend_reduced
 
@@ -553,14 +556,30 @@ def transported(key, seed):
 
 
 def random_two_layer(count):
-    """The first ``count`` seeded 2-layer graded tables with dim V1 = 3."""
+    """The first ``count`` seeded 2-layer graded tables with dim V1 = 3 that
+    are stratified, [V1, V1] spanning V2; seed 51 is the first that is not
+    (see ``test_pair_kernel_rejects_a_random_draw_that_is_not_stratified``)."""
     found = []
     for seed in itertools.count():
         basis, layers, table = random_layered_table(random.Random(seed), "graded")
         if len(layers) == 2 and len(layers[0]) == 3:
-            found.append(GradedLieAlgebra("random%d" % seed, basis, layers, table))
+            algebra = GradedLieAlgebra("random%d" % seed, basis, layers, table)
+            if all(algebra.validity()):
+                found.append(algebra)
         if len(found) == count:
             return found
+
+
+def test_pair_kernel_rejects_a_random_draw_that_is_not_stratified():
+    # graded, but [V1, V1] spans 2 of the 3 dimensions of V2
+    basis, layers, table = random_layered_table(random.Random(51), "graded")
+    assert [len(layer) for layer in layers] == [3, 3]
+    algebra = GradedLieAlgebra("random51", basis, layers, table)
+    detail = "[V_1, V_1] spans a 2-dimensional space but layer 2 has dimension 3"
+    with pytest.raises(InputError) as raised:
+        pittet_kernel(algebra)
+    assert str(raised.value) == "not a stratified Lie algebra: " + detail
+    assert "random51" not in [a.name for a in random_two_layer(6)]
 
 
 SMALL_TWO_STEP = [
@@ -648,17 +667,28 @@ def test_pair_kernel_work_follows_the_brackets(monkeypatch):
 
 UNGRADED = [
     # [a, b] = c brackets into the first layer
-    ({("a", "b"): {"c": 1}}, [["a", "b", "c"], ["z"]]),
+    (
+        {("a", "b"): {"c": 1}},
+        [["a", "b", "c"], ["z"]],
+        "bracket [a, b] has a layer-1 component c; grading requires layer 2",
+    ),
     # [a, z] = y brackets the second layer
-    ({("a", "b"): {"z": 1}, ("a", "z"): {"y": 1}}, [["a", "b", "c"], ["y", "z"]]),
+    (
+        {("a", "b"): {"z": 1}, ("a", "z"): {"y": 1}},
+        [["a", "b", "c"], ["y", "z"]],
+        "bracket [a, z] has a layer-2 component y; grading requires layer 3",
+    ),
 ]
 
 
-@pytest.mark.parametrize("table, layers", UNGRADED)
-def test_pair_kernel_rejects_an_ungraded_table(table, layers):
+@pytest.mark.parametrize(
+    "table, layers, detail", UNGRADED, ids=["table0-layers0", "table1-layers1"]
+)
+def test_pair_kernel_rejects_an_ungraded_table(table, layers, detail):
     basis = [l for layer in layers for l in layer]
-    with pytest.raises(InputError, match="graded 2-step"):
+    with pytest.raises(InputError) as raised:
         pittet_kernel(GradedLieAlgebra("ungraded", basis, layers, table))
+    assert str(raised.value) == "not a stratified Lie algebra: " + detail
 
 
 def test_pair_kernel_rejects_higher_degree():

@@ -166,30 +166,35 @@ def test_three_step_lattice_rejected():
 
 
 def test_bracket_off_the_second_layer_is_kept():
-    # [a, b] = a + z breaks the grading: the Hermite basis of the halved
-    # brackets gets a pivot on a, outside the second layer
+    # [a, b] = a + z breaks the grading, which the validity gate reports
     algebra = GradedLieAlgebra(
         "leak",
         ["a", "b", "c", "y", "z"],
         [["a", "b", "c"], ["y", "z"]],
         {("a", "b"): {"z": 1, "a": 1}, ("b", "c"): {"y": 1}},
     )
-    with pytest.raises(InputError, match="do not span the second layer"):
+    with pytest.raises(InputError) as raised:
         build_scalable_lattice(algebra)
+    assert str(raised.value) == (
+        "not a stratified Lie algebra: bracket [a, b] has a layer-1 "
+        "component a; grading requires layer 2"
+    )
 
 
 def test_a_bracket_off_the_second_layer_after_it_is_spanned_is_rejected():
     # [a, b] = z makes the Hermite basis the identity on V2 at the first
     # pair, so the loop stops before [b, c] = b, which leaves V2; the 2-step
-    # group law would then give a closure verdict for a law that fails
+    # group law would then give a closure verdict for a law that fails, so
+    # the validity gate must reject the table before the loop runs
     algebra = GradedLieAlgebra(
         "late-leak",
         ["a", "b", "c", "z"],
         [["a", "b", "c"], ["z"]],
         {("a", "b"): {"z": 1}, ("b", "c"): {"b": 1}},
     )
-    with pytest.raises(InputError, match="do not span the second layer"):
+    with pytest.raises(InputError) as raised:
         build_scalable_lattice(algebra)
+    assert str(raised.value) == "not a stratified Lie algebra: jacobi fails on (a, b, c)"
 
 
 def test_a_second_layer_that_brackets_is_rejected():
@@ -201,8 +206,12 @@ def test_a_second_layer_that_brackets_is_rejected():
         [["a", "b", "c"], ["y", "z"]],
         {("a", "b"): {"z": 1}, ("b", "c"): {"y": 1}, ("a", "z"): {"y": 1}},
     )
-    with pytest.raises(InputError, match="second layer brackets, so it is not central"):
+    with pytest.raises(InputError) as raised:
         build_scalable_lattice(algebra)
+    assert str(raised.value) == (
+        "not a stratified Lie algebra: bracket [a, z] has a layer-2 "
+        "component y; grading requires layer 3"
+    )
 
 
 def wide_center_spec():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot import linalg
+from carnot import LatticeSpec, build, linalg
 from helpers import (
     naive_hermite,
     naive_inverse,
@@ -55,14 +55,22 @@ def product(rows, v):
     return tuple(sum((F(a) * b for a, b in zip(row, v)), F(0)) for row in rows)
 
 
+def inverse(rows):
+    """``integer_inverse`` of the dense square ``rows``, densified: the
+    inverse as Fraction rows, or None if singular."""
+    found = linalg.integer_inverse([linalg.numerators(row) for row in rows])
+    if found is None:
+        return None
+    columns, q = found
+    return tuple(linalg.densify(row, len(rows), q) for row in columns)
+
+
 def test_inverse_and_product():
     rows = [(2, 1), (1, 1)]
-    inv = linalg.inverse(rows)
-    assert inv == ((F(1), F(-1)), (F(-1), F(2)))
+    inv = inverse(rows)
+    assert inv == naive_inverse(rows) == ((F(1), F(-1)), (F(-1), F(2)))
     assert product(inv, (3, 2)) == (F(1), F(1))
-    assert linalg.inverse([(1, 2), (2, 4)]) is None
-    with pytest.raises(ValueError):
-        linalg.inverse([(1, 2, 3), (4, 5, 6)])
+    assert inverse([(1, 2), (2, 4)]) is None
 
 
 def test_nullspace_dimension():
@@ -130,7 +138,7 @@ def test_elimination_matches_dense_oracle(seed, density):
         assert linalg.nullspace(sparse, ncols) == kernel
         square = [row[:ncols] for row in rows[:ncols]]
         if len(square) == ncols:
-            inv = linalg.inverse(square)
+            inv = inverse(square)
             assert inv == naive_inverse(square)
             if inv is not None:
                 assert all(type(e) is Fraction for row in inv for e in row)
@@ -172,9 +180,9 @@ def test_elimination_with_coefficient_growth_matches_oracles(shape, seed):
     assert naive_solve(rows, inconsistent) is None
     n = min(shape)
     fresh = [[entry() for _ in range(n)] for _ in range(n)]
-    assert linalg.inverse(fresh) is not None
+    assert inverse(fresh) is not None
     for square in (fresh, [row[:n] for row in rows[:n]]):
-        inv = linalg.inverse(square)
+        inv = inverse(square)
         assert inv == naive_inverse(square)
         if inv is not None:
             assert all(type(e) is Fraction for row in inv for e in row)
@@ -284,20 +292,6 @@ def test_sparse_rows_are_checked_against_ncols():
     assert mixed == ((F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
 
-def test_in_row_span_and_reduce():
-    reduced = linalg.rref([(1, 0, 1), (0, 1, 1)])
-    assert linalg.in_row_span(reduced, (2, 3, 5))
-    assert not linalg.in_row_span(reduced, (0, 0, 1))
-
-
-def test_in_row_span_rejects_a_vector_of_another_length():
-    # a short or long vector must not be zipped against the reduced rows
-    reduced = linalg.rref([(1, 0, 1), (0, 1, 1)])
-    for v in ((1,), (2, 3), (2, 3, 5, 0), (1, 0, 1, 9)):
-        with pytest.raises(ValueError, match="ragged matrix"):
-            linalg.in_row_span(reduced, v)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_integer_inverse_of_numerator_pairs_matches_oracle(seed):
     # dense rational squares; on odd seeds one row is a combination of two
@@ -323,10 +317,14 @@ def test_integer_inverse_of_numerator_pairs_matches_oracle(seed):
 
 
 def test_inverse_rejects_a_matrix_that_is_not_square():
-    with pytest.raises(ValueError, match="not square"):
-        linalg.inverse([(1, 0), (0, 1, 0)])
-    with pytest.raises(ValueError, match="not square"):
-        linalg.inverse([(1, 0, 0), (0, 1, 0)])
+    # integer_inverse reads n pairs as an n x n matrix; LatticeSpec, its one
+    # caller, rejects generators that do not make a square matrix first
+    algebra = build("heisenberg_c:1").algebra
+    j, k, z = (algebra.basis_vector(i) for i in range(3))
+    with pytest.raises(ValueError, match="exactly 3 generators, got 2"):
+        LatticeSpec(algebra, (j, k))
+    with pytest.raises(ValueError, match="needs 3 coefficients"):
+        LatticeSpec(algebra, (j, k, z[:2]))
 
 
 def test_numerators_over_the_lcm_of_the_denominators():
@@ -390,7 +388,7 @@ def test_solve_solutions_substitute(rows, coeffs):
 def test_inverse_inverts(rows):
     n = len(rows[0])
     square = rows[:n] + [linalg.unit_vector(n, i) for i in range(len(rows), n)]
-    inv = linalg.inverse(square)
+    inv = inverse(square)
     if linalg.rank(square) < n:
         assert inv is None
         return
