@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable
 
-from . import catalog as _catalog
+from . import catalog as _catalog, linalg
 from .algebra import Subspace, hausdorff_dimension
 from .catalog import CatalogEntry
 from .curvature import trichotomy_report
@@ -337,18 +337,19 @@ def cmd_pittet(args) -> int:
             "source": entry.key,
             "pairs": [[a, b] for a, b in report.pairs],
             "kernel_dimension": report.kernel_dimension,
-            "kernel_basis": [_vector_strings(v) for v in report.kernel_basis],
+            "kernel_basis": [
+                _vector_strings(linalg.densify(w, len(report.pairs), s))
+                for w, s in report.kernel_basis
+            ],
         }
 
     def lines():
         yield "source: %s" % entry.key
         yield "generating pairs: %d" % len(report.pairs)
         yield "kernel dimension: %d" % report.kernel_dimension
-        for v in report.kernel_basis:
+        for w, s in report.kernel_basis:
             combo = " + ".join(
-                "%s*(%s^%s)" % (c, a, b)
-                for c, (a, b) in zip(v, report.pairs)
-                if c != 0
+                "%s*(%s^%s)" % (Fraction(e, s), *report.pairs[j]) for j, e in w.items()
             )
             yield "  closed: %s" % combo
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace, require_two_step
-from .linalg import InputError, Vector, ZERO, coefficient, parse_coefficient
+from .linalg import InputError, ZERO, coefficient, parse_coefficient
 
 Monomial = tuple[int, ...]
 
@@ -345,7 +345,7 @@ def check_cube_closed(algebra: GradedLieAlgebra, s: Subspace, omit: int) -> bool
 class PittetReport:
     pairs: tuple[tuple[str, str], ...]
     kernel_dimension: int
-    kernel_basis: tuple[Vector, ...]
+    kernel_basis: tuple[tuple[dict[int, int], int], ...] = field(hash=False)
 
 
 def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
@@ -358,7 +358,8 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at (Y, b) and
     A_bc^Y at (Y, a) off the adjacency.  The kernel basis is canonical, so
     the nonzero rows go to ``linalg.extend_reduced`` in monomial order
-    until every column has a pivot: the kernel is then {0}.
+    until every column has a pivot: the kernel is then {0}.  Each kernel
+    vector is kept as the pair (w, s) of ``linalg.reduced_kernel``.
     """
     algebra.require_valid()
     v1, v2 = require_two_step(algebra, "the pittet kernel")

@@ -33,6 +33,7 @@ class GroupElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: GradedLieAlgebra, coords: Sequence) -> None:
+        algebra.require_valid()
         require_two_step(algebra, "group coordinates")
         self.algebra = algebra
         self.coords: Vector = tuple(coefficient(c) for c in coords)
@@ -102,6 +103,7 @@ class LatticeSpec:
     )
 
     def __post_init__(self) -> None:
+        self.algebra.require_valid()
         require_two_step(self.algebra, "a lattice")
         n = self.algebra.dimension
         if len(self.generators) != n:

@@ -57,16 +57,16 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
     Bilinearity means checking the canonical spanning rows suffices; the
     witness is the first offending pair of rows.  Only zeros matter, so the
     brackets are ``integer_bracket``s of the rows' ``integer_rows``,
-    undivided.
+    undivided; only the witness is divided out.
     """
     if not s.is_horizontal():
         raise InputError("subspace is not horizontal")
-    first = set(algebra.layers[0])
-    rows = zip(s.rows, (w for w, _ in s.integer_rows))
-    for (x, xs), (y, ys) in itertools.combinations(rows, 2):
-        bracket = algebra.integer_bracket(xs, ys)
+    first, n = set(algebra.layers[0]), algebra.dimension
+    for (x, r), (y, q) in itertools.combinations(s.integer_rows, 2):
+        bracket = algebra.integer_bracket(x, y)
         if any(c and t not in first for t, c in bracket.items()):
-            return IsotropyResult(False, (x, y))
+            witness = linalg.densify(x, n, r), linalg.densify(y, n, q)
+            return IsotropyResult(False, witness)
     return IsotropyResult(True)
 
 

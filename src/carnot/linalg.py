@@ -9,7 +9,8 @@ primitive integer row per pivot column: two rows are combined by
 cross-multiplying with the cofactors of the gcd of the entries being
 cleared, then divided by their content (Bareiss, Math. Comp. 22, 1968).
 The reduced form is unique, so a basis row divided by its pivot entry is
-a row of ``rref``; Fractions are built only for the entries returned.
+a row of ``rref``.  ``reduced_rows`` and ``reduced_kernel`` return integer
+pairs (w, s) for the value w / s; Fractions are built only for entries returned.
 
 This module also holds the one reading of an exact number from outside:
 ``parse_coefficient`` takes an integer or ``p/q`` string, ``coefficient``
@@ -125,10 +126,6 @@ def reduced_rows(rows: Iterable[Sequence | dict], ncols: int | None = None) -> t
     integer row ``{column: int}`` and s = w[pivot] > 0, the row being w / s."""
     pivots = _eliminate(rows, ncols)[0]
     return tuple((pivots[p], pivots[p][p]) for p in sorted(pivots))
-
-
-def rank(rows: Iterable[Sequence | dict], ncols: int | None = None) -> int:
-    return len(_eliminate(rows, ncols)[0])
 
 
 def _eliminate(
@@ -280,21 +277,23 @@ def nullspace(rows: Iterable[Sequence | dict], ncols: int | None = None) -> Matr
     pivots, ncols = _eliminate(rows, ncols)
     if ncols is None:
         return ()
-    return reduced_kernel(pivots, ncols)
+    return tuple(densify(w, ncols, s) for w, s in reduced_kernel(pivots, ncols))
 
 
-def reduced_kernel(pivots: dict[int, dict[int, int]], ncols: int) -> Matrix:
+def reduced_kernel(pivots: dict[int, dict[int, int]], ncols: int) -> tuple:
     """Canonical kernel basis of the reduced integer basis ``{pivot column:
-    row}`` of ``extend_reduced`` on ``ncols`` columns: one vector per free
-    column f, with a 1 at f and -row[f] / row[p] at each pivot p."""
-    basis = {free: [ZERO] * ncols for free in range(ncols) if free not in pivots}
-    for free, v in basis.items():
-        v[free] = ONE
+    row}`` of ``extend_reduced`` on ``ncols`` columns, one vector per free
+    column f in column order, with a 1 at f and -row[f] / row[p] at each
+    pivot p, as the pair (w, s) of ``numerators``, w sorted by column."""
+    vectors = {free: {free: (1, 1)} for free in range(ncols) if free not in pivots}
     # a reduced row is zero on the other pivot columns, so each of its
     # off-pivot entries sits in a free column
     for p, row in pivots.items():
-        lead = row[p]
         for free, e in row.items():
             if free != p:
-                basis[free][p] = Fraction(-e, lead)
-    return tuple(tuple(v) for v in basis.values())
+                vectors[free][p] = (-e, row[p])
+    kernel = []
+    for entries in vectors.values():
+        s = math.lcm(*(b // math.gcd(a, b) for a, b in entries.values()))
+        kernel.append(({j: a * s // b for j, (a, b) in sorted(entries.items())}, s))
+    return tuple(kernel)

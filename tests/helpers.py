@@ -11,7 +11,8 @@ n^2 generator products and dilate each generator coordinate by coordinate.
 The graded transport rewrites a label-keyed table in a random layer-adapted
 basis by the same dense Fraction sums, inverting its blocks with
 ``naive_inverse``.  The Hermite oracle folds dense integer rows together by
-the extended gcd, one column at a time.
+the extended gcd, one column at a time.  ``dense_kernel`` divides out a
+pittet report's sparse integer kernel pairs entry by entry.
 """
 
 from __future__ import annotations
@@ -250,6 +251,28 @@ def naive_nullspace(rows, ncols) -> tuple:
             v[p] = -row[free]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def dense_kernel(report) -> tuple:
+    """The kernel basis of a pittet report as dense Fraction rows, one
+    entry per pair: each sparse integer pair (w, s) divided out."""
+    columns = range(len(report.pairs))
+    return tuple(
+        tuple(Fraction(w.get(j, 0), s) for j in columns) for w, s in report.kernel_basis
+    )
+
+
+def free_two_step(n: int):
+    """The free 2-step algebra N(n, 2) as (basis, layers, table): first
+    layer x0 .. x(n-1), and one second-layer label y_a_b with
+    [x_a, x_b] = y_a_b, coefficient -1 when a + b is odd, for each a < b."""
+    first = ["x%d" % a for a in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    second = ["y%d_%d" % pair for pair in pairs]
+    table = {
+        (first[a], first[b]): {"y%d_%d" % (a, b): (-1) ** (a + b)} for a, b in pairs
+    }
+    return first + second, [first, second], table
 
 
 def naive_inverse(rows):

@@ -234,7 +234,7 @@ def test_falsy_entries_that_are_not_numbers_are_input_errors():
     calls = (
         lambda: linalg.rref([[None, 1, 0]]),
         lambda: linalg.rref([[[], 1]]),
-        lambda: linalg.rank([{0: None, 1: 1}], 2),
+        lambda: linalg.reduced_rows([{0: None, 1: 1}], 2),
         lambda: Subspace(algebra, [("", 0, 1)]),
         lambda: LatticeSpec(algebra, ((1, 0, 0), (0, None, 1), (0, 0, 1))),
         lambda: lattice.membership((None, 0, 0)),
@@ -850,7 +850,7 @@ def test_horizontal_and_coordinate_tests_match_a_dense_scan(seed):
     assert len(seen) == 4
 
 
-def test_horizontal_and_coordinate_tests_read_no_dense_row():
+def test_horizontal_and_coordinate_tests_read_no_dense_row(monkeypatch):
     algebra = build("heisenberg_h:2").algebra
     h1, i1 = algebra.basis_vector("h1"), algebra.basis_vector("i1")
     for s in (
@@ -858,8 +858,44 @@ def test_horizontal_and_coordinate_tests_read_no_dense_row():
         Subspace(algebra, [[a + b for a, b in zip(h1, algebra.basis_vector("I"))]]),
     ):
         expected = s.is_horizontal(), s.coordinate_labels()
-        s.rows = None
-        assert (s.is_horizontal(), s.coordinate_labels()) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(Subspace, "rows", property(dense_row_read))
+            assert (s.is_horizontal(), s.coordinate_labels()) == expected
+
+
+def dense_row_read(s):
+    raise AssertionError("a dense row of the subspace was read")
+
+
+def test_equal_spans_compare_and_hash_equal():
+    # the same spans from other spanning rows, each built both ways where a
+    # span of basis vectors allows it; distinct spans stay distinct
+    algebra = build("heisenberg_h:1").algebra
+    h1, i1, j1 = (algebra.basis_vector(l) for l in ("h1", "i1", "j1"))
+
+    def comb(*terms):
+        return [sum((F(c) * v[k] for c, v in terms), F(0)) for k in range(len(h1))]
+
+    spans = [
+        [
+            Subspace.from_labels(algebra, ["i1", "h1"]),
+            Subspace(algebra, [comb((3, h1)), comb((-1, i1), (2, h1))]),
+            Subspace(algebra, [comb((F(1, 2), h1), (1, i1)), comb((1, h1), (-1, i1))]),
+        ],
+        [
+            Subspace(algebra, [comb((1, h1), (F(2, 3), j1)), comb((1, i1))]),
+            Subspace(algebra, [comb((3, h1), (2, j1), (1, i1)), comb((-5, i1))]),
+        ],
+        [Subspace.from_labels(algebra, []), Subspace(algebra, [comb()])],
+    ]
+    for group in spans:
+        for s in group:
+            assert s == group[0] and hash(s) == hash(group[0])
+            assert s.integer_rows == group[0].integer_rows
+            assert s.rows == group[0].rows
+    assert len({s for group in spans for s in group}) == len(spans)
+    first, second, zero = (group[0] for group in spans)
+    assert first != second != zero != first
 
 
 def test_require_two_step_returns_the_layers():

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import carnot
 from carnot import GradedLieAlgebra, algebra_to_dict, build, save_algebra
-from carnot import cli
+from carnot import cli, linalg
 from carnot.cli import main
 from carnot.curvature import sectional_curvature
 from carnot.linalg import InputError, parse_coefficient
-from helpers import GATE_CASES, NOT_STRATIFIED_CASES
+from helpers import GATE_CASES, NOT_STRATIFIED_CASES, free_two_step
 
 
 def run(capsys, *argv):
@@ -394,6 +394,65 @@ def test_pittet_three_step_rejected(capsys):
     code, _, err = run(capsys, "pittet", "unipotent:4")
     assert code == 2
     assert "2-step" in err
+
+
+def free_two_step_file(tmp_path, n):
+    """N(n, 2) of ``free_two_step``, saved as an algebra file."""
+    algebra = GradedLieAlgebra("N(%d, 2)" % n, *free_two_step(n))
+    path = tmp_path / ("free%d.json" % n)
+    save_algebra(algebra, path)
+    return algebra, str(path)
+
+
+def test_pittet_output_is_a_rendering_of_the_dense_oracle(capsys, tmp_path):
+    # every kernel vector of N(4, 2), in both modes, printed from the dense
+    # Fraction rows of the public differential's nullspace
+    from test_forms import public_column_kernel
+
+    algebra, path = free_two_step_file(tmp_path, 4)
+    label = algebra.basis
+    pairs = [(label[y], label[x]) for y in algebra.layers[1] for x in algebra.layers[0]]
+    kernel = public_column_kernel(algebra, pairs)[0]
+    assert len(pairs) == 24 and len(kernel) == 20
+    text = ["source: %s" % path, "generating pairs: 24", "kernel dimension: 20"]
+    for v in kernel:
+        terms = ("%s*(%s^%s)" % (c, *pair) for c, pair in zip(v, pairs) if c)
+        text.append("  closed: " + " + ".join(terms))
+    doc = {
+        "source": path,
+        "pairs": [list(pair) for pair in pairs],
+        "kernel_dimension": 20,
+        "kernel_basis": [[str(c) for c in v] for v in kernel],
+    }
+    assert run(capsys, "pittet", path) == (0, "\n".join(text) + "\n", "")
+    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "pittet", path, "--json") == (0, json_text, "")
+
+
+def test_pittet_densifies_kernel_rows_only_for_json(capsys, tmp_path, monkeypatch):
+    # N(12, 2): 792 pairs and a kernel of 572; the text lines read each
+    # row's support, and --json densifies each row exactly once
+    _, path = free_two_step_file(tmp_path, 12)
+    reports, dense = [], []
+    kernel, densify = cli.pittet_kernel, linalg.densify
+
+    def kept(algebra):
+        reports.append(kernel(algebra))
+        return reports[-1]
+
+    def counted(w, *rest):
+        dense.append(w)
+        return densify(w, *rest)
+
+    monkeypatch.setattr(cli, "pittet_kernel", kept)
+    monkeypatch.setattr(linalg, "densify", counted)
+    code, out, _ = run(capsys, "pittet", path)
+    assert code == 0 and dense == []
+    assert "generating pairs: 792\nkernel dimension: 572\n" in out
+    assert out.count("  closed: ") == 572
+    code, doc, _ = run_json(capsys, "pittet", path)
+    assert code == 0 and len(doc["kernel_basis"]) == 572
+    assert [id(w) for w in dense] == [id(w) for w, _ in reports[-1].kernel_basis]
 
 
 def test_lattice_report(capsys):

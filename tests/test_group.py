@@ -20,9 +20,11 @@ from carnot import (
     group_scaling,
     multiply,
 )
-from carnot import linalg
+from carnot import algebra as algebra_module, linalg
+from carnot.algebra import jacobi_check
 
 from helpers import (
+    GATE_CASES,
     coprime_table,
     naive_group_closure,
     naive_inverse,
@@ -212,6 +214,47 @@ def test_a_second_layer_that_brackets_is_rejected():
         "not a stratified Lie algebra: bracket [a, z] has a layer-2 "
         "component y; grading requires layer 3"
     )
+
+
+@pytest.mark.parametrize("case", GATE_CASES.values(), ids=list(GATE_CASES))
+def test_the_group_law_constructors_raise_the_gate_error(case):
+    # on ``late-leak`` the unit-row lattice used to fail its closure with
+    # "a + b + 1/2*z", and b * c gave 3/2*b + c, by a law that does not hold
+    name, basis, layers, table, detail = case
+    algebra = GradedLieAlgebra(name, basis, layers, table)
+    n = algebra.dimension
+    units = [linalg.unit_vector(n, i) for i in range(n)]
+    constructors = (
+        lambda: LatticeSpec(algebra, units),
+        lambda: element(algebra, units[1]),
+    )
+    for construct in constructors:
+        with pytest.raises(InputError) as raised:
+            construct()
+        assert str(raised.value) == "not a stratified Lie algebra: " + detail
+
+
+def test_the_gate_runs_once_per_algebra_across_the_closures(monkeypatch):
+    checked = []
+
+    def counted(algebra):
+        checked.append(algebra)
+        return jacobi_check(algebra)
+
+    monkeypatch.setattr(algebra_module, "jacobi_check", counted)
+    makers = (
+        sheared_spec,
+        wide_center_spec,
+        lambda: build_scalable_lattice(build("heisenberg_h:2").algebra),
+    )
+    for make in makers:
+        spec = make()
+        check_group_closure(spec)
+        check_scaling_closure(spec)
+        g = GroupElement(spec.algebra, spec.generators[-1])
+        assert g * g.inverse() == GroupElement.identity(spec.algebra)
+    # the failing closure of the first two multiplies generators as well
+    assert len(checked) == len({id(a) for a in checked}) == len(makers)
 
 
 def wide_center_spec():

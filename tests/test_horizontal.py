@@ -272,18 +272,24 @@ def test_verdicts_do_not_depend_on_spanning_rows():
 
 
 def test_certificates_read_the_integer_rows_once(monkeypatch):
-    # the subspace reads its reduced rows into integers when it is built;
-    # isotropy and regularity read those, and no dense row again
+    # the subspace keeps its reduced rows in integers when it is built;
+    # isotropy and regularity read those, and neither reads nor rebuilds a
+    # dense row: ``rows`` raises, and no vector is read into integers again
     algebra = build("heisenberg_h:2").algebra
     s = Subspace(algebra, random_horizontal_rows(random.Random(3), algebra, 2))
+    expected = is_isotropic(algebra, s), is_regular(algebra, s)
     reads = []
     original = linalg.numerators
     monkeypatch.setattr(
         linalg, "numerators", lambda values: reads.append(values) or original(values)
     )
-    is_isotropic(algebra, s)
-    is_regular(algebra, s)
-    assert not any(values is row for values in reads for row in s.rows)
+
+    def dense_row_read(_):
+        raise AssertionError("a dense row of the subspace was read")
+
+    monkeypatch.setattr(Subspace, "rows", property(dense_row_read))
+    assert (is_isotropic(algebra, s), is_regular(algebra, s)) == expected
+    assert reads == []
 
 
 # -- dimension bound -----------------------------------------------------------

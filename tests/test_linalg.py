@@ -31,9 +31,9 @@ def test_rref_drops_zero_rows():
 
 
 def test_rank_examples():
-    assert linalg.rank([(1, 0), (0, 1)]) == 2
-    assert linalg.rank([(1, 2), (2, 4)]) == 1
-    assert linalg.rank([]) == 0
+    assert len(linalg.reduced_rows([(1, 0), (0, 1)])) == 2
+    assert len(linalg.reduced_rows([(1, 2), (2, 4)])) == 1
+    assert len(linalg.reduced_rows([])) == 0
 
 
 def test_solve_unique():
@@ -111,6 +111,19 @@ def random_entry(rng, density):
 
 ORACLE_SHAPES = [(0, 0), (1, 1), (3, 5), (6, 6), (8, 5), (12, 12)]
 TALL_SHAPE = (300, 20)  # sparse only: the dense oracle is slow on it when full
+# beside the random matrices: a kernel of 0, and one of every column
+FIXED_MATRICES = [
+    [[F(int(i == j), j + 1) for j in range(4)] for i in range(5)],
+    [[0] * 4 for _ in range(3)],
+]
+
+
+def kernel_pairs(rows, ncols):
+    """``reduced_kernel`` of the reduced basis of ``rows``."""
+    pivots: dict = {}
+    for row in rows:
+        linalg.extend_reduced(pivots, linalg.numerators(row)[0])
+    return linalg.reduced_kernel(pivots, ncols)
 
 
 @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.6, 1.0])
@@ -118,23 +131,28 @@ TALL_SHAPE = (300, 20)  # sparse only: the dense oracle is slow on it when full
 def test_elimination_matches_dense_oracle(seed, density):
     rng = random.Random(seed * 1000 + int(density * 100))
     shapes = ORACLE_SHAPES + ([TALL_SHAPE] if density <= 0.1 else [])
-    for nrows, ncols in shapes:
-        rows = [
-            [random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)
-        ]
+    matrices = [
+        ([[random_entry(rng, density) for _ in range(c)] for _ in range(r)], c)
+        for r, c in shapes
+    ] + [(rows, 4) for rows in FIXED_MATRICES]
+    for rows, ncols in matrices:
         reduced = linalg.rref(rows)
         assert reduced == naive_rref(rows)
         assert all(type(e) is Fraction for row in reduced for e in row)
         kernel = linalg.nullspace(rows, ncols=ncols)
-        assert kernel == naive_nullspace(rows, ncols)
+        expected = naive_nullspace(rows, ncols)
+        assert kernel == expected
         assert all(type(e) is Fraction for row in kernel for e in row)
+        pairs = kernel_pairs(rows, ncols)
+        assert pairs == tuple(map(linalg.numerators, expected))
+        assert all(list(w) == sorted(w) for w, _ in pairs)
         # the same matrix as {column: value} rows, zeros written or not
         sparse = [
             {j: e for j, e in enumerate(row) if e != 0 or (i + j) % 3 == 0}
             for i, row in enumerate(rows)
         ]
         assert linalg.rref(sparse, ncols) == reduced
-        assert linalg.rank(sparse, ncols) == len(reduced)
+        assert len(linalg.reduced_rows(sparse, ncols)) == len(reduced)
         assert linalg.nullspace(sparse, ncols) == kernel
         square = [row[:ncols] for row in rows[:ncols]]
         if len(square) == ncols:
@@ -164,9 +182,11 @@ def test_elimination_with_coefficient_growth_matches_oracles(shape, seed):
     rows[-1] = [2 * a - F(3, 7) * b for a, b in zip(rows[0], rows[1])]
     reduced = linalg.rref(rows)
     assert reduced == naive_rref(rows)
-    assert linalg.rank(rows) == len(reduced) == min(nrows - 1, ncols)
+    assert len(linalg.reduced_rows(rows)) == len(reduced) == min(nrows - 1, ncols)
     kernel = linalg.nullspace(rows)
-    assert kernel == naive_nullspace(rows, ncols)
+    expected = naive_nullspace(rows, ncols)
+    assert kernel == expected
+    assert kernel_pairs(rows, ncols) == tuple(map(linalg.numerators, expected))
     for out in (reduced, kernel):
         assert all(type(e) is Fraction for row in out for e in row)
     x = [entry() for _ in range(ncols)]
@@ -278,7 +298,7 @@ def test_sparse_rows_are_checked_against_ncols():
     with pytest.raises(ValueError, match="range"):
         linalg.rref([{0: 1}, {3: 1}], 3)
     with pytest.raises(ValueError, match="range"):
-        linalg.rank([{-1: 2}], 3)
+        linalg.reduced_rows([{-1: 2}], 3)
     with pytest.raises(ValueError, match="needs ncols"):
         linalg.rref([{0: 1}])
     with pytest.raises(ValueError, match="needs ncols"):
@@ -357,7 +377,7 @@ small_matrix = st.integers(min_value=1, max_value=4).flatmap(
 def test_rref_idempotent_and_rank_stable(rows):
     reduced = linalg.rref(rows)
     assert linalg.rref(reduced) == reduced
-    assert linalg.rank(rows) == len(reduced)
+    assert len(linalg.reduced_rows(rows)) == len(reduced)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,7 +385,7 @@ def test_rref_idempotent_and_rank_stable(rows):
 def test_nullspace_vectors_annihilate(rows):
     ncols = len(rows[0])
     basis = linalg.nullspace(rows, ncols=ncols)
-    assert len(basis) == ncols - linalg.rank(rows)
+    assert len(basis) == ncols - len(linalg.reduced_rows(rows))
     for v in basis:
         for row in rows:
             assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
@@ -389,7 +409,7 @@ def test_inverse_inverts(rows):
     n = len(rows[0])
     square = rows[:n] + [linalg.unit_vector(n, i) for i in range(len(rows), n)]
     inv = inverse(square)
-    if linalg.rank(square) < n:
+    if len(linalg.reduced_rows(square)) < n:
         assert inv is None
         return
     for i in range(n):
