@@ -30,7 +30,8 @@ from . import linalg
 from .linalg import InputError, Matrix, Vector, ZERO, coefficient
 
 # the most basis labels of a catalog id or file.  On N(31, 2), dim 496, 2-vCPU
-# x86-64: lattice 2.3 s, pittet 0.7 s, others < 0.4 s; pittet --json is ~1.6 GB
+# x86-64, CLI wall time: lattice 0.4 s, pittet 1.2 s, others < 0.6 s, of which
+# about 0.2 s is interpreter start-up; pittet --json would print ~1.6 GB
 MAX_DIMENSION = 512
 
 
@@ -52,6 +53,16 @@ class CheckResult:
 def _is_label_list(value) -> bool:
     """A list or tuple of ``str``; a string is a sequence of characters."""
     return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+
+
+def require_budget(dimension: int) -> None:
+    """InputError for a dimension over MAX_DIMENSION, checked by the
+    constructor and by each catalog family before it makes a label.  A
+    dimension of 2^64 or more is not printed: past the interpreter's limit
+    on int digits it has no decimal string."""
+    if dimension > MAX_DIMENSION:
+        size = "dimension %d" % dimension if dimension < 1 << 64 else "dimension"
+        raise InputError("%s is over the budget of %d" % (size, MAX_DIMENSION))
 
 
 def require_two_step(
@@ -90,10 +101,8 @@ class GradedLieAlgebra:
         layers: Sequence[Sequence[str]],
         brackets: Mapping[tuple[str, str], Mapping[str, object]],
     ) -> None:
-        if isinstance(basis, (list, tuple)) and len(basis) > MAX_DIMENSION:
-            raise InputError(
-                "dimension %d is over the budget of %d" % (len(basis), MAX_DIMENSION)
-            )
+        if isinstance(basis, (list, tuple)):
+            require_budget(len(basis))
         if not isinstance(name, str):
             raise InputError("algebra name must be a string")
         if not _is_label_list(basis):
@@ -185,13 +194,6 @@ class GradedLieAlgebra:
         except (KeyError, TypeError):
             raise InputError("unknown basis label %r" % (label,)) from None
 
-    def label(self, i: int) -> str:
-        return self.basis[i]
-
-    def layer_of(self, i: int) -> int:
-        """1-based layer of basis position ``i``."""
-        return self.weights[i]
-
     def structure_pairs(self) -> tuple[tuple[int, int, dict[int, Fraction]], ...]:
         """Nonzero brackets of basis pairs as (u, v, {w: coeff}) with u < v,
         in lexicographic order of (u, v)."""
@@ -204,9 +206,6 @@ class GradedLieAlgebra:
         )
 
     # -- vectors ---------------------------------------------------------
-
-    def zero(self) -> Vector:
-        return linalg.zero_vector(self.dimension)
 
     def basis_vector(self, label_or_index) -> Vector:
         i = label_or_index if isinstance(label_or_index, int) else self.index(label_or_index)
@@ -490,7 +489,3 @@ class Dilation:
 
     def __call__(self, v: Sequence[Fraction]) -> Vector:
         return tuple(f * c for f, c in zip(self.factors, v, strict=True))
-
-
-def dilation(algebra: GradedLieAlgebra, t) -> Dilation:
-    return Dilation(algebra, t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import GradedLieAlgebra, Subspace
+from .algebra import GradedLieAlgebra, Subspace, require_budget
 from .linalg import InputError, parse_coefficient
 
 
@@ -65,6 +65,14 @@ _HOROSPHERE_NOTE = (
 )
 
 
+def _require(family: str, n: int, dimension: int) -> None:
+    """A family's checks of n, made before it makes a label: n >= 1 and
+    its dimension within the budget."""
+    if n < 1:
+        raise InputError("%s needs n >= 1" % family)
+    require_budget(dimension)
+
+
 def _relations(n: int, table) -> Callable[[], dict]:
     """The maker of the brackets [a_q, b_q] = c, for q = 1..n in turn and
     each row (a, b, c) of ``table`` in order."""
@@ -78,8 +86,7 @@ def _relations(n: int, table) -> Callable[[], dict]:
 @_family
 def heisenberg_c(n: int):
     """Complex Heisenberg algebra: dimension 2n+1, layers (2n, 1)."""
-    if n < 1:
-        raise InputError("heisenberg_c needs n >= 1")
+    _require("heisenberg_c", n, 2 * n + 1)
     first = ["%s%d" % (a, q) for a in "jk" for q in range(1, n + 1)]
     notes = (
         "no designated horizontal subspace is shipped; span(j1..jn) is one "
@@ -93,8 +100,7 @@ def heisenberg_c(n: int):
 @_family
 def heisenberg_h(n: int):
     """Quaternionic Heisenberg algebra: dimension 4n+3, layers (4n, 3)."""
-    if n < 1:
-        raise InputError("heisenberg_h needs n >= 1")
+    _require("heisenberg_h", n, 4 * n + 3)
     first = ["%s%d" % (a, q) for a in "hijk" for q in range(1, n + 1)]
     notes = (
         "hausdorff dimension follows the grading formula (4n+6 here); the "
@@ -126,8 +132,7 @@ _OCTONION_RELATIONS = (
 @_family
 def heisenberg_o(n: int):
     """Octonionic Heisenberg algebra: dimension 8n+7, layers (8n, 7)."""
-    if n < 1:
-        raise InputError("heisenberg_o needs n >= 1")
+    _require("heisenberg_o", n, 8 * n + 7)
     first = ["%s%d" % (a, q) for a in "defghijk" for q in range(1, n + 1)]
     centre = list("EFGHIJK")
     notes = (
@@ -168,8 +173,7 @@ def unipotent(n: int):
 @_family
 def abelian(n: int):
     """Abelian algebra of dimension n; a single layer and no brackets."""
-    if n < 1:
-        raise InputError("abelian needs n >= 1")
+    _require("abelian", n, n)
     basis = ["x%d" % q for q in range(1, n + 1)]
     notes = ("designated subspace: the whole space",)
     return _Layout("abelian:%d" % n, (basis,), basis, notes), lambda: {}
@@ -183,7 +187,11 @@ def build(key: str) -> CatalogEntry:
         raise InputError("unknown catalog id %r (families: %s)" % (key, known))
     if not re.fullmatch(r"-?(0|[1-9][0-9]*)", param):
         raise InputError("catalog parameter must be an integer: %r" % key)
-    return _entry(*_FAMILIES[family](int(param)))
+    # int() refuses digits past the interpreter's limit, so a parameter of 20
+    # or more characters is read as +-2^64; every family's dimension is at
+    # least n, so that is below 1 or over the budget, as the number itself is
+    n = int(param) if len(param) < 20 else (-1 if param[0] == "-" else 1) << 64
+    return _entry(*_FAMILIES[family](n))
 
 
 # the standard verification set: all families at small sizes

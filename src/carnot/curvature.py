@@ -137,7 +137,7 @@ def trichotomy_report(
         raise InputError("subspace is not horizontal")
     chosen = [i for w, _ in s.integer_rows for i in w]
     first = [i for i in algebra.layers[0] if i not in set(chosen)]
-    rest = [i for i in range(algebra.dimension) if algebra.layer_of(i) > 1]
+    rest = [i for i, w in enumerate(algebra.weights) if w > 1]
     order = chosen + first + rest
     names = tuple(algebra.basis[i] for i in order)
 

@@ -69,10 +69,6 @@ class GroupElement:
         return "GroupElement(%s)" % self.algebra.describe(self.coords)
 
 
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x * y
-
-
 def group_scaling(t, g: GroupElement) -> GroupElement:
     """Dilation as a group automorphism in exponential coordinates."""
     d = Dilation(g.algebra, t)

@@ -188,11 +188,13 @@ def hermite_extend(basis: dict[int, dict[int, int]], row: dict[int, int]) -> Non
         _subtract(row, q, row[p] // q[p])
         if p in row:
             basis[p], row = row, q
-    for p in sorted(basis):
-        lead = basis[p]
-        for q in basis.values():
-            if q is not lead and p in q:
-                _subtract(q, lead, q[p] // lead[p])
+    # q - k basis[j] changes q only from column j on, so each row is reduced
+    # at the later pivots in its own support, re-read after each step
+    for p, q in basis.items():
+        j = p
+        while later := [c for c in q if c > j and c in basis]:
+            j = min(later)
+            _subtract(q, basis[j], q[j] // basis[j][j])
 
 
 def _subtract(target: dict[int, int], row: dict[int, int], k: int) -> None:

@@ -184,8 +184,6 @@ def predict_filling(bundle: HypothesisBundle) -> list[GrowthBound]:
                 add(gap, Fraction(k + 2, k + 1), "strictly_above", GAP_STRICT_LOWER,
                     _STRICT_NOTE)
         for j in range(0, k):
-            if n - j < 2:
-                continue
             if lat:
                 add(n - j, high(j), "equivalent", HIGH_SUBEUCLIDEAN)
             else:
@@ -234,8 +232,6 @@ def predict_divergence(bundle: HypothesisBundle) -> list[GrowthBound]:
                 "scales the Euclidean filling lower bound; no lattice needed")
         for j in range(1, k):
             m = n - j - 1
-            if not 1 <= m <= divdim:
-                continue
             if lat:
                 add(m, high(j), "equivalent", DIV_HIGH, _INDEXING_NOTE)
             else:

@@ -370,12 +370,12 @@ def graded_transport(table, layers, rng):
             for j, a in enumerate(layer):
                 blocks[u, a] = block[i][j]
                 inverses[a, u] = inverse[j][i]
-    layer_of = {label: layer for layer in layers for label in layer}
+    layer_containing = {label: layer for layer in layers for label in layer}
 
     def to_new(v):
         out = {}
         for u, c in v.items():
-            for a in layer_of[u]:
+            for a in layer_containing[u]:
                 out[a] = out.get(a, Fraction(0)) + inverses[a, u] * c
         return {a: c for a, c in out.items() if c}
 
@@ -388,8 +388,8 @@ def graded_transport(table, layers, rng):
     transported = {}
     for a, b in itertools.combinations(labels, 2):
         total = {}
-        for u in layer_of[a]:
-            for v in layer_of[b]:
+        for u in layer_containing[a]:
+            for v in layer_containing[b]:
                 coeff = blocks[u, a] * blocks[v, b]
                 if coeff:
                     for w, c in old_bracket(u, v).items():
@@ -470,7 +470,7 @@ def strict_upper_matrix(n: int, coords, algebra: GradedLieAlgebra):
     """Dense n x n matrix from coordinates in the Euv basis."""
     m = [[Fraction(0)] * n for _ in range(n)]
     for idx, c in enumerate(coords):
-        label = algebra.label(idx)
+        label = algebra.basis[idx]
         u, v = int(label[1]), int(label[2])
         m[u - 1][v - 1] = Fraction(c)
     return m
@@ -490,7 +490,7 @@ def matrix_commutator(a, b):
 def matrix_to_coords(m, algebra: GradedLieAlgebra):
     coords = []
     for idx in range(algebra.dimension):
-        label = algebra.label(idx)
+        label = algebra.basis[idx]
         u, v = int(label[1]), int(label[2])
         coords.append(m[u - 1][v - 1])
     return tuple(coords)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnot import catalog
+from carnot import catalog, linalg
 from carnot import (
     InputError,
     algebra_from_dict,
@@ -19,6 +19,7 @@ from carnot import (
     save_algebra,
     stratification_check,
 )
+from carnot.algebra import MAX_DIMENSION
 
 F = Fraction
 
@@ -78,7 +79,7 @@ def test_quaternion_bracket_spot_checks():
         assert got == algebra.vector({target: 1}), (a, b)
     # different indices commute
     got = algebra.bracket(algebra.basis_vector("i1"), algebra.basis_vector("h2"))
-    assert got == algebra.zero()
+    assert got == linalg.zero_vector(algebra.dimension)
 
 
 def test_designated_subspaces():
@@ -195,3 +196,48 @@ def test_the_listing_summaries_come_from_the_layouts_alone(monkeypatch):
 
     monkeypatch.setattr(catalog, "GradedLieAlgebra", no_algebra)
     assert catalog.default_summaries() == expected
+
+
+def refuse_labels_past_the_budget(monkeypatch):
+    # every family makes its labels, and its brackets after them, from
+    # range(1, n + 1): this spy stops an id that would make labels past the
+    # budget before it could fill the memory
+    def spy(*args):
+        if max(args) > MAX_DIMENSION + 1:
+            raise AssertionError("labels made past the budget: range%r" % (args,))
+        return range(*args)
+
+    monkeypatch.setattr(catalog, "range", spy, raising=False)
+
+
+OVER_BUDGET_IDS = [
+    ("heisenberg_c:1000000", "dimension 2000001 is over the budget of 512"),
+    ("heisenberg_h:1000000", "dimension 4000003 is over the budget of 512"),
+    ("heisenberg_o:1000000", "dimension 8000007 is over the budget of 512"),
+    ("heisenberg_o:64", "dimension 519 is over the budget of 512"),
+    ("abelian:513", "dimension 513 is over the budget of 512"),
+    ("abelian:3000000", "dimension 3000000 is over the budget of 512"),
+    # 2n + 1 >= 2^64 is not printed, nor a parameter int() may not read
+    ("heisenberg_c:9999999999999999999", "dimension is over the budget of 512"),
+    ("abelian:18446744073709551615", "dimension is over the budget of 512"),
+    ("heisenberg_o:" + "9" * 4300, "dimension is over the budget of 512"),
+    ("abelian:" + "1" * 5000, "dimension is over the budget of 512"),
+    ("abelian:-" + "1" * 5000, "abelian needs n >= 1"),
+    ("unipotent:" + "1" * 5000, "unipotent needs 3 <= n <= 9 (labels are digit pairs)"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, message", OVER_BUDGET_IDS, ids=[key[:24] for key, _ in OVER_BUDGET_IDS]
+)
+def test_an_id_over_the_budget_is_refused_before_any_label(monkeypatch, key, message):
+    refuse_labels_past_the_budget(monkeypatch)
+    with pytest.raises(InputError) as info:
+        build(key)
+    assert str(info.value) == message
+
+
+def test_the_largest_ids_within_the_budget_build(monkeypatch):
+    refuse_labels_past_the_budget(monkeypatch)
+    assert build("abelian:512").algebra.dimension == 512
+    assert build("heisenberg_o:63").algebra.dimension == 511

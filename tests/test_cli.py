@@ -256,6 +256,24 @@ def test_predict_lattice_off(capsys):
     assert "scalable lattice: not assumed" in out
 
 
+def test_predict_lattice_off_keeps_the_high_divergence_band_as_lower_bounds(capsys):
+    # k = 2 puts one row of the two-sided high band at m = n - 2 = 13; without
+    # the lattice it keeps the exponent of the equivalence as a lower bound
+    rows = {}
+    for lattice in ("yes", "no"):
+        code, out, _ = run(capsys, "predict", "heisenberg_h:3", "--lattice", lattice)
+        assert code == 0
+        rows[lattice] = [line for line in out.splitlines() if line.startswith("  Div^")]
+    assert "  Div^13: ~ r^(221/16) [div-high-equivalence]" in rows["yes"]
+    assert "  Div^13: >= r^(221/16) [div-high-lower-only]" in rows["no"]
+    for yes, no in zip(rows["yes"], rows["no"], strict=True):
+        if "[div-high-equivalence]" in yes:
+            m, exponent = yes.split(": ~ ")[0], yes.split()[2]
+            assert no == "%s: >= %s [div-high-lower-only]" % (m, exponent)
+        else:
+            assert no == yes
+
+
 def test_predict_degraded_table(capsys):
     code, out, _ = run(
         capsys, "predict", "unipotent:4", "--subspace", "E12,E34"
@@ -925,6 +943,62 @@ def test_a_dimension_over_the_budget_is_an_input_error(capsys):
     code, out, err = run(capsys, "check", "abelian:513")
     assert_one_error(code, out, err)
     assert err == "error: dimension 513 is over the budget of 512\n"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("heisenberg_o:1000000", "dimension 8000007 is over the budget of 512"),
+        ("abelian:3000000", "dimension 3000000 is over the budget of 512"),
+        # a parameter past the interpreter's limit on the digits of an int
+        ("abelian:" + "1" * 5000, "dimension is over the budget of 512"),
+    ],
+    ids=["heisenberg_o:1000000", "abelian:3000000", "abelian:5000-ones"],
+)
+def test_an_id_over_the_budget_is_refused_before_it_is_built(
+    capsys, monkeypatch, key, message
+):
+    from test_catalog import refuse_labels_past_the_budget
+
+    refuse_labels_past_the_budget(monkeypatch)
+    code, out, err = run(capsys, "check", key)
+    assert_one_error(code, out, err)
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["brackets"][0].update(right="j1"),
+            "bracket of 'j1' with itself listed",
+        ),
+        (
+            lambda doc: doc["brackets"].append(doc["brackets"][0]),
+            "bracket pair (j1, k1) listed twice",
+        ),
+    ],
+    ids=["with-itself", "twice-in-one-orientation"],
+)
+def test_check_refuses_a_bracket_table_that_lists_a_pair_wrongly(
+    capsys, tmp_path, edit, message
+):
+    doc = algebra_to_dict(build("heisenberg_c:1").algebra)
+    edit(doc)
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_error(code, out, err)
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "key", ["heisenberg_c:0", "heisenberg_h:0", "heisenberg_o:-1", "abelian:0"]
+)
+def test_check_refuses_a_family_parameter_below_1(capsys, key):
+    code, out, err = run(capsys, "check", key)
+    assert_one_error(code, out, err)
+    assert err == "error: %s needs n >= 1\n" % key.partition(":")[0]
 
 
 # valid documents of each file kind, with the command that reads them

@@ -151,6 +151,25 @@ def test_evaluate_is_alternating(coords, seed):
     assert form.evaluate([v, v, basis[1]]) == 0
 
 
+def test_form_arithmetic_refuses_mismatched_operands():
+    algebra, other = build("heisenberg_c:1").algebra, build("heisenberg_c:2").algebra
+    j, k = dual(algebra, "j1"), dual(algebra, "k1")
+    cases = [
+        (lambda: j + dual(other, "j1"), "forms live on different algebras"),
+        (lambda: j.wedge(dual(other, "j1")), "forms live on different algebras"),
+        (lambda: j + j.wedge(k), "cannot add forms of different degree"),
+        (
+            lambda: j.wedge(k).evaluate([algebra.basis_vector("j1")]),
+            "form of degree 2 applied to 1 vectors",
+        ),
+        (lambda: wedge(), "wedge of nothing"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # -- differential against the defining sum ---------------------------------------
 
 
@@ -305,13 +324,13 @@ def test_scaling_weight_of_zero_form_rejected():
     st.integers(0, 10**6),
 )
 def test_uniform_weight_matches_dilation_action(t, seed):
-    from carnot import dilation
+    from carnot import Dilation
 
     algebra = build("heisenberg_h:1").algebra
     rng = random.Random(seed)
     form = wedge(dual(algebra, "I"), dual(algebra, rng.choice(["h1", "i1", "j1"])))
     weight = scaling_weight(form).uniform
-    d = dilation(algebra, t)
+    d = Dilation(algebra, t)
     vectors = [tuple(F(rng.randint(-2, 2)) for _ in range(7)) for _ in range(2)]
     assert form.evaluate([d(v) for v in vectors]) == t**weight * form.evaluate(vectors)
 
@@ -343,6 +362,55 @@ def test_cube_form_requires_horizontal_prefix():
     algebra, _ = cube_setup("heisenberg_h:1", ["h1"])
     with pytest.raises(InputError):
         cube_form(algebra, 2, ["h1", "I", "i1", "j1", "k1", "J", "K"])
+
+
+def test_cube_form_signs_the_kept_order_by_its_inversions():
+    # the monomial is the sorted kept order, with the sign of the permutation
+    # that sorts it: one swap makes it odd
+    algebra, _ = cube_setup("heisenberg_c:1", ["j1"])
+    assert cube_form(algebra, 0, ["j1", "k1", "K"]).terms == {(0, 1, 2): F(1)}
+    assert cube_form(algebra, 0, ["k1", "j1", "K"]).terms == {(0, 1, 2): F(-1)}
+    assert cube_form(algebra, 1, ["j1", "K", "k1"]).terms == {(1, 2): F(-1)}
+    assert cube_form(algebra, 0, ["K", "k1", "j1"]).terms == {(0, 1, 2): F(-1)}
+    assert cube_form(algebra, 0, ["k1", "K", "j1"]).terms == {(0, 1, 2): F(1)}
+
+
+CUBE_ARGUMENT_ERRORS = [
+    (
+        lambda a, s: cube_form(a, 0, ["j1", "k1"]),
+        "order must be a permutation of the basis",
+    ),
+    (
+        lambda a, s: cube_form(a, 3, ["j1", "k1", "K"]),
+        "omit must be between 0 and dim V1",
+    ),
+    (
+        lambda a, s: cube_form(a, -1, ["j1", "k1", "K"]),
+        "omit must be between 0 and dim V1",
+    ),
+    (
+        lambda a, s: cube_form(a, 1, ["K", "j1", "k1"]),
+        "omitted prefix contains the non-horizontal K",
+    ),
+    (
+        lambda a, s: check_cube_closed(a, Subspace(a, [(1, 1, 0)]), 0),
+        "cube ordering needs a span of basis vectors",
+    ),
+    (
+        lambda a, s: check_cube_closed(a, Subspace.from_labels(a, ["K"]), 0),
+        "subspace is not horizontal",
+    ),
+    (lambda a, s: check_cube_closed(a, s, 2), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(a, s, -1), "omit must be between 0 and dim s"),
+]
+
+
+@pytest.mark.parametrize("call, message", CUBE_ARGUMENT_ERRORS)
+def test_cube_arguments_are_input_errors(call, message):
+    algebra, s = cube_setup("heisenberg_c:1", ["j1"])
+    with pytest.raises(InputError) as info:
+        call(algebra, s)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

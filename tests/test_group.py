@@ -18,7 +18,6 @@ from carnot import (
     check_scaling_closure,
     default_entries,
     group_scaling,
-    multiply,
 )
 from carnot import algebra as algebra_module, linalg
 from carnot.algebra import jacobi_check
@@ -83,11 +82,26 @@ def test_three_step_coordinates_rejected():
         GroupElement.identity(algebra)
 
 
+def test_coordinates_of_the_wrong_length_are_an_input_error():
+    algebra = build("heisenberg_c:1").algebra
+    for coords in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(InputError) as info:
+            GroupElement(algebra, coords)
+        assert str(info.value) == "coordinate length does not match the algebra"
+
+
+def test_lattice_generators_that_do_not_span_are_an_input_error():
+    algebra = build("heisenberg_c:1").algebra
+    with pytest.raises(InputError) as info:
+        LatticeSpec(algebra, ((1, 0, 0), (2, 0, 0), (0, 0, 1)))
+    assert str(info.value) == "lattice generators must span the algebra"
+
+
 def test_multiply_rejects_mixed_groups():
     a = build("heisenberg_c:1").algebra
     b = build("heisenberg_c:2").algebra
     with pytest.raises(InputError):
-        multiply(GroupElement.identity(a), GroupElement.identity(b))
+        GroupElement.identity(a) * GroupElement.identity(b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -58,7 +58,7 @@ def test_non_isotropic_pair_reports_witness():
     result = is_isotropic(algebra, s)
     assert not result
     x, y = result.witness
-    assert algebra.bracket(x, y) != algebra.zero()
+    assert algebra.bracket(x, y) != linalg.zero_vector(3)
 
 
 # -- regularity ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra kernels."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot import LatticeSpec, build, linalg
+from carnot import GradedLieAlgebra, LatticeSpec, build, linalg
 from helpers import (
+    free_two_step,
     naive_hermite,
     naive_inverse,
     naive_nullspace,
@@ -262,9 +264,32 @@ def random_hermite_case(seed):
     return rows
 
 
+def free_two_step_rows(n):
+    # the brackets of N(n, 2) as the lattice build reads them: one row over
+    # the whole basis per pair of generators, in lexicographic pair order
+    basis, _, table = free_two_step(n)
+    return [[result.get(label, 0) for label in basis] for result in table.values()]
+
+
+def rank_deficient_case(seed):
+    # more rows than the rank, each a combination of the same few dense
+    # rows with entries in [-3, 3]
+    rng = random.Random(seed)
+    ncols = rng.randint(3, 8)
+    base = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(ncols)]
+            for _ in range(rng.randint(1, ncols - 1))]
+    return [
+        [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)]
+        for coeffs in ([rng.randint(-3, 3) for _ in base] for _ in range(ncols + 2))
+    ]
+
+
 @pytest.mark.parametrize(
     "rows",
-    HERMITE_CASES + [random_hermite_case(seed) for seed in range(40)],
+    HERMITE_CASES
+    + [random_hermite_case(seed) for seed in range(40)]
+    + [free_two_step_rows(n) for n in (2, 3, 4, 5)]
+    + [rank_deficient_case(seed) for seed in range(10)],
 )
 def test_hermite_extend_matches_xgcd_hermite_form(rows):
     # the HNF of a Z-module is unique, so after every insertion the basis
@@ -278,6 +303,41 @@ def test_hermite_extend_matches_xgcd_hermite_form(rows):
         )
         assert got == naive_hermite(rows[: k + 1], ncols)
         assert all(basis[p][p] > 0 and min(basis[p]) == p for p in basis)
+
+
+def test_hermite_sweep_visits_each_basis_row_once_per_insertion():
+    # on N(12, 2) every bracket is a unit row on a pivot of its own, so no
+    # row needs reducing; the sweep still reads each basis row once per
+    # insertion, 1 + 2 + ... + 66 reads, where a sweep over every (pivot,
+    # row) pair reads the square of the rank on each insertion
+    class CountingBasis(dict):
+        visits = 0
+
+        def __getitem__(self, key):
+            self.visits += 1
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.visits += 1
+            return super().get(key, default)
+
+        def values(self):
+            for value in super().values():
+                self.visits += 1
+                yield value
+
+        def items(self):
+            for item in super().items():
+                self.visits += 1
+                yield item
+
+    algebra = GradedLieAlgebra("N(12, 2)", *free_two_step(12))
+    v1, v2 = algebra.layers
+    basis = CountingBasis()
+    for a, b in itertools.combinations(v1, 2):
+        linalg.hermite_extend(basis, dict(algebra.adjacency[a][b]))
+    assert basis == {i: {i: 1} for i in v2}
+    assert basis.visits == len(v2) * (len(v2) + 1) // 2 == 2211
 
 
 def test_solve_rejects_sparse_rows():
