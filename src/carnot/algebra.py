@@ -13,10 +13,10 @@ bilinear sum over the supports of two vectors; the bracket, the structure
 pairs and single constants divide by D where they return.  Coefficients
 outside are Fractions throughout, so every decision this module makes
 (ranks, spans, equalities) is exact.  Constants that are not ints are
-read by ``linalg.coefficient``, the one parser, and the shape of an
-algebra (its name, basis, layers and labels, within MAX_DIMENSION) is
-checked once, in the ``GradedLieAlgebra`` constructor that every catalog
-id, file and library caller goes through.
+read by ``linalg.coefficient``, the one parser.  One integer-table core
+builds every algebra from basis positions: catalog families hand it their
+entries, and files and library callers go through the label constructor,
+which checks names, labels and MAX_DIMENSION and reads them into it.
 """
 
 from __future__ import annotations
@@ -81,15 +81,16 @@ def require_two_step(
 class GradedLieAlgebra:
     """Finite-dimensional Lie algebra with a declared layer grading.
 
-    ``brackets`` maps label pairs to sparse results, e.g.
-    ``{("a", "b"): {"c": 1}}`` for [a, b] = c.  Listing both orientations of
-    the same pair is an error even when the entries are consistent.
-    Construction validates shape only, once for every caller: a ``str``
-    name, a basis of at most MAX_DIMENSION labels, basis and layers as
-    lists or tuples of ``str`` (a string is not a list of labels), known
-    labels everywhere.  Jacobi and stratification are left to ``validity``,
-    run once on first use, so that defective tables can be built and then
-    diagnosed; ``require_valid`` is the gate every verdict goes through.
+    The constructor reads labels: ``brackets`` maps label pairs to sparse
+    results, e.g. ``{("a", "b"): {"c": 1}}`` for [a, b] = c; listing both
+    orientations of one pair is an error even when they agree.  It checks a
+    ``str`` name, at most MAX_DIMENSION labels, basis and layers as lists or
+    tuples of ``str`` (a string is not a list of labels) and known labels,
+    and hands positions and integers to the core, ``_shape`` and ``_table``,
+    which ``_from_table`` runs alone on a catalog family's entries.  Jacobi
+    and stratification are left to ``validity``, run once on first use, so
+    that defective tables can be built and then diagnosed; ``require_valid``
+    is the gate every verdict goes through.
     ``denominator``, ``adjacency`` and ``into`` are the integer structure
     constants of the module docstring, shared: callers read, never write.
     """
@@ -109,6 +110,40 @@ class GradedLieAlgebra:
             raise InputError("basis must be a list of label strings")
         if not (isinstance(layers, (list, tuple)) and all(map(_is_label_list, layers))):
             raise InputError("layers must be a list of lists of label strings")
+        # the core reads each layer as it checks it, so errors keep their order
+        self._shape(name, basis, ([self.index(l) for l in layer] for layer in layers))
+
+        listed: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        for (left, right), result in brackets.items():
+            u, v = self.index(left), self.index(right)
+            if u == v:
+                raise InputError("bracket of %r with itself listed" % left)
+            if (u, v) in listed or (v, u) in listed:
+                raise InputError(
+                    "bracket pair (%s, %s) listed twice" % (left, right)
+                )
+            listed[u, v] = {
+                self.index(label): coeff if type(coeff) is int else coefficient(coeff)
+                for label, coeff in result.items()
+            }
+
+        d = math.lcm(*(c.denominator for e in listed.values() for c in e.values()))
+        self._table(d, (
+            (u, v, w, c.numerator * (d // c.denominator))
+            for (u, v), entry in listed.items() for w, c in entry.items()
+        ))
+
+    @classmethod
+    def _from_table(cls, name, basis, layers, entries):
+        """The integer-table core on ``layers`` as position tuples and one
+        (u, v, w, a) per component a b_w of [b_u, b_v], u != v, each pair
+        once, denominator 1: it checks the O(dim) shape and trusts the rest."""
+        algebra = cls.__new__(cls)
+        algebra._shape(name, basis, layers)
+        algebra._table(1, entries)
+        return algebra
+
+    def _shape(self, name, basis, layers) -> None:
         self.name = name
         self.basis = tuple(basis)
         if len(set(self.basis)) != len(self.basis):
@@ -117,11 +152,11 @@ class GradedLieAlgebra:
             raise InputError("empty basis")
         self._index = {label: i for i, label in enumerate(self.basis)}
 
-        # a weight of 0 marks a label no layer has claimed yet
+        # a weight of 0 marks a position no layer has claimed yet
         weights = [0] * len(self.basis)
         layer_indices = []
         for depth, layer in enumerate(layers, start=1):
-            idx = tuple(self.index(label) for label in layer)
+            idx = tuple(layer)
             if not idx:
                 raise InputError("empty layer")
             layer_indices.append(idx)
@@ -135,31 +170,14 @@ class GradedLieAlgebra:
         self.layers: tuple[tuple[int, ...], ...] = tuple(layer_indices)
         self.weights = tuple(weights)
 
-        listed: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-        for (left, right), result in brackets.items():
-            u, v = self.index(left), self.index(right)
-            if u == v:
-                raise InputError("bracket of %r with itself listed" % left)
-            if (u, v) in listed or (v, u) in listed:
-                raise InputError(
-                    "bracket pair (%s, %s) listed twice" % (left, right)
-                )
-            entry = listed[u, v] = {}
-            for label, coeff in result.items():
-                w = self.index(label)
-                c = coeff if type(coeff) is int else coefficient(coeff)
-                entry[w] = entry.get(w, 0) + c
-
-        d = math.lcm(*(c.denominator for e in listed.values() for c in e.values()))
+    def _table(self, d: int, entries) -> None:
         adjacency: list[dict[int, dict[int, int]]] = [{} for _ in self.basis]
         into: list[list[tuple[int, int, int]]] = [[] for _ in self.basis]
-        for (u, v), entry in listed.items():
-            for w, c in entry.items():
-                if c:
-                    a = c.numerator * (d // c.denominator)
-                    adjacency[u].setdefault(v, {})[w] = a
-                    adjacency[v].setdefault(u, {})[w] = -a
-                    into[w].append((u, v, a) if u < v else (v, u, -a))
+        for u, v, w, a in entries:
+            if a:
+                adjacency[u].setdefault(v, {})[w] = a
+                adjacency[v].setdefault(u, {})[w] = -a
+                into[w].append((u, v, a) if u < v else (v, u, -a))
         self.denominator = d
         self.adjacency = tuple(adjacency)
         self.into = tuple(map(tuple, into))

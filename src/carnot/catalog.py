@@ -4,18 +4,20 @@ Families: Heisenberg groups over the complex, quaternion and octonion
 algebras, strictly upper triangular matrices, and abelian space.  Each
 entry carries the algebra, an optional designated horizontal subspace used
 by the certification examples, and free-form notes.  A family gives the
-labels apart from the brackets, which the catalog listing never makes.
+labels apart from its brackets, integer entries on basis positions, so it
+formats no label for a bracket, and the catalog listing makes no bracket.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .algebra import GradedLieAlgebra, Subspace, require_budget
 from .linalg import InputError, parse_coefficient
@@ -29,30 +31,27 @@ class CatalogEntry:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-class _Layout:
-    """An entry without its brackets: the layers, whose concatenation is
-    the basis, the designated labels in basis order or None, the notes."""
-
-    __slots__ = ("key", "layers", "designated", "notes")
-
-    def __init__(self, key: str, layers: tuple, designated: list | None, notes):
-        self.key, self.layers = key, layers
-        self.designated, self.notes = designated, notes
+# an entry without its brackets: the layers, whose concatenation is the
+# basis, the designated labels in basis order or None, the notes
+_Layout = collections.namedtuple("_Layout", "key layers designated notes")
 
 
 _FAMILIES: dict[str, Callable] = {}
 
 
-def _family(layout: Callable[[int], tuple[_Layout, Callable[[], dict]]]):
+def _family(layout: Callable[[int], tuple[_Layout, Iterable[tuple]]]):
     """Register a family by its function of n, which returns the layout and
-    a maker of the brackets, and return the builder of its entries."""
+    a lazy iterable of its positional entries (u, v, w, a), [b_u, b_v]
+    having the component a b_w; return the function that builds its entries."""
     _FAMILIES[layout.__name__] = layout
     return functools.wraps(layout)(lambda n: _entry(*layout(n)))
 
 
-def _entry(layout: _Layout, brackets: Callable[[], dict]) -> CatalogEntry:
+def _entry(layout: _Layout, entries: Iterable[tuple]) -> CatalogEntry:
     basis = [label for layer in layout.layers for label in layer]
-    algebra = GradedLieAlgebra(layout.key, basis, layout.layers, brackets())
+    positions = iter(range(len(basis)))
+    layers = [tuple(itertools.islice(positions, len(layer))) for layer in layout.layers]
+    algebra = GradedLieAlgebra._from_table(layout.key, basis, layers, entries)
     labels = layout.designated
     designated = None if labels is None else Subspace.from_labels(algebra, labels)
     return CatalogEntry(layout.key, algebra, designated, layout.notes)
@@ -73,51 +72,48 @@ def _require(family: str, n: int, dimension: int) -> None:
     require_budget(dimension)
 
 
-def _relations(n: int, table) -> Callable[[], dict]:
-    """The maker of the brackets [a_q, b_q] = c, for q = 1..n in turn and
-    each row (a, b, c) of ``table`` in order."""
-    return lambda: {
-        ("%s%d" % (a, q), "%s%d" % (b, q)): {c: 1}
-        for q in range(1, n + 1)
-        for a, b, c in table
-    }
+def _heisenberg(family: str, n: int, letters: str, centre: str, table, notes):
+    """The layout of a Heisenberg family, layers a_q (a in ``letters``, q =
+    1..n) and ``centre``, designated span(a_1..a_n) for the first letter a,
+    and its entries [a_q, b_q] = c for q = 1..n and each row (a, b, c) of
+    ``table`` in turn, a_q at position k n + q - 1 for the k-th letter."""
+    _require(family, n, len(letters) * n + len(centre))
+    first = ["%s%d" % (a, q) for a in letters for q in range(1, n + 1)]
+    at = {a: k * n for k, a in enumerate(letters)}
+    rows = [(at[a], at[b], len(first) + centre.index(c)) for a, b, c in table]
+    notes = (*notes, _HOROSPHERE_NOTE)
+    layout = _Layout("%s:%d" % (family, n), (first, list(centre)), first[:n], notes)
+    return layout, ((a + q, b + q, c, 1) for q in range(n) for a, b, c in rows)
 
 
 @_family
 def heisenberg_c(n: int):
     """Complex Heisenberg algebra: dimension 2n+1, layers (2n, 1)."""
-    _require("heisenberg_c", n, 2 * n + 1)
-    first = ["%s%d" % (a, q) for a in "jk" for q in range(1, n + 1)]
     notes = (
         "no designated horizontal subspace is shipped; span(j1..jn) is one "
         "valid choice and the certification tools accept any",
-        _HOROSPHERE_NOTE,
     )
-    layout = _Layout("heisenberg_c:%d" % n, (first, ["K"]), None, notes)
-    return layout, _relations(n, [("k", "j", "K")])
+    layout, entries = _heisenberg("heisenberg_c", n, "jk", "K", [("k", "j", "K")], notes)
+    return layout._replace(designated=None), entries
 
 
 @_family
 def heisenberg_h(n: int):
     """Quaternionic Heisenberg algebra: dimension 4n+3, layers (4n, 3)."""
-    _require("heisenberg_h", n, 4 * n + 3)
-    first = ["%s%d" % (a, q) for a in "hijk" for q in range(1, n + 1)]
     notes = (
         "hausdorff dimension follows the grading formula (4n+6 here); the "
         "topological dimension 4n+3 is a different invariant and the two are "
         "easy to conflate",
         "designated subspace: span(h1..hn)",
-        _HOROSPHERE_NOTE,
     )
-    layout = _Layout("heisenberg_h:%d" % n, (first, list("IJK")), first[:n], notes)
-    return layout, _relations(n, [
+    return _heisenberg("heisenberg_h", n, "hijk", "IJK", [
         ("i", "h", "I"), ("j", "h", "J"), ("k", "h", "K"),
         ("k", "j", "I"), ("i", "k", "J"), ("j", "i", "K"),
-    ])
+    ], notes)
 
 
 # octonion imaginary units: [a_q, d_q] = A, then the 21 same-index relations
-_OCTONION_RELATIONS = (
+_OCTONIONS = (
     *((a, "d", cap) for a, cap in zip("efghijk", "EFGHIJK")),
     ("i", "f", "E"), ("k", "h", "E"), ("j", "g", "E"),
     ("e", "i", "F"), ("j", "h", "F"), ("g", "k", "F"),
@@ -132,17 +128,12 @@ _OCTONION_RELATIONS = (
 @_family
 def heisenberg_o(n: int):
     """Octonionic Heisenberg algebra: dimension 8n+7, layers (8n, 7)."""
-    _require("heisenberg_o", n, 8 * n + 7)
-    first = ["%s%d" % (a, q) for a in "defghijk" for q in range(1, n + 1)]
-    centre = list("EFGHIJK")
     notes = (
         "hausdorff dimension follows the grading formula (8n+14 here); the "
         "topological dimension 8n+7 is a different invariant",
         "designated subspace: span(d1..dn)",
-        _HOROSPHERE_NOTE,
     )
-    layout = _Layout("heisenberg_o:%d" % n, (first, centre), first[:n], notes)
-    return layout, _relations(n, _OCTONION_RELATIONS)
+    return _heisenberg("heisenberg_o", n, "defghijk", "EFGHIJK", _OCTONIONS, notes)
 
 
 @_family
@@ -158,16 +149,18 @@ def unipotent(n: int):
     layers = tuple(
         ["E%d%d" % (u, u + s) for u in range(1, n - s + 1)] for s in range(1, n)
     )
+    # E_ab is at start[b - a] + a: layer s follows n - 1, ..., n - s + 1 labels
+    start = [0, *itertools.accumulate(range(n - 1, 0, -1), initial=-1)]
     designated = ["E%d%d" % (2 * q - 1, 2 * q) for q in range(1, n // 2 + 1)]
     notes = (
         "first layer is the first superdiagonal and has dimension n-1",
         "designated subspace: span(E12, E34, ...), pairwise commuting "
         "elementary matrices",
     )
-    return _Layout("unipotent:%d" % n, layers, designated, notes), lambda: {
-        ("E%d%d" % (a, b), "E%d%d" % (b, c)): {"E%d%d" % (a, c): 1}
+    return _Layout("unipotent:%d" % n, layers, designated, notes), (
+        (start[b - a] + a, start[c - b] + b, start[c - a] + a, 1)
         for a, b, c in itertools.combinations(range(1, n + 1), 3)
-    }
+    )
 
 
 @_family
@@ -176,7 +169,7 @@ def abelian(n: int):
     _require("abelian", n, n)
     basis = ["x%d" % q for q in range(1, n + 1)]
     notes = ("designated subspace: the whole space",)
-    return _Layout("abelian:%d" % n, (basis,), basis, notes), lambda: {}
+    return _Layout("abelian:%d" % n, (basis,), basis, notes), ()
 
 
 def build(key: str) -> CatalogEntry:
@@ -194,7 +187,6 @@ def build(key: str) -> CatalogEntry:
     return _entry(*_FAMILIES[family](n))
 
 
-# the standard verification set: all families at small sizes
 _HEISENBERG = ("heisenberg_c", "heisenberg_h", "heisenberg_o")
 _DEFAULTS = (
     *((family, n) for n in (1, 2, 3) for family in _HEISENBERG),

@@ -12,7 +12,9 @@ The graded transport rewrites a label-keyed table in a random layer-adapted
 basis by the same dense Fraction sums, inverting its blocks with
 ``naive_inverse``.  The Hermite oracle folds dense integer rows together by
 the extended gcd, one column at a time.  ``dense_kernel`` divides out a
-pittet report's sparse integer kernel pairs entry by entry.
+pittet report's sparse integer kernel pairs entry by entry.  The catalog
+oracle writes each family's layers, designated labels and bracket table out
+by label, for the label constructor to read.
 """
 
 from __future__ import annotations
@@ -513,3 +515,66 @@ def random_form(rng, algebra, degree, max_terms=3, bound=4, denominators=None):
 
 def basis_tuples(algebra, arity):
     return itertools.combinations(range(algebra.dimension), arity)
+
+
+# the Heisenberg relations [a_q, b_q] = c by family: (first-layer letters,
+# centre, designated letter or None, rows (a, b, c) in order)
+_HEISENBERG_TABLES = {
+    "heisenberg_c": ("jk", "K", None, [("k", "j", "K")]),
+    "heisenberg_h": ("hijk", "IJK", "h", [
+        ("i", "h", "I"), ("j", "h", "J"), ("k", "h", "K"),
+        ("k", "j", "I"), ("i", "k", "J"), ("j", "i", "K"),
+    ]),
+    "heisenberg_o": ("defghijk", "EFGHIJK", "d", [
+        ("e", "d", "E"), ("f", "d", "F"), ("g", "d", "G"), ("h", "d", "H"),
+        ("i", "d", "I"), ("j", "d", "J"), ("k", "d", "K"),
+        ("i", "f", "E"), ("k", "h", "E"), ("j", "g", "E"),
+        ("e", "i", "F"), ("j", "h", "F"), ("g", "k", "F"),
+        ("k", "f", "G"), ("e", "j", "G"), ("h", "i", "G"),
+        ("i", "g", "H"), ("f", "j", "H"), ("e", "k", "H"),
+        ("g", "h", "I"), ("f", "e", "I"), ("k", "j", "I"),
+        ("h", "f", "J"), ("g", "e", "J"), ("i", "k", "J"),
+        ("f", "g", "K"), ("e", "h", "K"), ("j", "i", "K"),
+    ]),
+}
+
+
+def catalog_labels(key):
+    """(layers, designated labels or None) of a catalog id, by label."""
+    family, n = key.split(":")
+    n = int(n)
+    if family in _HEISENBERG_TABLES:
+        letters, centre, designated, _ = _HEISENBERG_TABLES[family]
+        first = ["%s%d" % (a, q) for a in letters for q in range(1, n + 1)]
+        if designated is None:
+            return [first, list(centre)], None
+        return [first, list(centre)], ["%s%d" % (designated, q) for q in range(1, n + 1)]
+    if family == "unipotent":
+        layers = [
+            ["E%d%d" % (u, u + s) for u in range(1, n - s + 1)] for s in range(1, n)
+        ]
+        return layers, ["E%d%d" % (2 * q - 1, 2 * q) for q in range(1, n // 2 + 1)]
+    basis = ["x%d" % q for q in range(1, n + 1)]
+    return [basis], basis
+
+
+def catalog_label_brackets(key):
+    """The label-keyed bracket table of a catalog id, in the order the
+    families list it: [a_q, b_q] = c for q = 1..n and each row of the
+    Heisenberg table in turn, [E_ab, E_bc] = E_ac for a < b < c in
+    lexicographic order, nothing for an abelian id."""
+    family, n = key.split(":")
+    n = int(n)
+    if family in _HEISENBERG_TABLES:
+        rows = _HEISENBERG_TABLES[family][3]
+        return {
+            ("%s%d" % (a, q), "%s%d" % (b, q)): {c: 1}
+            for q in range(1, n + 1)
+            for a, b, c in rows
+        }
+    if family == "unipotent":
+        return {
+            ("E%d%d" % (a, b), "E%d%d" % (b, c)): {"E%d%d" % (a, c): 1}
+            for a, b, c in itertools.combinations(range(1, n + 1), 3)
+        }
+    return {}

@@ -1,11 +1,14 @@
 """Built-in algebra families and the JSON interchange format."""
 
+import importlib.util
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from carnot import catalog, linalg
+from carnot import GradedLieAlgebra, catalog, linalg
 from carnot import (
     InputError,
     algebra_from_dict,
@@ -20,6 +23,7 @@ from carnot import (
     stratification_check,
 )
 from carnot.algebra import MAX_DIMENSION
+from helpers import catalog_label_brackets, catalog_labels
 
 F = Fraction
 
@@ -241,3 +245,88 @@ def test_the_largest_ids_within_the_budget_build(monkeypatch):
     refuse_labels_past_the_budget(monkeypatch)
     assert build("abelian:512").algebra.dimension == 512
     assert build("heisenberg_o:63").algebra.dimension == 511
+
+
+def workload_catalog_ids():
+    """Every catalog id that the benchmark workloads build, leaving out the
+    ids they use to test refusals."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ids = set()
+    for argv in module.STRUCTURE + module.GEOMETRY + module.LATTICE:
+        if len(argv) > 1 and re.fullmatch(r"[a-z_]+:\d+", argv[1]):
+            try:
+                build(argv[1])
+            except InputError:
+                continue
+            ids.add(argv[1])
+    return sorted(ids)
+
+
+BUDGET_IDS = ["heisenberg_h:127", "heisenberg_c:255", "heisenberg_o:31", "abelian:512"]
+ORACLE_IDS = sorted(
+    set(workload_catalog_ids()) | {e.key for e in default_entries()} | set(BUDGET_IDS)
+)
+
+
+def label_oracle(key):
+    """The algebra of ``key`` read by the label constructor from the
+    helpers' label-keyed table, and its designated labels."""
+    layers, designated = catalog_labels(key)
+    basis = [label for layer in layers for label in layer]
+    algebra = GradedLieAlgebra(key, basis, layers, catalog_label_brackets(key))
+    return algebra, designated
+
+
+def in_order(adjacency):
+    return [[(v, list(e.items())) for v, e in row.items()] for row in adjacency]
+
+
+def test_the_oracle_covers_the_workloads_and_the_budget_ids():
+    assert len(workload_catalog_ids()) >= 30
+    assert {"abelian:5", "unipotent:9", "heisenberg_o:4"} <= set(ORACLE_IDS)
+
+
+@pytest.mark.parametrize("key", ORACLE_IDS)
+def test_positional_tables_equal_the_label_constructor(key):
+    entry = build(key)
+    algebra = entry.algebra
+    oracle, designated = label_oracle(key)
+    assert algebra.name == oracle.name == key
+    assert algebra.basis == oracle.basis
+    assert algebra.layers == oracle.layers
+    assert algebra.weights == oracle.weights
+    assert algebra.denominator == oracle.denominator == 1
+    assert algebra.adjacency == oracle.adjacency
+    # insertion order too: every sweep over a row reads it in this order
+    assert in_order(algebra.adjacency) == in_order(oracle.adjacency)
+    assert algebra.into == oracle.into
+    if designated is None:
+        assert entry.designated_subspace is None
+    else:
+        rows = tuple(({oracle.index(label): 1}, 1) for label in designated)
+        assert entry.designated_subspace.integer_rows == rows
+
+
+@pytest.mark.parametrize("key", ["heisenberg_o:4", "unipotent:9"])
+def test_a_catalog_build_makes_no_label_lookup_per_bracket(monkeypatch, key):
+    calls = []
+    index = GradedLieAlgebra.index
+
+    def spy(self, label):
+        calls.append(label)
+        return index(self, label)
+
+    monkeypatch.setattr(GradedLieAlgebra, "index", spy)
+    entry = build(key)
+    # only the designated labels are looked up, one each
+    assert len(calls) == entry.designated_subspace.dim == 4
+    # the label constructor on the same table looks up every label it reads
+    calls.clear()
+    layers, _ = catalog_labels(key)
+    basis = [label for layer in layers for label in layer]
+    brackets = catalog_label_brackets(key)
+    assert GradedLieAlgebra(key, basis, layers, brackets) == entry.algebra
+    assert len(calls) == len(basis) + 3 * len(brackets)

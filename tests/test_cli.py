@@ -1175,3 +1175,20 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(carnot.__all__)) == len(carnot.__all__)
     assert all(hasattr(carnot, name) for name in carnot.__all__)
     assert bound == set(carnot.__all__)
+
+
+def test_every_catalog_check_runs_the_validity_gate_again(capsys, monkeypatch):
+    # a catalog algebra comes unchecked, and no call reuses another's verdict
+    assert build("heisenberg_h:3").algebra._validity is None
+    calls = []
+    jacobi_check = carnot.algebra.jacobi_check
+
+    def spy(algebra):
+        calls.append(algebra.name)
+        return jacobi_check(algebra)
+
+    monkeypatch.setattr(carnot.algebra, "jacobi_check", spy)
+    assert run(capsys, "check", "heisenberg_h:3")[0] == 0
+    assert calls == ["heisenberg_h:3"]
+    assert run(capsys, "check", "heisenberg_h:3")[0] == 0
+    assert calls == ["heisenberg_h:3", "heisenberg_h:3"]
