@@ -22,9 +22,9 @@ which checks names, labels and MAX_DIMENSION and reads them into it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import InputError, Matrix, Vector, ZERO, coefficient
@@ -69,7 +69,8 @@ def require_two_step(
     algebra: GradedLieAlgebra, what: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The layers (V1, V2) of ``algebra``, V2 empty for a one-layer
-    algebra; InputError if it has more than two layers."""
+    algebra; InputError from ``require_valid``, or on more than two layers."""
+    algebra.require_valid()
     if algebra.declared_degree > 2:
         raise InputError(
             "%s needs a 2-step algebra, got %d layers"
@@ -225,9 +226,25 @@ class GradedLieAlgebra:
 
     # -- vectors ---------------------------------------------------------
 
+    def position(self, label_or_index) -> int:
+        """A basis position, given as a label or as an int (not a bool) in
+        ``range(dimension)``; InputError on anything else."""
+        i = label_or_index
+        if type(i) is not int:
+            return self.index(i)
+        if not 0 <= i < self.dimension:
+            raise InputError("basis position %d out of range(%d)" % (i, self.dimension))
+        return i
+
+    def numerators(self, v: Sequence, what: str = "a vector") -> tuple[dict, int]:
+        """``linalg.numerators`` of a vector of ``dimension`` coefficients;
+        InputError on a string, a value with no length or another length."""
+        if isinstance(v, str) or not isinstance(v, Sized) or len(v) != self.dimension:
+            raise InputError("%s needs %d coefficients" % (what, self.dimension))
+        return linalg.numerators(v)
+
     def basis_vector(self, label_or_index) -> Vector:
-        i = label_or_index if isinstance(label_or_index, int) else self.index(label_or_index)
-        return linalg.unit_vector(self.dimension, i)
+        return linalg.unit_vector(self.dimension, self.position(label_or_index))
 
     def vector(self, coefficients: Mapping[str, object]) -> Vector:
         out = [ZERO] * self.dimension
@@ -236,16 +253,15 @@ class GradedLieAlgebra:
         return tuple(out)
 
     def describe(self, v: Sequence[Fraction]) -> str:
+        """``v`` as a signed sum of its nonzero terms in position order."""
+        w, r = self.numerators(v)
         parts = []
-        for i, c in enumerate(v):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(self.basis[i])
-            elif c == -1:
-                parts.append("-" + self.basis[i])
+        for i, a in w.items():
+            label = self.basis[i]
+            if abs(a) == r:
+                parts.append(label if a > 0 else "-" + label)
             else:
-                parts.append("%s*%s" % (c, self.basis[i]))
+                parts.append("%s*%s" % (Fraction(a, r), label))
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     # -- bracket ---------------------------------------------------------
@@ -283,10 +299,8 @@ class GradedLieAlgebra:
         numerators, [x, y] is ``integer_bracket(w, w')`` divided once by
         r r' D, one Fraction per nonzero component."""
         n = self.dimension
-        if len(x) != n or len(y) != n:
-            raise ValueError("vector length does not match the algebra")
-        xs, r = linalg.numerators(x)
-        ys, s = linalg.numerators(y)
+        xs, r = self.numerators(x)
+        ys, s = self.numerators(y)
         return linalg.densify(self.integer_bracket(xs, ys), n, r * s * self.denominator)
 
     def __eq__(self, other) -> bool:
@@ -324,13 +338,9 @@ class Subspace:
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
         self.algebra = algebra
-        rows = list(rows)
-        for row in rows:
-            if isinstance(row, str) or len(row) != algebra.dimension:
-                raise InputError(
-                    "a subspace row needs %d coefficients" % algebra.dimension
-                )
-        self.integer_rows = linalg.reduced_rows(rows)
+        # a row w / r spans the line of its numerators w
+        rows = (algebra.numerators(row, "a subspace row")[0] for row in rows)
+        self.integer_rows = linalg.reduced_rows(rows, algebra.dimension)
 
     @classmethod
     def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":
@@ -506,4 +516,5 @@ class Dilation:
         self.factors: Vector = tuple(t ** w for w in algebra.weights)
 
     def __call__(self, v: Sequence[Fraction]) -> Vector:
-        return tuple(f * c for f, c in zip(self.factors, v, strict=True))
+        w, r = self.algebra.numerators(v)
+        return tuple(f * Fraction(w.get(k, 0), r) for k, f in enumerate(self.factors))

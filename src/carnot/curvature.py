@@ -32,11 +32,10 @@ THREE_QUARTERS = Fraction(3, 4)
 
 
 def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
-    """Curvature of the plane spanned by two distinct basis vectors, given
-    as labels or indices: the plane's integer from the one sweep of
-    ``_plane_sums``, divided once by 4 D^2."""
-    i = u if isinstance(u, int) else algebra.index(u)
-    j = v if isinstance(v, int) else algebra.index(v)
+    """Curvature of the plane of two distinct basis vectors, each a label
+    or a position that ``algebra.position`` checks: the plane's integer
+    from the one sweep of ``_plane_sums``, divided once by 4 D^2."""
+    i, j = algebra.position(u), algebra.position(v)
     if i == j:
         raise InputError("need two distinct directions")
     return _curvature_of(algebra, _plane_sums(algebra).get((min(i, j), max(i, j)), 0))
@@ -79,8 +78,7 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
     the second layer: zero.
     """
     require_two_step(algebra, "the closed forms")
-    i = u if isinstance(u, int) else algebra.index(u)
-    j = v if isinstance(v, int) else algebra.index(v)
+    i, j = algebra.position(u), algebra.position(v)
     if i == j:
         raise InputError("need two distinct directions")
     first = set(algebra.layers[0])
@@ -129,7 +127,6 @@ def trichotomy_report(
     item is reported as not evaluated); every second-layer direction spans
     a positively curved plane with some vector of ``s``.
     """
-    algebra.require_valid()
     require_two_step(algebra, "the curvature trichotomy")
     if s.coordinate_labels() is None:
         raise InputError("trichotomy needs a span of basis vectors")

@@ -93,12 +93,7 @@ class InvariantForm:
 
     @classmethod
     def dual(cls, algebra: GradedLieAlgebra, label_or_index) -> "InvariantForm":
-        i = (
-            label_or_index
-            if isinstance(label_or_index, int)
-            else algebra.index(label_or_index)
-        )
-        return cls(algebra, 1, {(i,): Fraction(1)})
+        return cls(algebra, 1, {(algebra.position(label_or_index),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -151,9 +146,11 @@ class InvariantForm:
             raise InputError(
                 "form of degree %d applied to %d vectors" % (self.degree, len(vectors))
             )
+        read = map(self.algebra.numerators, vectors)
+        dense = [linalg.densify(w, self.algebra.dimension, r) for w, r in read]
         total = ZERO
         for mono, coeff in self.terms.items():
-            rows = [[coefficient(v[i]) for v in vectors] for i in mono]
+            rows = [[v[i] for v in dense] for i in mono]
             total += coeff * _det(rows)
         return total
 
@@ -292,9 +289,7 @@ def cube_form(
     isotropic subspace first, the result is the closed form whose scaling
     weight is the Hausdorff dimension minus ``omit``.
     """
-    indices = [
-        i if isinstance(i, int) else algebra.index(i) for i in order
-    ]
+    indices = list(map(algebra.position, order))
     if sorted(indices) != list(range(algebra.dimension)):
         raise InputError("order must be a permutation of the basis")
     if not 0 <= omit <= len(algebra.layers[0]):
@@ -352,16 +347,15 @@ def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:
     """Kernel of the differential on the span of the (second dual, first
     dual) wedge pairs Y* ^ x*, ordered lexicographically; its dimension
     counts independent closed 2-forms of this shape.
-    Requires an algebra that passes ``require_valid`` with at most two
-    layers, else InputError.  The grading then puts every bracket in V2,
-    so dx* = 0 and d(Y* ^ x*) = dY* ^ x*: the row of a first-layer
+    Requires an algebra that passes ``require_two_step``, valid with at
+    most two layers, else InputError.  The grading then puts every bracket
+    in V2, so dx* = 0 and d(Y* ^ x*) = dY* ^ x*: the row of a first-layer
     monomial a < b < c reads A_ab^Y at (Y, c), -A_ac^Y at (Y, b) and
     A_bc^Y at (Y, a) off the adjacency.  The kernel basis is canonical, so
     the nonzero rows go to ``linalg.extend_reduced`` in monomial order
     until every column has a pivot: the kernel is then {0}.  Each kernel
     vector is kept as the pair (w, s) of ``linalg.reduced_kernel``.
     """
-    algebra.require_valid()
     v1, v2 = require_two_step(algebra, "the pittet kernel")
     ad = algebra.adjacency
     column = {yx: k for k, yx in enumerate(itertools.product(v2, v1))}

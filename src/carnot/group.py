@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import CheckResult, Dilation, GradedLieAlgebra, require_two_step
-from .linalg import HALF, InputError, Matrix, Vector, coefficient
+from .linalg import HALF, InputError, Matrix, Vector
 
 
 class GroupElement:
@@ -33,12 +33,10 @@ class GroupElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: GradedLieAlgebra, coords: Sequence) -> None:
-        algebra.require_valid()
         require_two_step(algebra, "group coordinates")
         self.algebra = algebra
-        self.coords: Vector = tuple(coefficient(c) for c in coords)
-        if len(self.coords) != algebra.dimension:
-            raise InputError("coordinate length does not match the algebra")
+        w, r = algebra.numerators(coords)
+        self.coords: Vector = linalg.densify(w, algebra.dimension, r)
 
     @classmethod
     def identity(cls, algebra: GradedLieAlgebra) -> "GroupElement":
@@ -82,12 +80,12 @@ class LatticeSpec:
     There are exactly ``dimension`` generators of ``dimension`` entries and
     they must span the algebra, so the matrix G with the generators as rows
     is invertible and v has the coordinates v G^-1.  Each generator is read
-    once by ``linalg.numerators`` into integers over its own denominator,
-    ``_scaled[i] = (w, s)``, and ``linalg.integer_inverse`` of those pairs
-    gives G^-1 as sparse integer rows over the lcm q of its denominators,
-    ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the coordinates
-    sum_k w_k _columns[k] / (q r), integers exactly when q r divides every
-    sum.
+    once by the algebra's ``numerators`` into integers over its own
+    denominator, ``_scaled[i] = (w, s)``, and ``linalg.integer_inverse`` of
+    those pairs gives G^-1 as sparse integer rows over the lcm q of its
+    denominators, ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the
+    coordinates sum_k w_k _columns[k] / (q r), integers exactly when q r
+    divides every sum.
     """
 
     algebra: GradedLieAlgebra
@@ -99,7 +97,6 @@ class LatticeSpec:
     )
 
     def __post_init__(self) -> None:
-        self.algebra.require_valid()
         require_two_step(self.algebra, "a lattice")
         n = self.algebra.dimension
         if len(self.generators) != n:
@@ -107,9 +104,8 @@ class LatticeSpec:
                 "a lattice needs exactly %d generators, got %d"
                 % (n, len(self.generators))
             )
-        if any(isinstance(g, str) or len(g) != n for g in self.generators):
-            raise InputError("a lattice generator needs %d coefficients" % n)
-        self._invert(tuple(map(linalg.numerators, self.generators)))
+        read = self.algebra.numerators
+        self._invert(tuple(read(g, "a lattice generator") for g in self.generators))
 
     @classmethod
     def _from_scaled(cls, algebra: GradedLieAlgebra, scaled) -> "LatticeSpec":
@@ -129,11 +125,8 @@ class LatticeSpec:
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
-        n = len(self._columns)
-        if len(v) != n:
-            raise ValueError("vector length does not match the algebra")
-        coords = self._coordinates(*linalg.numerators(v))
-        return None if coords is None else linalg.densify(coords, n)
+        coords = self._coordinates(*self.algebra.numerators(v))
+        return None if coords is None else linalg.densify(coords, len(self._columns))
 
     def _coordinates(self, w: dict[int, int], r: int) -> dict[int, int] | None:
         """Integer generator coordinates ``{i: c}`` of the vector w / r, or
@@ -158,7 +151,6 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     order to one ``linalg.hermite_extend`` basis, until that basis is the
     identity on V2, which no integer row can refine.  A Hermite row h goes
     to ``_from_scaled`` as (h / g, 2 D / g), g = gcd(2 D, h)."""
-    algebra.require_valid()
     v1, v2 = require_two_step(algebra, "a scalable lattice")
     ad = algebra.adjacency
     identity = {i: {i: 1} for i in v2}

@@ -13,6 +13,7 @@ import carnot
 from carnot import (
     Dilation,
     GradedLieAlgebra,
+    GroupElement,
     InputError,
     InvariantForm,
     LatticeSpec,
@@ -22,11 +23,14 @@ from carnot import (
     algebra_to_dict,
     build,
     build_scalable_lattice,
+    cube_form,
     default_entries,
     hausdorff_dimension,
     jacobi_check,
     lower_central_series,
+    sectional_curvature,
     stratification_check,
+    two_step_closed_forms,
     unipotent,
 )
 from carnot import HypothesisBundle, cli, linalg, pittet_kernel, trichotomy_report
@@ -250,6 +254,70 @@ def test_falsy_entries_that_are_not_numbers_are_input_errors():
             call()
 
 
+# every library entry that takes a basis position or a vector from its caller,
+# with what its reader calls the vector (None for a position); each is called
+# on heisenberg_c:1, basis (j1, k1, K)
+READER_ENTRIES = {
+    "basis_vector": (None, lambda a, x: a.basis_vector(x)),
+    "sectional_curvature": (None, lambda a, x: sectional_curvature(a, x, 0)),
+    "two_step_closed_forms": (None, lambda a, x: two_step_closed_forms(a, x, 0)),
+    "dual": (None, lambda a, x: InvariantForm.dual(a, x)),
+    "cube_form": (None, lambda a, x: cube_form(a, 0, [x, 1, 2])),
+    "bracket": ("a vector", lambda a, x: a.bracket(x, (0, 1, 0))),
+    "subspace": ("a subspace row", lambda a, x: Subspace(a, [x])),
+    "lattice": (
+        "a lattice generator",
+        lambda a, x: LatticeSpec(a, (x, (0, 1, 0), (0, 0, 1))),
+    ),
+    "membership": ("a vector", lambda a, x: build_scalable_lattice(a).membership(x)),
+    "group_element": ("a vector", lambda a, x: GroupElement(a, x)),
+    "dilation": ("a vector", lambda a, x: Dilation(a, 2)(x)),
+    "evaluate": (
+        "a vector",
+        lambda a, x: InvariantForm(a, 1, {(0,): 1}).evaluate([x]),
+    ),
+    "describe": ("a vector", lambda a, x: a.describe(x)),
+}
+
+
+@pytest.mark.parametrize(
+    "what, call", READER_ENTRIES.values(), ids=list(READER_ENTRIES)
+)
+def test_every_entry_reads_positions_and_vectors_with_the_one_reader(what, call):
+    # a position used to be any int, so -1 was the last vector and True the
+    # second; a vector used to be read as far as it went, or as a string of
+    # digits, or not checked at all
+    algebra = build("heisenberg_c:1").algebra
+    for x in (-1, 3, True, "100", (1,), (1, 0, 0, 7)):
+        if what is not None:
+            expected = "%s needs 3 coefficients" % what
+        elif type(x) is int:
+            expected = "basis position %d out of range(3)" % x
+        else:
+            expected = "unknown basis label %r" % (x,)
+        with pytest.raises(InputError) as raised:
+            call(algebra, x)
+        assert str(raised.value) == expected
+
+
+def test_describe_writes_the_nonzero_terms_in_position_order():
+    algebra = build("heisenberg_c:1").algebra
+    assert algebra.describe((F(-1), 0, F(3, 2))) == "-j1 + 3/2*K"
+    assert algebra.describe((2, -1, 1)) == "2*j1 - k1 + K"
+    assert algebra.describe(("0", "1", "-1/2")) == "k1 - 1/2*K"
+    assert algebra.describe((0, F(0), 0)) == "0"
+
+
+def test_a_plane_named_by_positions_is_the_plane_named_by_labels():
+    algebra = build("heisenberg_c:1").algebra
+    assert algebra.basis == ("j1", "k1", "K")
+    assert (
+        sectional_curvature(algebra, 2, 0)
+        == sectional_curvature(algebra, "K", "j1")
+        == F(1, 4)
+    )
+
+
 @pytest.mark.parametrize(
     "name, basis, layers",
     [
@@ -311,7 +379,7 @@ def test_bracket_rejects_a_vector_of_another_length():
     algebra = build("heisenberg_c:1").algebra
     assert algebra.dimension == 3
     for x, y in (((1, 0, 0, 5), (0, 1, 0, 7)), ((1, 0, 0), (0, 1)), ((1,), (0, 1, 0))):
-        with pytest.raises(ValueError, match="vector length"):
+        with pytest.raises(InputError, match="a vector needs 3 coefficients"):
             algebra.bracket(x, y)
 
 
@@ -604,6 +672,17 @@ def test_every_verdict_raises_the_gate_error(entry_point, case):
     algebra = GradedLieAlgebra(name, basis, layers, table)
     with pytest.raises(InputError) as raised:
         entry_point(algebra)
+    assert str(raised.value) == "not a stratified Lie algebra: " + detail
+
+
+@pytest.mark.parametrize("case", GATE_CASES.values(), ids=list(GATE_CASES))
+def test_the_closed_forms_raise_the_gate_error(case):
+    # they used to evaluate the layer formulas on a table that is not a
+    # stratified algebra
+    name, basis, layers, table, detail = case
+    algebra = GradedLieAlgebra(name, basis, layers, table)
+    with pytest.raises(InputError) as raised:
+        two_step_closed_forms(algebra, 0, 1)
     assert str(raised.value) == "not a stratified Lie algebra: " + detail
 
 

@@ -87,7 +87,7 @@ def test_coordinates_of_the_wrong_length_are_an_input_error():
     for coords in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(InputError) as info:
             GroupElement(algebra, coords)
-        assert str(info.value) == "coordinate length does not match the algebra"
+        assert str(info.value) == "a vector needs 3 coefficients"
 
 
 def test_lattice_generators_that_do_not_span_are_an_input_error():
