@@ -337,14 +337,18 @@ class Subspace:
     """
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
+        if not isinstance(rows, Iterable):
+            raise InputError("a subspace needs an iterable of rows")
         self.algebra = algebra
         # a row w / r spans the line of its numerators w
         rows = (algebra.numerators(row, "a subspace row")[0] for row in rows)
         self.integer_rows = linalg.reduced_rows(rows, algebra.dimension)
 
     @classmethod
-    def from_labels(cls, algebra: GradedLieAlgebra, labels: Iterable[str]) -> "Subspace":
+    def from_labels(cls, algebra: GradedLieAlgebra, labels: Sequence[str]) -> "Subspace":
         """Span of basis vectors: their sorted unit rows are already reduced."""
+        if not _is_label_list(labels):
+            raise InputError("subspace labels must be a list of label strings")
         s = cls.__new__(cls)
         s.algebra = algebra
         positions = sorted({algebra.index(l) for l in labels})
@@ -364,6 +368,12 @@ class Subspace:
         """True when every spanning vector lies in the first layer."""
         weights = self.algebra.weights
         return all(weights[i] == 1 for w, _ in self.integer_rows for i in w)
+
+    def require_horizontal(self) -> tuple[tuple[dict[int, int], int], ...]:
+        """``integer_rows``; InputError unless ``is_horizontal``."""
+        if not self.is_horizontal():
+            raise InputError("subspace is not horizontal")
+        return self.integer_rows
 
     def coordinate_labels(self) -> tuple[str, ...] | None:
         """Labels if this is a span of basis vectors, else None.  A reduced

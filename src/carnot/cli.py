@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -139,6 +140,15 @@ def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
             sys.set_int_max_str_digits(limit)
 
 
+def _report(args, entry: CatalogEntry, payload: Callable[[], dict], lines) -> None:
+    """``_emit`` of a report on ``entry``: its key as ``"source"`` in the
+    payload and as the first line, before the lazy ``lines``."""
+    def keyed() -> dict:
+        return {"source": entry.key, **payload()}
+
+    _emit(args, keyed, itertools.chain(["source: %s" % entry.key], lines))
+
+
 def _subspace_name(s: Subspace) -> str:
     labels = s.coordinate_labels()
     if labels is not None:
@@ -179,7 +189,6 @@ def cmd_check(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "dimension": algebra.dimension,
             "degree": algebra.declared_degree,
             "hausdorff_dimension": hausdorff,
@@ -189,26 +198,24 @@ def cmd_check(args) -> int:
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "dimension: %d (degree %d)" % (algebra.dimension, algebra.declared_degree)
         yield "hausdorff dimension: %d" % hausdorff
         yield "jacobi: %s (%s)" % ("ok" if jacobi.ok else "FAIL", jacobi.detail)
         yield "stratification: %s (%s)" % ("ok" if strat.ok else "FAIL", strat.detail)
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 0 if jacobi.ok and strat.ok else 1
 
 
 def cmd_certify(args) -> int:
     entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
-    iso = is_isotropic(entry.algebra, s)
-    reg = is_regular(entry.algebra, s)
+    iso = is_isotropic(s)
+    reg = is_regular(s)
 
     def payload():
         witness = iso.witness
         return {
-            "source": entry.key,
             "subspace": _subspace_name(s),
             "isotropic": iso.isotropic,
             "regular": reg.regular,
@@ -218,7 +225,6 @@ def cmd_certify(args) -> int:
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "subspace: %s (dim %d)" % (_subspace_name(s), s.dim)
         yield "isotropic: %s" % ("yes" if iso.isotropic else "no")
         if iso.witness is not None:
@@ -230,7 +236,7 @@ def cmd_certify(args) -> int:
         )
         yield "certified: %s" % ("yes" if iso.isotropic and reg.regular else "no")
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 0 if iso.isotropic and reg.regular else 1
 
 
@@ -243,7 +249,7 @@ def cmd_predict(args) -> int:
         if args.max_isotropic < 1:
             raise InputError("--max-isotropic must be a positive dimension")
         k1 = args.max_isotropic - 1
-    bundle = HypothesisBundle(entry.algebra, s, lattice, k1)
+    bundle = HypothesisBundle(s, lattice, k1)
     table = coverage_table(bundle)
 
     def row_dict(row):
@@ -255,7 +261,6 @@ def cmd_predict(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "subspace": _subspace_name(s),
             "filling": [row_dict(r) for r in table.filling],
             "divergence": [row_dict(r) for r in table.divergence],
@@ -277,14 +282,13 @@ def cmd_predict(args) -> int:
             yield "  %s^%d: %s%s" % (row.target, row.m, "; ".join(parts), flag)
 
     def lines():
-        yield "source: %s" % entry.key
         yield "subspace: %s" % _subspace_name(s)
         yield from row_lines(table.filling, "filling functions", "l")
         yield from row_lines(table.divergence, "divergence", "r")
         yield "notes:"
         yield from ("  - %s" % note for note in table.notes)
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     conflict = any(r.conflict for r in table.filling + table.divergence)
     return 1 if conflict else 0
 
@@ -292,7 +296,7 @@ def cmd_predict(args) -> int:
 def cmd_curvature(args) -> int:
     entry = _load_valid_entry(args.source)
     s = _resolve_subspace(entry, args)
-    report = trichotomy_report(entry.algebra, s, maximal_asserted=args.assert_maximal)
+    report = trichotomy_report(s, maximal_asserted=args.assert_maximal)
     items = {
         "flat_inside": "flat inside subspace",
         "negative_toward_horizontal": "negative toward horizontal",
@@ -308,7 +312,6 @@ def cmd_curvature(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "subspace": _subspace_name(s),
             "ordered_basis": list(report.ordered_basis),
             "planes": [[a, b, str(v)] for a, b, v in report.planes],
@@ -316,7 +319,6 @@ def cmd_curvature(args) -> int:
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "subspace: %s" % _subspace_name(s)
         yield "ordered basis: %s" % ", ".join(report.ordered_basis)
         for key, name in items.items():
@@ -324,7 +326,7 @@ def cmd_curvature(args) -> int:
             verdict = {None: "not evaluated", True: "holds", False: "FAILS"}[item.holds]
             yield "%s: %s (%s)" % (name, verdict, item.detail)
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 1 if any(getattr(report, key).holds is False for key in items) else 0
 
 
@@ -334,7 +336,6 @@ def cmd_pittet(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "pairs": [[a, b] for a, b in report.pairs],
             "kernel_dimension": report.kernel_dimension,
             "kernel_basis": [
@@ -344,7 +345,6 @@ def cmd_pittet(args) -> int:
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "generating pairs: %d" % len(report.pairs)
         yield "kernel dimension: %d" % report.kernel_dimension
         for w, s in report.kernel_basis:
@@ -353,7 +353,7 @@ def cmd_pittet(args) -> int:
             )
             yield "  closed: %s" % combo
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 0
 
 
@@ -364,21 +364,19 @@ def cmd_lattice(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "generators": [_vector_strings(g) for g in spec.generators],
             "detail": {name: check.detail for name, check in checks.items()},
             **{"%s_closed" % name: check.ok for name, check in checks.items()},
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "generators:"
         for g in spec.generators:
             yield "  %s" % entry.algebra.describe(g)
         for name, check in checks.items():
             yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 0 if all(checks.values()) else 1
 
 
@@ -392,7 +390,6 @@ def cmd_forms_d(args) -> int:
 
     def payload():
         return {
-            "source": entry.key,
             "input": form_to_dict(form),
             "differential": form_to_dict(d),
             "closed": d.is_zero(),
@@ -403,7 +400,6 @@ def cmd_forms_d(args) -> int:
         }
 
     def lines():
-        yield "source: %s" % entry.key
         yield "input: %r" % form
         yield "differential: %r" % d
         yield "closed: %s" % ("yes" if d.is_zero() else "no")
@@ -411,7 +407,7 @@ def cmd_forms_d(args) -> int:
             weight.uniform if weight.uniform is not None else "mixed"
         )
 
-    _emit(args, payload, lines())
+    _report(args, entry, payload, lines())
     return 0
 
 

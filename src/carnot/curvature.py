@@ -114,11 +114,9 @@ class CurvatureReport:
     positive_toward_vertical: TrichotomyItem
 
 
-def trichotomy_report(
-    algebra: GradedLieAlgebra, s: Subspace, maximal_asserted: bool = False
-) -> CurvatureReport:
-    """Three sign statements for planes meeting a certified subspace of a
-    valid algebra of at most two layers.
+def trichotomy_report(s: Subspace, maximal_asserted: bool = False) -> CurvatureReport:
+    """Three sign statements for planes meeting a certified subspace of
+    ``s.algebra``, a valid algebra of at most two layers.
 
     With the basis reordered so that ``s`` comes first: planes inside ``s``
     are flat; every remaining horizontal direction spans a negatively
@@ -127,12 +125,11 @@ def trichotomy_report(
     item is reported as not evaluated); every second-layer direction spans
     a positively curved plane with some vector of ``s``.
     """
+    algebra = s.algebra
     require_two_step(algebra, "the curvature trichotomy")
     if s.coordinate_labels() is None:
         raise InputError("trichotomy needs a span of basis vectors")
-    if not s.is_horizontal():
-        raise InputError("subspace is not horizontal")
-    chosen = [i for w, _ in s.integer_rows for i in w]
+    chosen = [i for w, _ in s.require_horizontal() for i in w]
     first = [i for i in algebra.layers[0] if i not in set(chosen)]
     rest = [i for i, w in enumerate(algebra.weights) if w > 1]
     order = chosen + first + rest

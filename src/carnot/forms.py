@@ -314,9 +314,9 @@ def _permutation_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-def check_cube_closed(algebra: GradedLieAlgebra, s: Subspace, omit: int) -> bool:
-    """Is the cube form for ``s``-first ordering closed after dropping
-    ``omit`` covectors?
+def check_cube_closed(s: Subspace, omit: int) -> bool:
+    """Is the cube form of ``s.algebra`` for ``s``-first ordering closed
+    after dropping ``omit`` covectors?
 
     ``s`` must be a horizontal span of basis vectors; the ordering places
     its vectors first, the rest of the basis after in declared order.
@@ -326,13 +326,11 @@ def check_cube_closed(algebra: GradedLieAlgebra, s: Subspace, omit: int) -> bool
     """
     if s.coordinate_labels() is None:
         raise InputError("cube ordering needs a span of basis vectors")
-    if not s.is_horizontal():
-        raise InputError("subspace is not horizontal")
+    chosen = [i for w, _ in s.require_horizontal() for i in w]
     if not 0 <= omit <= max(s.dim, 0):
         raise InputError("omit must be between 0 and dim s")
-    chosen = [i for w, _ in s.integer_rows for i in w]
-    rest = [i for i in range(algebra.dimension) if i not in set(chosen)]
-    gamma = cube_form(algebra, omit, chosen + rest)
+    rest = [i for i in range(s.algebra.dimension) if i not in set(chosen)]
+    gamma = cube_form(s.algebra, omit, chosen + rest)
     return differential(gamma).is_zero()
 
 

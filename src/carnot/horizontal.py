@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedLieAlgebra, InputError, Subspace
+from .algebra import GradedLieAlgebra, Subspace
 from .linalg import Matrix, Vector
 
 
@@ -51,18 +51,17 @@ class BoundReport:
         return self.satisfied
 
 
-def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
-    """Does the curvature form vanish on all pairs from ``s``?
+def is_isotropic(s: Subspace) -> IsotropyResult:
+    """Does the curvature form of ``s.algebra`` vanish on all pairs from ``s``?
 
     Bilinearity means checking the canonical spanning rows suffices; the
     witness is the first offending pair of rows.  Only zeros matter, so the
     brackets are ``integer_bracket``s of the rows' ``integer_rows``,
     undivided; only the witness is divided out.
     """
-    if not s.is_horizontal():
-        raise InputError("subspace is not horizontal")
+    algebra, rows = s.algebra, s.require_horizontal()
     first, n = set(algebra.layers[0]), algebra.dimension
-    for (x, r), (y, q) in itertools.combinations(s.integer_rows, 2):
+    for (x, r), (y, q) in itertools.combinations(rows, 2):
         bracket = algebra.integer_bracket(x, y)
         if any(c and t not in first for t, c in bracket.items()):
             witness = linalg.densify(x, n, r), linalg.densify(y, n, q)
@@ -70,22 +69,19 @@ def is_isotropic(algebra: GradedLieAlgebra, s: Subspace) -> IsotropyResult:
     return IsotropyResult(True)
 
 
-def _regularity_rows(
-    algebra: GradedLieAlgebra, s: Subspace
-) -> tuple[list[dict[int, int]], int]:
+def _regularity_rows(s: Subspace) -> tuple[list[dict[int, int]], int]:
     """The rows of ``regularity_matrix`` as integers ``{column: a}`` over
     one scale, zeros absent.  With X_q = w / r read from ``integer_rows``,
     entry (i, q, u) is the t component of D [b_u, w] = -D [w, b_u], summed
     over the first-layer u in adjacency[v] for v in w, over 2 r D, taken
     over the lcm of the r; first-layer targets t (ungraded) are skipped."""
-    if not s.is_horizontal():
-        raise InputError("subspace is not horizontal")
+    algebra, integer_rows = s.algebra, s.require_horizontal()
     column = {u: col for col, u in enumerate(sorted(algebra.layers[0]))}
     targets = (t for t, weight in enumerate(algebra.weights) if weight > 1)
     position = {t: i for i, t in enumerate(targets)}
-    lcm = math.lcm(*(r for _, r in s.integer_rows))
+    lcm = math.lcm(*(r for _, r in integer_rows))
     rows: list[dict[int, int]] = [{} for _ in range(len(position) * s.dim)]
-    for q, (w, r) in enumerate(s.integer_rows):
+    for q, (w, r) in enumerate(integer_rows):
         for v, b in w.items():
             kb = lcm // r * b
             for u, entry in algebra.adjacency[v].items():
@@ -98,19 +94,19 @@ def _regularity_rows(
     return rows, 2 * lcm * algebra.denominator
 
 
-def regularity_matrix(algebra: GradedLieAlgebra, s: Subspace) -> Matrix:
+def regularity_matrix(s: Subspace) -> Matrix:
     """Stacked system matrix: rows (target i, spanning vector q), columns
     over the first-layer basis in basis order; the entry is half the
     coefficient of the i-th basis vector outside V1 in [b_u, X_q]."""
-    rows, scale = _regularity_rows(algebra, s)
-    return tuple(linalg.densify(row, len(algebra.layers[0]), scale) for row in rows)
+    rows, scale = _regularity_rows(s)
+    return tuple(linalg.densify(row, len(s.algebra.layers[0]), scale) for row in rows)
 
 
-def is_regular(algebra: GradedLieAlgebra, s: Subspace) -> RegularityResult:
+def is_regular(s: Subspace) -> RegularityResult:
     """Full row rank of the stacked system decides regularity."""
-    required = (algebra.dimension - len(algebra.layers[0])) * s.dim
+    required = (s.algebra.dimension - len(s.algebra.layers[0])) * s.dim
     pivots: dict[int, dict[int, int]] = {}
-    for row in _regularity_rows(algebra, s)[0]:
+    for row in _regularity_rows(s)[0]:
         linalg.extend_reduced(pivots, row)
     return RegularityResult(len(pivots) == required, len(pivots), required)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import GradedLieAlgebra, InputError, Subspace, hausdorff_dimension
+from .algebra import InputError, Subspace, hausdorff_dimension
 from .horizontal import (
     IsotropyResult,
     RegularityResult,
@@ -87,7 +87,7 @@ class GrowthBound:
 
 
 class HypothesisBundle:
-    """Predictor input: a valid algebra and a subspace certified here.
+    """Predictor input: a subspace of a valid algebra, certified here.
 
     ``lattice_scalable`` defaults to automatic: nilpotency degree at most 2
     guarantees a lattice preserved by the dilation by 2, higher degree does
@@ -98,22 +98,21 @@ class HypothesisBundle:
 
     def __init__(
         self,
-        algebra: GradedLieAlgebra,
         subspace: Subspace,
         lattice_scalable: bool | None = None,
         k1_max_isotropic: int | None = None,
     ) -> None:
+        algebra = self.algebra = subspace.algebra
         algebra.require_valid()
         if subspace.dim < 1:
             raise InputError("the certified subspace must be nonzero")
-        self.algebra = algebra
         self.subspace = subspace
-        self.isotropy: IsotropyResult = is_isotropic(algebra, subspace)
+        self.isotropy: IsotropyResult = is_isotropic(subspace)
         if not self.isotropy:
             raise InputError(
                 "subspace is not isotropic; no prediction rule applies"
             )
-        self.regularity: RegularityResult = is_regular(algebra, subspace)
+        self.regularity: RegularityResult = is_regular(subspace)
         if lattice_scalable is None:
             lattice_scalable = algebra.declared_degree <= 2
         self.lattice_scalable = bool(lattice_scalable)

@@ -77,8 +77,8 @@ def test_criterion_2_certification_ranks():
             entry = build("%s:%d" % (family, n))
             s = entry.designated_subspace
             assert s.dim == n
-            iso = is_isotropic(entry.algebra, s)
-            reg = is_regular(entry.algebra, s)
+            iso = is_isotropic(s)
+            reg = is_regular(s)
             assert iso.isotropic and reg.regular, entry.key
             n1 = len(entry.algebra.layers[0])
             assert entry.algebra.dimension - n1 == codim
@@ -157,7 +157,7 @@ def test_criterion_5_forms():
             labels = list(s.coordinate_labels())
             rest = [b for b in algebra.basis if b not in set(labels)]
             for j in range(s.dim):
-                assert check_cube_closed(algebra, s, j), (entry.key, j)
+                assert check_cube_closed(s, j), (entry.key, j)
                 weight = scaling_weight(cube_form(algebra, j, labels + rest))
                 assert weight.uniform == big_d - j
     verdict(5, "d o d = 0 on 50 random forms per algebra per degree <= 4; "
@@ -177,9 +177,7 @@ def test_criterion_6_curvature():
     assert sectional_curvature(algebra, "j1", "K") == F(1, 4)
 
     entry = build("heisenberg_h:2")
-    report = trichotomy_report(
-        entry.algebra, entry.designated_subspace, maximal_asserted=True
-    )
+    report = trichotomy_report(entry.designated_subspace, maximal_asserted=True)
     assert report.flat_inside.holds
     assert report.negative_toward_horizontal.holds
     assert report.positive_toward_vertical.holds
@@ -269,7 +267,7 @@ def bundle_of(key, labels=None, **kw):
         if labels is not None
         else entry.designated_subspace
     )
-    return HypothesisBundle(entry.algebra, s, **kw)
+    return HypothesisBundle(s, **kw)
 
 
 def check_table(rows, oracle, weak_at=(), absent_at=()):

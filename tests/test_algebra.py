@@ -346,6 +346,29 @@ def test_unhashable_labels_and_string_rows_are_input_errors():
         Subspace(algebra, ["100"])
 
 
+ABC_ALGEBRA = GradedLieAlgebra("abc", *ABC, {("a", "b"): {"c": 1}})
+HEISENBERG_C1 = build("heisenberg_c:1").algebra
+LABELS_MESSAGE = "subspace labels must be a list of label strings"
+ROWS_MESSAGE = "a subspace needs an iterable of rows"
+
+
+@pytest.mark.parametrize(
+    "algebra, call, message",
+    [
+        # a string was read as one label per character: Subspace<a, b> on
+        # ABC_ALGEBRA, and "unknown basis label 'j'" on heisenberg_c:1
+        (ABC_ALGEBRA, lambda a: Subspace.from_labels(a, "ab"), LABELS_MESSAGE),
+        (HEISENBERG_C1, lambda a: Subspace.from_labels(a, "j1"), LABELS_MESSAGE),
+        # a TypeError used to escape from the row reader
+        (HEISENBERG_C1, lambda a: Subspace(a, 5), ROWS_MESSAGE),
+    ],
+    ids=["from_labels_ab", "from_labels_j1", "rows_int"],
+)
+def test_subspace_refuses_containers_it_would_misread(algebra, call, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        call(algebra)
+
+
 def test_the_dimension_budget_admits_512_labels_and_no_more():
     labels = ["x%d" % i for i in range(MAX_DIMENSION)]
     assert MAX_DIMENSION == 512
@@ -658,8 +681,8 @@ def test_stratification_legs_force_the_lower_central_series():
 GATE_ENTRY_POINTS = {
     "lattice": build_scalable_lattice,
     "pittet": pittet_kernel,
-    "trichotomy": lambda a: trichotomy_report(a, Subspace.from_labels(a, ["a"])),
-    "bundle": lambda a: HypothesisBundle(a, Subspace.from_labels(a, ["a"])),
+    "trichotomy": lambda a: trichotomy_report(Subspace.from_labels(a, ["a"])),
+    "bundle": lambda a: HypothesisBundle(Subspace.from_labels(a, ["a"])),
 }
 
 

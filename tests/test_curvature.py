@@ -120,7 +120,7 @@ def test_curvature_with_coprime_denominators_matches_full_sum():
 def test_trichotomy_planes_with_coprime_denominators_match_full_sum(labels):
     basis, layers, table = coprime_table()
     algebra = GradedLieAlgebra("coprime", basis, layers, table)
-    report = trichotomy_report(algebra, Subspace.from_labels(algebra, labels))
+    report = trichotomy_report(Subspace.from_labels(algebra, labels))
     assert len(report.planes) == 10
     for u, v, value in report.planes:
         assert type(value) is Fraction
@@ -211,7 +211,7 @@ def designated(key):
 
 def test_trichotomy_holds_for_quaternionic_plane():
     algebra, s = designated("heisenberg_h:2")
-    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    report = trichotomy_report(s, maximal_asserted=True)
     assert report.ordered_basis[:2] == ("h1", "h2")
     assert report.flat_inside.holds
     assert report.negative_toward_horizontal.holds
@@ -239,7 +239,7 @@ def test_trichotomy_computes_each_plane_once(key, monkeypatch):
         return compute(algebra)
 
     monkeypatch.setattr(curvature, "_plane_sums", counted)
-    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    report = trichotomy_report(s, maximal_asserted=True)
     assert calls == [algebra]
     n = algebra.dimension
     pairs = [frozenset((a, b)) for a, b, _ in report.planes]
@@ -250,7 +250,7 @@ def test_trichotomy_computes_each_plane_once(key, monkeypatch):
 def test_trichotomy_on_a_line():
     algebra = build("heisenberg_c:1").algebra
     s = Subspace.from_labels(algebra, ["j1"])
-    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    report = trichotomy_report(s, maximal_asserted=True)
     assert report.flat_inside.holds
     assert report.negative_toward_horizontal.holds
     assert report.negative_toward_horizontal.witnesses == (
@@ -262,7 +262,7 @@ def test_trichotomy_on_a_line():
 def test_unasserted_maximality_leaves_item_open():
     algebra = build("heisenberg_c:1").algebra
     s = Subspace.from_labels(algebra, ["j1"])
-    report = trichotomy_report(algebra, s)
+    report = trichotomy_report(s)
     assert report.negative_toward_horizontal.holds is None
     assert "asserted maximal" in report.negative_toward_horizontal.detail
     assert report.flat_inside.holds
@@ -274,7 +274,7 @@ def test_false_maximality_assertion_is_caught():
     # negatively curved partner exists and the asserted item must fail
     algebra = build("heisenberg_h:2").algebra
     s = Subspace.from_labels(algebra, ["h1"])
-    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    report = trichotomy_report(s, maximal_asserted=True)
     assert report.flat_inside.holds
     assert report.negative_toward_horizontal.holds is False
     assert "h2" in report.negative_toward_horizontal.detail
@@ -284,7 +284,7 @@ def test_false_maximality_assertion_is_caught():
 def test_full_abelian_span_is_flat_everywhere():
     algebra = build("abelian:3").algebra
     s = Subspace.from_labels(algebra, ["x1", "x2", "x3"])
-    report = trichotomy_report(algebra, s, maximal_asserted=True)
+    report = trichotomy_report(s, maximal_asserted=True)
     assert report.flat_inside.holds
     assert report.negative_toward_horizontal.holds
     assert report.positive_toward_vertical.holds
@@ -295,16 +295,16 @@ def test_trichotomy_input_requirements():
     algebra = build("unipotent:4").algebra
     s = Subspace.from_labels(algebra, ["E12"])
     with pytest.raises(InputError):
-        trichotomy_report(algebra, s)
+        trichotomy_report(s)
 
     algebra = build("heisenberg_c:1").algebra
     vertical = Subspace.from_labels(algebra, ["K"])
     with pytest.raises(InputError):
-        trichotomy_report(algebra, vertical)
+        trichotomy_report(vertical)
 
     mixed = Subspace(algebra, [(F(1), F(1), F(0))])
     with pytest.raises(InputError):
-        trichotomy_report(algebra, mixed)
+        trichotomy_report(mixed)
 
 
 def test_algebras_with_equal_hashes_keep_their_own_constants():

@@ -393,15 +393,15 @@ CUBE_ARGUMENT_ERRORS = [
         "omitted prefix contains the non-horizontal K",
     ),
     (
-        lambda a, s: check_cube_closed(a, Subspace(a, [(1, 1, 0)]), 0),
+        lambda a, s: check_cube_closed(Subspace(a, [(1, 1, 0)]), 0),
         "cube ordering needs a span of basis vectors",
     ),
     (
-        lambda a, s: check_cube_closed(a, Subspace.from_labels(a, ["K"]), 0),
+        lambda a, s: check_cube_closed(Subspace.from_labels(a, ["K"]), 0),
         "subspace is not horizontal",
     ),
-    (lambda a, s: check_cube_closed(a, s, 2), "omit must be between 0 and dim s"),
-    (lambda a, s: check_cube_closed(a, s, -1), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(s, 2), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(s, -1), "omit must be between 0 and dim s"),
 ]
 
 
@@ -426,15 +426,15 @@ def test_cube_arguments_are_input_errors(call, message):
 def test_cube_forms_closed_up_to_subspace_dimension(key, labels):
     algebra, s = cube_setup(key, labels)
     for j in range(len(labels) + 1):
-        assert check_cube_closed(algebra, s, j), (key, j)
+        assert check_cube_closed(s, j), (key, j)
 
 
 def test_cube_closedness_needs_enough_omissions_to_fail():
     # complex case, both horizontal covectors in front: omitting one leaves
     # a closed form, omitting both exposes the center's differential
     algebra, s = cube_setup("heisenberg_c:1", ["j1", "k1"])
-    assert check_cube_closed(algebra, s, 1)
-    assert not check_cube_closed(algebra, s, 2)
+    assert check_cube_closed(s, 1)
+    assert not check_cube_closed(s, 2)
 
 
 def test_cube_scaling_weight_drops_by_omission_count():

@@ -8,14 +8,17 @@ import pytest
 
 from carnot import (
     GradedLieAlgebra,
+    HypothesisBundle,
     InputError,
     Subspace,
     build,
+    check_cube_closed,
     default_entries,
     gromov_dimension_bound,
     is_isotropic,
     is_regular,
     regularity_matrix,
+    trichotomy_report,
 )
 from carnot import horizontal, linalg
 from helpers import naive_bracket, naive_rref, random_layered_table, random_table
@@ -35,7 +38,33 @@ def test_rejects_non_horizontal_arguments():
     algebra, s = span("heisenberg_h:1", "h1", "I")
     for certificate in (is_isotropic, is_regular):
         with pytest.raises(InputError, match="subspace is not horizontal"):
-            certificate(algebra, s)
+            certificate(s)
+
+
+# every verdict on a subspace reads the algebra from ``s.algebra`` and the
+# horizontal rows from ``Subspace.require_horizontal``
+SUBSPACE_VERDICTS = {
+    "is_isotropic": is_isotropic,
+    "is_regular": is_regular,
+    "regularity_matrix": regularity_matrix,
+    "check_cube_closed": lambda s: check_cube_closed(s, 0),
+    "trichotomy_report": trichotomy_report,
+    "HypothesisBundle": HypothesisBundle,
+}
+
+
+@pytest.mark.parametrize(
+    "verdict", SUBSPACE_VERDICTS.values(), ids=list(SUBSPACE_VERDICTS)
+)
+def test_every_subspace_verdict_refuses_the_vertical_span(verdict):
+    _, vertical = span("heisenberg_c:1", "K")
+    with pytest.raises(InputError, match="^subspace is not horizontal$"):
+        verdict(vertical)
+
+
+def test_require_horizontal_returns_the_integer_rows():
+    _, s = span("heisenberg_c:1", "j1", "k1")
+    assert s.require_horizontal() == s.integer_rows == (({0: 1}, 1), ({1: 1}, 1))
 
 
 # -- isotropy ------------------------------------------------------------------
@@ -50,12 +79,12 @@ def test_designated_subspaces_are_isotropic():
         ("abelian:4", ("x1", "x2", "x3", "x4")),
     ]:
         algebra, s = span(key, *labels)
-        assert is_isotropic(algebra, s), key
+        assert is_isotropic(s), key
 
 
 def test_non_isotropic_pair_reports_witness():
     algebra, s = span("heisenberg_c:1", "j1", "k1")
-    result = is_isotropic(algebra, s)
+    result = is_isotropic(s)
     assert not result
     x, y = result.witness
     assert algebra.bracket(x, y) != linalg.zero_vector(3)
@@ -77,14 +106,14 @@ def test_non_isotropic_pair_reports_witness():
 )
 def test_designated_subspaces_are_regular_with_full_rank(key, labels, required):
     algebra, s = span(key, *labels)
-    result = is_regular(algebra, s)
+    result = is_regular(s)
     assert result.regular
     assert result.rank == result.required_rank == required
 
 
 def test_regularity_matrix_shape():
     algebra, s = span("heisenberg_h:2", "h1", "h2")
-    m = regularity_matrix(algebra, s)
+    m = regularity_matrix(s)
     assert len(m) == 3 * 2
     assert all(len(row) == 8 for row in m)
 
@@ -135,11 +164,11 @@ def per_pair_rows(algebra, s):
 
 
 def assert_rows_match_per_pair(algebra, s):
-    rows, scale = horizontal._regularity_rows(algebra, s)
+    rows, scale = horizontal._regularity_rows(s)
     assert [{c: F(a, scale) for c, a in row.items()} for row in rows] == (
         per_pair_rows(algebra, s)
     )
-    result = is_regular(algebra, s)
+    result = is_regular(s)
     assert result.rank == len(naive_rref(component_oracle(algebra, s)))
     return result
 
@@ -151,7 +180,7 @@ def assert_rows_match_per_pair(algebra, s):
 )
 def test_regularity_matrix_matches_components_on_designated(entry):
     s = entry.designated_subspace
-    assert regularity_matrix(entry.algebra, s) == component_oracle(entry.algebra, s)
+    assert regularity_matrix(s) == component_oracle(entry.algebra, s)
 
 
 def random_horizontal_rows(rng, algebra, count):
@@ -169,7 +198,7 @@ def test_regularity_matrix_matches_components_on_dense_rational_subspace():
     algebra = build("heisenberg_h:2").algebra
     s = Subspace(algebra, random_horizontal_rows(random.Random(7), algebra, 2))
     assert s.dim == 2
-    assert regularity_matrix(algebra, s) == component_oracle(algebra, s)
+    assert regularity_matrix(s) == component_oracle(algebra, s)
 
 
 @pytest.mark.parametrize("kind", ["graded", "ungraded"])
@@ -185,8 +214,8 @@ def test_certificates_match_components_on_random_tables(kind):
         k = rng.randint(1, len(algebra.layers[0]))
         s = Subspace(algebra, random_horizontal_rows(rng, algebra, k))
         oracle = component_oracle(algebra, s)
-        assert regularity_matrix(algebra, s) == oracle
-        result = is_regular(algebra, s)
+        assert regularity_matrix(s) == oracle
+        result = is_regular(s)
         assert result.rank == len(naive_rref(oracle))
         assert result.required_rank == len(oracle)
 
@@ -196,7 +225,7 @@ def test_certificates_match_components_on_random_tables(kind):
             for y in s.rows[a + 1:]
             if any(naive_bracket(table, basis, x, y)[t] for t in targets)
         ]
-        isotropy = is_isotropic(algebra, s)
+        isotropy = is_isotropic(s)
         assert isotropy.isotropic == (not offending)
         assert isotropy.witness == (offending[0] if offending else None)
 
@@ -236,7 +265,7 @@ def test_regularity_entries_that_cancel_are_absent():
         {("a", "b"): {"z": 1}, ("a", "c"): {"z": 1}},
     )
     s = Subspace(algebra, [[0, 1, -1, 0]])
-    assert horizontal._regularity_rows(algebra, s)[0] == [{}]
+    assert horizontal._regularity_rows(s)[0] == [{}]
     assert assert_rows_match_per_pair(algebra, s).rank == 0
     s = Subspace(algebra, [[0, 1, -1, 0], [0, 2, 3, 0]])
     assert_rows_match_per_pair(algebra, s)
@@ -244,8 +273,8 @@ def test_regularity_entries_that_cancel_are_absent():
 
 def test_unipotent_checkerboard_is_isotropic_but_not_regular():
     algebra, s = span("unipotent:4", "E12", "E34")
-    assert is_isotropic(algebra, s)
-    result = is_regular(algebra, s)
+    assert is_isotropic(s)
+    result = is_regular(s)
     assert not result.regular
     assert result.required_rank == 2 * 3
     assert result.rank < result.required_rank
@@ -254,8 +283,8 @@ def test_unipotent_checkerboard_is_isotropic_but_not_regular():
 def test_regular_without_isotropy_exists():
     # certification needs both properties; neither implies the other
     algebra, s = span("heisenberg_c:1", "j1", "k1")
-    assert is_regular(algebra, s).regular
-    assert not is_isotropic(algebra, s)
+    assert is_regular(s).regular
+    assert not is_isotropic(s)
 
 
 def test_verdicts_do_not_depend_on_spanning_rows():
@@ -267,8 +296,8 @@ def test_verdicts_do_not_depend_on_spanning_rows():
     )
     direct = Subspace.from_labels(algebra, ["h1", "h2"])
     assert recombined == direct
-    assert is_regular(algebra, recombined).rank == is_regular(algebra, direct).rank
-    assert bool(is_isotropic(algebra, recombined)) == bool(is_isotropic(algebra, direct))
+    assert is_regular(recombined).rank == is_regular(direct).rank
+    assert bool(is_isotropic(recombined)) == bool(is_isotropic(direct))
 
 
 def test_certificates_read_the_integer_rows_once(monkeypatch):
@@ -277,7 +306,7 @@ def test_certificates_read_the_integer_rows_once(monkeypatch):
     # dense row: ``rows`` raises, and no vector is read into integers again
     algebra = build("heisenberg_h:2").algebra
     s = Subspace(algebra, random_horizontal_rows(random.Random(3), algebra, 2))
-    expected = is_isotropic(algebra, s), is_regular(algebra, s)
+    expected = is_isotropic(s), is_regular(s)
     reads = []
     original = linalg.numerators
     monkeypatch.setattr(
@@ -288,7 +317,7 @@ def test_certificates_read_the_integer_rows_once(monkeypatch):
         raise AssertionError("a dense row of the subspace was read")
 
     monkeypatch.setattr(Subspace, "rows", property(dense_row_read))
-    assert (is_isotropic(algebra, s), is_regular(algebra, s)) == expected
+    assert (is_isotropic(s), is_regular(s)) == expected
     assert reads == []
 
 

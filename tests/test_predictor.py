@@ -26,7 +26,7 @@ def bundle_for(key, labels=None, **kw):
         if labels is not None
         else entry.designated_subspace
     )
-    return HypothesisBundle(entry.algebra, s, **kw)
+    return HypothesisBundle(s, **kw)
 
 
 def as_triples(rows):
@@ -40,13 +40,13 @@ def test_bundle_recomputes_isotropy():
     entry = build("heisenberg_c:1")
     full = Subspace.from_labels(entry.algebra, ["j1", "k1"])
     with pytest.raises(InputError):
-        HypothesisBundle(entry.algebra, full)
+        HypothesisBundle(full)
 
 
 def test_bundle_rejects_zero_subspace():
     entry = build("heisenberg_c:1")
     with pytest.raises(InputError):
-        HypothesisBundle(entry.algebra, Subspace(entry.algebra, []))
+        HypothesisBundle(Subspace(entry.algebra, []))
 
 
 def test_assertion_below_certified_dimension_rejected():

@@ -58,7 +58,7 @@ def test_verdicts_survive_a_graded_transport(key, seed):
     subspace = entry.designated_subspace or Subspace.from_labels(
         algebra, [b for b in label if b.startswith("j")]
     )
-    iso, reg = is_isotropic(algebra, subspace), is_regular(algebra, subspace)
+    iso, reg = is_isotropic(subspace), is_regular(subspace)
     kernel = pittet_kernel(algebra).kernel_dimension
     image, to_new = transport(entry, seed)
     assert image.adjacency != algebra.adjacency
@@ -71,13 +71,13 @@ def test_verdicts_survive_a_graded_transport(key, seed):
         rows.append([coords.get(b, 0) for b in label])
     mapped = Subspace(image, rows)
     assert mapped.dim == subspace.dim
-    assert is_isotropic(image, mapped).isotropic == iso.isotropic
-    moved_reg = is_regular(image, mapped)
+    assert is_isotropic(mapped).isotropic == iso.isotropic
+    moved_reg = is_regular(mapped)
     assert (moved_reg.regular, moved_reg.rank) == (reg.regular, reg.rank)
     assert hausdorff_dimension(image) == hausdorff_dimension(algebra)
     # the predict rows: the same coverage table for the mapped subspace
-    table = coverage_table(HypothesisBundle(algebra, subspace))
-    moved_table = coverage_table(HypothesisBundle(image, mapped))
+    table = coverage_table(HypothesisBundle(subspace))
+    moved_table = coverage_table(HypothesisBundle(mapped))
     assert moved_table.filling == table.filling
     assert moved_table.divergence == table.divergence
     assert moved_table.notes == table.notes
