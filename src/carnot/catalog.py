@@ -15,9 +15,9 @@ import functools
 import itertools
 import json
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .algebra import GradedLieAlgebra, Subspace, require_budget
 from .linalg import InputError, parse_coefficient

@@ -14,9 +14,9 @@ import functools
 import itertools
 import os
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable
 
 from . import catalog as _catalog, linalg
 from .algebra import Subspace, hausdorff_dimension

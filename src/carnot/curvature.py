@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
 from .linalg import ZERO
@@ -159,46 +158,33 @@ def trichotomy_report(s: Subspace, maximal_asserted: bool = False) -> CurvatureR
         tuple(flat_bad),
     )
 
-    def witness_search(targets, want_negative):
-        witnesses = []
-        missing = []
+    def partners(targets, sign, word, holds_text):
+        # the witness for j is the first a of ``s`` with sign * K(a, j) > 0
+        witnesses, missing = [], []
         for j in targets:
-            found = None
-            for a in chosen:
-                value = curvature[a, j]
-                if (value < 0) if want_negative else (value > 0):
-                    found = (algebra.basis[a], algebra.basis[j], value)
-                    break
-            if found is None:
+            a = next((a for a in chosen if sign * curvature[a, j] > 0), None)
+            if a is None:
                 missing.append(algebra.basis[j])
             else:
-                witnesses.append(found)
-        return witnesses, missing
+                witnesses.append((algebra.basis[a], algebra.basis[j], curvature[a, j]))
+        failed = "no %s curved partner for: %s" % (word, ", ".join(missing))
+        return TrichotomyItem(
+            not missing, failed if missing else holds_text, tuple(witnesses)
+        )
 
-    neg_witnesses, neg_missing = witness_search(first, want_negative=True)
+    negative = partners(
+        first, -1, "negatively",
+        "each horizontal direction outside the subspace pairs negatively"
+    )
     if not maximal_asserted:
         negative = TrichotomyItem(
             None,
             "not evaluated: needs the subspace asserted maximal among "
             "certified ones",
-            tuple(neg_witnesses),
+            negative.witnesses,
         )
-    else:
-        negative = TrichotomyItem(
-            not neg_missing,
-            "each horizontal direction outside the subspace pairs negatively"
-            if not neg_missing
-            else "no negatively curved partner for: %s" % ", ".join(neg_missing),
-            tuple(neg_witnesses),
-        )
-
-    pos_witnesses, pos_missing = witness_search(rest, want_negative=False)
-    positive = TrichotomyItem(
-        not pos_missing,
-        "each second-layer direction pairs positively"
-        if not pos_missing
-        else "no positively curved partner for: %s" % ", ".join(pos_missing),
-        tuple(pos_witnesses),
+    positive = partners(
+        rest, 1, "positively", "each second-layer direction pairs positively"
     )
 
     return CurvatureReport(names, planes, flat, negative, positive)

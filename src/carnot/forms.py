@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace, require_two_step
@@ -327,7 +327,7 @@ def check_cube_closed(s: Subspace, omit: int) -> bool:
     if s.coordinate_labels() is None:
         raise InputError("cube ordering needs a span of basis vectors")
     chosen = [i for w, _ in s.require_horizontal() for i in w]
-    if not 0 <= omit <= max(s.dim, 0):
+    if type(omit) is not int or not 0 <= omit <= s.dim:
         raise InputError("omit must be between 0 and dim s")
     rest = [i for i in range(s.algebra.dimension) if i not in set(chosen)]
     gamma = cube_form(s.algebra, omit, chosen + rest)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import linalg
 from .algebra import CheckResult, Dilation, GradedLieAlgebra, require_two_step

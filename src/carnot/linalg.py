@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]

@@ -115,11 +115,15 @@ class HypothesisBundle:
         self.regularity: RegularityResult = is_regular(subspace)
         if lattice_scalable is None:
             lattice_scalable = algebra.declared_degree <= 2
-        self.lattice_scalable = bool(lattice_scalable)
+        elif type(lattice_scalable) is not bool:
+            raise InputError("lattice_scalable must be True, False or None")
+        self.lattice_scalable = lattice_scalable
         self.k = subspace.dim - 1
         self.k1_max_isotropic = k1_max_isotropic
         if k1_max_isotropic is None:
             return
+        if type(k1_max_isotropic) is not int:
+            raise InputError("k1_max_isotropic must be an integer or None")
         # an isotropic subspace is horizontal, so it fits inside V1; and V1
         # itself is isotropic exactly when [V1, V1] = V2 is zero
         asserted, n1 = k1_max_isotropic + 1, len(algebra.layers[0])
@@ -271,28 +275,14 @@ class CoverageTable:
 
 
 def _detect_conflict(bounds: tuple[GrowthBound, ...]) -> bool:
-    equivalents = {b.exponent for b in bounds if b.relation == "equivalent"}
-    if len(equivalents) > 1:
-        return True
-    eq = next(iter(equivalents)) if equivalents else None
-    lowers = [b.exponent for b in bounds if b.relation == "at_least"]
-    stricts = [b.exponent for b in bounds if b.relation == "strictly_above"]
-    uppers = [b.exponent for b in bounds if b.relation == "at_most"]
-    lo = max(lowers + stricts, default=None)
-    hi = min(uppers, default=None)
-    if eq is not None:
-        if any(l > eq for l in lowers):
-            return True
-        if any(s >= eq for s in stricts):
-            return True
-        if any(u < eq for u in uppers):
-            return True
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return True
-        if lo == hi and any(s == hi for s in stricts):
-            return True
-    return False
+    """True when no exponent meets every bound (an equivalence bounds both ways)."""
+    uppers = [b.exponent for b in bounds if b.relation in ("equivalent", "at_most")]
+    top = min(uppers, default=None)
+    return top is not None and any(
+        b.exponent > top or (b.exponent == top and b.relation == "strictly_above")
+        for b in bounds
+        if b.relation != "at_most"
+    )
 
 
 def coverage_table(bundle: HypothesisBundle) -> CoverageTable:
@@ -308,7 +298,7 @@ def coverage_table(bundle: HypothesisBundle) -> CoverageTable:
         for b in bounds:
             by_m[b.m].append(b)
         return tuple(
-            CoverageRow(target, m, tuple(here), bool(here) and _detect_conflict(here))
+            CoverageRow(target, m, tuple(here), _detect_conflict(here))
             for m, here in by_m.items()
         )
 

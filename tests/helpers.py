@@ -14,7 +14,8 @@ basis by the same dense Fraction sums, inverting its blocks with
 the extended gcd, one column at a time.  ``dense_kernel`` divides out a
 pittet report's sparse integer kernel pairs entry by entry.  The catalog
 oracle writes each family's layers, designated labels and bracket table out
-by label, for the label constructor to read.
+by label, for the label constructor to read.  The conflict oracle tries
+candidate exponents one at a time against every growth bound.
 """
 
 from __future__ import annotations
@@ -578,3 +579,22 @@ def catalog_label_brackets(key):
             for a, b, c in itertools.combinations(range(1, n + 1), 3)
         }
     return {}
+
+
+def naive_conflict(bounds) -> bool:
+    """Do the growth bounds (objects with ``relation`` and ``exponent``) leave
+    no exponent?  Only every exponent, every midpoint between two of them and
+    one point past each end need trying, since each bound's verdict is
+    constant between consecutive exponents."""
+    points = sorted({b.exponent for b in bounds})
+    tries = points + [(x + y) / 2 for x, y in zip(points, points[1:])]
+    tries += [points[0] - 1, points[-1] + 1] if points else [Fraction(0)]
+    meets = {
+        "equivalent": lambda x, e: x == e,
+        "at_most": lambda x, e: x <= e,
+        "at_least": lambda x, e: x >= e,
+        "strictly_above": lambda x, e: x > e,
+    }
+    return not any(
+        all(meets[b.relation](x, b.exponent) for b in bounds) for x in tries
+    )

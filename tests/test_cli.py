@@ -391,6 +391,25 @@ def test_curvature_json(capsys):
     assert doc["positive_toward_vertical"]["witnesses"] == [["j1", "K", "1/4"]]
 
 
+def test_curvature_names_the_directions_without_a_partner(capsys, tmp_path):
+    _, path = free_two_step_file(tmp_path, 4)
+    code, out, _ = run(
+        capsys, "curvature", path, "--subspace", "x0", "--assert-maximal"
+    )
+    assert code == 1
+    assert (
+        "positive toward vertical: FAILS "
+        "(no positively curved partner for: y1_2, y1_3, y2_3)"
+    ) in out.splitlines()
+    code, out, _ = run(
+        capsys, "curvature", "heisenberg_c:2", "--subspace", "j1", "--assert-maximal"
+    )
+    assert code == 1
+    assert (
+        "negative toward horizontal: FAILS (no negatively curved partner for: j2, k2)"
+    ) in out.splitlines()
+
+
 # -- pittet, lattice, forms-d --------------------------------------------------------
 
 
@@ -1112,6 +1131,18 @@ def test_cli_subprocess_determinism():
     second = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_importing_the_cli_loads_no_typing_module():
+    # every annotation is a string under ``from __future__ import
+    # annotations``, so a cold start has no use for ``typing``
+    src = str(Path(carnot.__file__).parents[1])
+    code = "import sys; sys.path.insert(0, %r); import carnot.cli; " % src
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, check=True
+    )
+    assert child.stdout == b"[]\n"
 
 
 def test_lattice_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -16,6 +16,7 @@ from carnot import (
     Subspace,
     algebra_to_dict,
     build,
+    default_entries,
     differential,
     sectional_curvature,
     trichotomy_report,
@@ -23,6 +24,7 @@ from carnot import (
 )
 from helpers import (
     coprime_table,
+    free_two_step,
     naive_sectional_curvature,
     random_layered_table,
     random_table,
@@ -279,6 +281,53 @@ def test_false_maximality_assertion_is_caught():
     assert report.negative_toward_horizontal.holds is False
     assert "h2" in report.negative_toward_horizontal.detail
     assert report.positive_toward_vertical.holds
+
+
+# the 2-step default entries, and N(4, 2), where vertical partners go missing
+PARTNER_ALGEBRAS = {
+    e.key: e.algebra for e in default_entries() if e.algebra.declared_degree <= 2
+}
+PARTNER_ALGEBRAS["N(4, 2)"] = GradedLieAlgebra("N(4, 2)", *free_two_step(4))
+
+
+@pytest.mark.parametrize("key", PARTNER_ALGEBRAS)
+def test_partner_items_match_a_full_sum_scan(key):
+    # on span(x) the only candidate partner of each target is x itself
+    algebra = PARTNER_ALGEBRAS[key]
+    basis, table = algebra.basis, label_table(algebra)
+    second = [j for j in range(algebra.dimension) if j not in algebra.layers[0]]
+    for i in algebra.layers[0]:
+        horizontal = [j for j in algebra.layers[0] if j != i]
+        value = {}
+        for j in horizontal + second:
+            value[j] = naive_sectional_curvature(table, basis, i, j)
+
+        def scan(targets, sign, word, holds_text):
+            found = [j for j in targets if sign * value[j] > 0]
+            missing = [basis[j] for j in targets if j not in found]
+            if missing:
+                holds_text = "no %s curved partner for: %s" % (word, ", ".join(missing))
+            witnesses = tuple((basis[i], basis[j], value[j]) for j in found)
+            return not missing, holds_text, witnesses
+
+        negative = scan(
+            horizontal, -1, "negatively",
+            "each horizontal direction outside the subspace pairs negatively",
+        )
+        positive = scan(
+            second, 1, "positively", "each second-layer direction pairs positively"
+        )
+        s = Subspace.from_labels(algebra, [basis[i]])
+        for maximal in (False, True):
+            report = trichotomy_report(s, maximal_asserted=maximal)
+            item = report.negative_toward_horizontal
+            if maximal:
+                assert (item.holds, item.detail, item.witnesses) == negative
+            else:
+                assert item.holds is None and item.witnesses == negative[2]
+                assert item.detail.startswith("not evaluated: ")
+            item = report.positive_toward_vertical
+            assert (item.holds, item.detail, item.witnesses) == positive
 
 
 def test_full_abelian_span_is_flat_everywhere():

@@ -402,6 +402,9 @@ CUBE_ARGUMENT_ERRORS = [
     ),
     (lambda a, s: check_cube_closed(s, 2), "omit must be between 0 and dim s"),
     (lambda a, s: check_cube_closed(s, -1), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(s, True), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(s, "1"), "omit must be between 0 and dim s"),
+    (lambda a, s: check_cube_closed(s, 1.0), "omit must be between 0 and dim s"),
 ]
 
 

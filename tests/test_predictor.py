@@ -1,5 +1,6 @@
 """Growth-exponent prediction tables and their consistency checking."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from carnot import (
     predict_divergence,
     predict_filling,
 )
-from carnot.predictor import _detect_conflict
+from carnot.predictor import RELATIONS, _detect_conflict
+from helpers import naive_conflict
 
 F = Fraction
 
@@ -59,6 +61,29 @@ def test_assertion_above_first_layer_rejected():
     with pytest.raises(InputError, match="exceeds dim V1 = 8"):
         bundle_for("heisenberg_h:2", k1_max_isotropic=8)
     assert bundle_for("heisenberg_h:2", k1_max_isotropic=7).k1_max_isotropic == 7
+
+
+SCALAR_MESSAGES = {
+    "lattice_scalable": "lattice_scalable must be True, False or None",
+    "k1_max_isotropic": "k1_max_isotropic must be an integer or None",
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lattice_scalable", "no"),
+        ("lattice_scalable", 1),
+        ("lattice_scalable", 0),
+        ("k1_max_isotropic", True),
+        ("k1_max_isotropic", "1"),
+        ("k1_max_isotropic", 1.0),
+    ],
+)
+def test_scalar_arguments_are_input_errors(name, value):
+    with pytest.raises(InputError) as info:
+        bundle_for("heisenberg_h:1", **{name: value})
+    assert str(info.value) == SCALAR_MESSAGES[name]
 
 
 def test_lattice_flag_defaults_by_degree():
@@ -216,6 +241,17 @@ def test_conflicts():
     assert _detect_conflict((gb("equivalent", 2), gb("at_most", "3/2")))
     assert _detect_conflict((gb("at_least", 3), gb("at_most", 2)))
     assert _detect_conflict((gb("strictly_above", 2), gb("at_most", 2)))
+
+
+def test_conflicts_match_a_feasibility_scan():
+    # every multiset of up to 4 bounds from 4 relations x 3 exponents
+    kinds = [gb(r, e) for r in RELATIONS for e in ("3/2", 2, 3)]
+    count = 0
+    for size in range(5):
+        for bounds in itertools.combinations_with_replacement(kinds, size):
+            assert _detect_conflict(bounds) == naive_conflict(bounds), bounds
+            count += 1
+    assert count == 1820
 
 
 def test_coverage_rows_span_full_ranges():
