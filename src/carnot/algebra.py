@@ -22,8 +22,8 @@ which checks names, labels and MAX_DIMENSION and reads them into it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence, Sized
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -39,12 +39,10 @@ class NotNilpotentError(InputError):
     """The lower central series stabilised above zero."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "ok detail", defaults=("",))):
     """Outcome of a structural check; ``detail`` explains a failure."""
 
-    ok: bool
-    detail: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -86,12 +84,13 @@ class GradedLieAlgebra:
     results, e.g. ``{("a", "b"): {"c": 1}}`` for [a, b] = c; listing both
     orientations of one pair is an error even when they agree.  It checks a
     ``str`` name, at most MAX_DIMENSION labels, basis and layers as lists or
-    tuples of ``str`` (a string is not a list of labels) and known labels,
-    and hands positions and integers to the core, ``_shape`` and ``_table``,
-    which ``_from_table`` runs alone on a catalog family's entries.  Jacobi
-    and stratification are left to ``validity``, run once on first use, so
-    that defective tables can be built and then diagnosed; ``require_valid``
-    is the gate every verdict goes through.
+    tuples of ``str`` (a string is not a list of labels), ``brackets`` and
+    each result as mappings, and known labels, and hands positions and
+    integers to the core, ``_shape`` and ``_table``, which ``_from_table``
+    runs alone on a catalog family's entries.  Jacobi and stratification
+    are left to ``validity``, run once on first use, so that defective
+    tables can be built and then diagnosed; ``require_valid`` is the gate
+    every verdict goes through.
     ``denominator``, ``adjacency`` and ``into`` are the integer structure
     constants of the module docstring, shared: callers read, never write.
     """
@@ -114,6 +113,13 @@ class GradedLieAlgebra:
         # the core reads each layer as it checks it, so errors keep their order
         self._shape(name, basis, ([self.index(l) for l in layer] for layer in layers))
 
+        if not (
+            isinstance(brackets, Mapping)
+            and all(isinstance(result, Mapping) for result in brackets.values())
+        ):
+            raise InputError(
+                "brackets must map label pairs to mappings of labels to coefficients"
+            )
         listed: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (left, right), result in brackets.items():
             u, v = self.index(left), self.index(right)
@@ -247,6 +253,8 @@ class GradedLieAlgebra:
         return linalg.unit_vector(self.dimension, self.position(label_or_index))
 
     def vector(self, coefficients: Mapping[str, object]) -> Vector:
+        if not isinstance(coefficients, Mapping):
+            raise InputError("a vector needs a mapping of labels to coefficients")
         out = [ZERO] * self.dimension
         for label, coeff in coefficients.items():
             out[self.index(label)] += coefficient(coeff)

@@ -16,20 +16,15 @@ import itertools
 import json
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, Subspace, require_budget
 from .linalg import InputError, parse_coefficient
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    algebra: GradedLieAlgebra
-    designated_subspace: Subspace | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
+# an entry: its id, the algebra, the designated Subspace or None, the notes
+CatalogEntry = collections.namedtuple(
+    "CatalogEntry", "key algebra designated_subspace notes", defaults=(None, ())
+)
 
 # an entry without its brackets: the layers, whose concatenation is the
 # basis, the designated labels in basis order or None, the notes

@@ -19,7 +19,7 @@ kept separately as an independent route to the same values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
@@ -97,20 +97,14 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class TrichotomyItem:
-    holds: bool | None
-    detail: str
-    witnesses: tuple[tuple[str, str, Fraction], ...] = ()
+# holds is None when not evaluated; witnesses are (label, label, curvature)
+TrichotomyItem = namedtuple("TrichotomyItem", "holds detail witnesses", defaults=((),))
 
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    ordered_basis: tuple[str, ...]
-    planes: tuple[tuple[str, str, Fraction], ...]
-    flat_inside: TrichotomyItem
-    negative_toward_horizontal: TrichotomyItem
-    positive_toward_vertical: TrichotomyItem
+CurvatureReport = namedtuple(
+    "CurvatureReport",
+    "ordered_basis planes flat_inside negative_toward_horizontal "
+    "positive_toward_vertical",
+)
 
 
 def trichotomy_report(s: Subspace, maximal_asserted: bool = False) -> CurvatureReport:
@@ -124,6 +118,8 @@ def trichotomy_report(s: Subspace, maximal_asserted: bool = False) -> CurvatureR
     item is reported as not evaluated); every second-layer direction spans
     a positively curved plane with some vector of ``s``.
     """
+    if type(maximal_asserted) is not bool:
+        raise InputError("maximal_asserted must be True or False")
     algebra = s.algebra
     require_two_step(algebra, "the curvature trichotomy")
     if s.coordinate_labels() is None:

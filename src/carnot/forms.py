@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -142,6 +142,8 @@ class InvariantForm:
 
     def evaluate(self, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
         """Value on a tuple of vectors: sum of pairing determinants."""
+        if not isinstance(vectors, (list, tuple)):
+            raise InputError("form of degree %d needs a list of vectors" % self.degree)
         if len(vectors) != self.degree:
             raise InputError(
                 "form of degree %d applied to %d vectors" % (self.degree, len(vectors))
@@ -261,12 +263,9 @@ def _integer_differential(
     return out
 
 
-@dataclass(frozen=True)
-class ScalingWeight:
-    """Weight of a form under the grading dilation; None when mixed."""
-
-    uniform: int | None
-    by_monomial: tuple[tuple[Monomial, int], ...]
+# weight of a form under the grading dilation, uniform None when mixed,
+# and (monomial, weight) per monomial
+ScalingWeight = namedtuple("ScalingWeight", "uniform by_monomial")
 
 
 def scaling_weight(form: InvariantForm) -> ScalingWeight:
@@ -334,11 +333,14 @@ def check_cube_closed(s: Subspace, omit: int) -> bool:
     return differential(gamma).is_zero()
 
 
-@dataclass(frozen=True)
-class PittetReport:
-    pairs: tuple[tuple[str, str], ...]
-    kernel_dimension: int
-    kernel_basis: tuple[tuple[dict[int, int], int], ...] = field(hash=False)
+class PittetReport(namedtuple("PittetReport", "pairs kernel_dimension kernel_basis")):
+    """The wedge pairs, the kernel dimension and its basis, (w, s) pairs."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        # the kernel basis holds dicts, which do not hash
+        return hash(self[:2])
 
 
 def pittet_kernel(algebra: GradedLieAlgebra) -> PittetReport:

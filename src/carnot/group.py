@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import CheckResult, Dilation, GradedLieAlgebra, require_two_step
@@ -73,7 +72,6 @@ def group_scaling(t, g: GroupElement) -> GroupElement:
     return GroupElement(g.algebra, d(g.coords))
 
 
-@dataclass(frozen=True)
 class LatticeSpec:
     """Basis whose integer span should be a scaled-in lattice.
 
@@ -85,34 +83,31 @@ class LatticeSpec:
     those pairs gives G^-1 as sparse integer rows over the lcm q of its
     denominators, ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the
     coordinates sum_k w_k _columns[k] / (q r), integers exactly when q r
-    divides every sum.
+    divides every sum.  Specs are equal when their algebras and generators
+    are.
     """
 
-    algebra: GradedLieAlgebra
-    generators: Matrix
-    _denominator: int = field(init=False, compare=False, repr=False)
-    _columns: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
-    _scaled: tuple[tuple[dict[int, int], int], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("algebra", "generators", "_denominator", "_columns", "_scaled")
 
-    def __post_init__(self) -> None:
-        require_two_step(self.algebra, "a lattice")
-        n = self.algebra.dimension
-        if len(self.generators) != n:
+    def __init__(self, algebra: GradedLieAlgebra, generators: Matrix) -> None:
+        require_two_step(algebra, "a lattice")
+        n = algebra.dimension
+        if not isinstance(generators, (list, tuple)):
+            raise InputError("a lattice needs a list of %d generators" % n)
+        if len(generators) != n:
             raise InputError(
-                "a lattice needs exactly %d generators, got %d"
-                % (n, len(self.generators))
+                "a lattice needs exactly %d generators, got %d" % (n, len(generators))
             )
-        read = self.algebra.numerators
-        self._invert(tuple(read(g, "a lattice generator") for g in self.generators))
+        self.algebra, self.generators = algebra, generators
+        read = algebra.numerators
+        self._invert(tuple(read(g, "a lattice generator") for g in generators))
 
     @classmethod
     def _from_scaled(cls, algebra: GradedLieAlgebra, scaled) -> "LatticeSpec":
         """The spec of the generators given as their ``numerators`` pairs."""
         n, spec = algebra.dimension, cls.__new__(cls)
-        generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
-        vars(spec).update(algebra=algebra, generators=generators)
+        spec.algebra = algebra
+        spec.generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
         spec._invert(scaled)
         return spec
 
@@ -120,8 +115,19 @@ class LatticeSpec:
         found = linalg.integer_inverse(scaled)
         if found is None:
             raise InputError("lattice generators must span the algebra")
-        columns, q = found
-        vars(self).update(_denominator=q, _columns=columns, _scaled=scaled)
+        self._columns, self._denominator = found
+        self._scaled = scaled
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.generators) == (other.algebra, other.generators)
+
+    def __hash__(self):
+        return hash((self.algebra, self.generators))
+
+    def __repr__(self) -> str:
+        return "LatticeSpec(algebra=%r, generators=%r)" % (self.algebra, self.generators)
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""

@@ -12,40 +12,33 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 
-@dataclass(frozen=True)
-class IsotropyResult:
-    isotropic: bool
-    witness: tuple[Vector, Vector] | None = None
+class IsotropyResult(namedtuple("IsotropyResult", "isotropic witness", defaults=(None,))):
+    """The verdict and, when it fails, the first offending pair of rows."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.isotropic
 
 
-@dataclass(frozen=True)
-class RegularityResult:
-    regular: bool
-    rank: int
-    required_rank: int
+class RegularityResult(namedtuple("RegularityResult", "regular rank required_rank")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.regular
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "satisfied k lhs rhs")):
     """Dimension bound ``n1 - k >= k * (n - n1)`` for a k-dim subspace."""
 
-    satisfied: bool
-    k: int
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.satisfied

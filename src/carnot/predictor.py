@@ -13,7 +13,7 @@ dimension are cross-checked for consistency but never merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import InputError, Subspace, hausdorff_dimension
@@ -51,27 +51,25 @@ _STRICT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(namedtuple("GrowthBound", "target m exponent relation source note")):
     """One predicted bound: target function, dimension, exponent, strength."""
 
-    target: str
-    m: int
-    exponent: Fraction
-    relation: str
-    source: str
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.target not in ("F", "Div"):
+    def __new__(cls, target, m, exponent, relation, source, note=""):
+        if target not in ("F", "Div"):
             raise InputError("target must be F or Div")
-        if self.relation not in RELATIONS:
-            raise InputError("unknown relation %r" % self.relation)
-        if self.exponent <= 0:
+        if relation not in RELATIONS:
+            raise InputError("unknown relation %r" % relation)
+        if exponent <= 0:
             raise InputError("growth exponents are positive")
         # filling slower than linear is impossible for a geodesic space
-        if self.target == "F" and self.exponent <= 1:
+        if target == "F" and exponent <= 1:
             raise InputError("filling exponents exceed 1")
+        return super().__new__(cls, target, m, exponent, relation, source, note)
+
+    # ``_replace`` builds through ``_make``, so it is checked as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def as_dict(self) -> dict:
         out = {
@@ -251,12 +249,8 @@ def predict_divergence(bundle: HypothesisBundle) -> list[GrowthBound]:
     return sorted(rows, key=lambda b: (b.m, b.relation, b.exponent))
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    target: str
-    m: int
-    bounds: tuple[GrowthBound, ...]
-    conflict: bool
+class CoverageRow(namedtuple("CoverageRow", "target m bounds conflict")):
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -267,11 +261,7 @@ class CoverageRow:
         return "bounded"
 
 
-@dataclass(frozen=True)
-class CoverageTable:
-    filling: tuple[CoverageRow, ...]
-    divergence: tuple[CoverageRow, ...]
-    notes: tuple[str, ...]
+CoverageTable = namedtuple("CoverageTable", "filling divergence notes")
 
 
 def _detect_conflict(bounds: tuple[GrowthBound, ...]) -> bool:

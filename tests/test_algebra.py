@@ -369,6 +369,33 @@ def test_subspace_refuses_containers_it_would_misread(algebra, call, message):
         call(algebra)
 
 
+BRACKETS_MESSAGE = "brackets must map label pairs to mappings of labels to coefficients"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a: LatticeSpec(a, 5), "a lattice needs a list of 3 generators"),
+        (
+            lambda a: InvariantForm(a, 1, {(0,): 1}).evaluate(5),
+            "form of degree 1 needs a list of vectors",
+        ),
+        (
+            lambda a: a.vector(["j1"]),
+            "a vector needs a mapping of labels to coefficients",
+        ),
+        (lambda a: GradedLieAlgebra("abc", *ABC, [("a", "b")]), BRACKETS_MESSAGE),
+        (lambda a: GradedLieAlgebra("abc", *ABC, {("a", "b"): ["c"]}), BRACKETS_MESSAGE),
+    ],
+    ids=["lattice_int", "evaluate_int", "vector_list", "brackets_list", "result_list"],
+)
+def test_containers_around_vectors_are_input_errors(call, message):
+    # each used to escape as a TypeError or an AttributeError
+    with pytest.raises(InputError) as info:
+        call(HEISENBERG_C1)
+    assert str(info.value) == message
+
+
 def test_the_dimension_budget_admits_512_labels_and_no_more():
     labels = ["x%d" % i for i in range(MAX_DIMENSION)]
     assert MAX_DIMENSION == 512

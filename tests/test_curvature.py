@@ -271,6 +271,15 @@ def test_unasserted_maximality_leaves_item_open():
     assert report.positive_toward_vertical.holds
 
 
+@pytest.mark.parametrize("flag", ["no", 0, None, 1], ids=["no", "zero", "none", "one"])
+def test_the_maximality_flag_is_true_or_false(flag):
+    # "no" used to be read as an assertion that failed, and 0 as no assertion
+    s = Subspace.from_labels(build("heisenberg_h:2").algebra, ["h1"])
+    with pytest.raises(InputError) as info:
+        trichotomy_report(s, maximal_asserted=flag)
+    assert str(info.value) == "maximal_asserted must be True or False"
+
+
 def test_false_maximality_assertion_is_caught():
     # span(h1) in the n=2 quaternionic algebra: h2 commutes with it, so no
     # negatively curved partner exists and the asserted item must fail
