@@ -115,6 +115,7 @@ class GradedLieAlgebra:
 
         if not (
             isinstance(brackets, Mapping)
+            and all(type(key) is tuple and len(key) == 2 for key in brackets)
             and all(isinstance(result, Mapping) for result in brackets.values())
         ):
             raise InputError(

@@ -39,7 +39,13 @@ def _family(layout: Callable[[int], tuple[_Layout, Iterable[tuple]]]):
     a lazy iterable of its positional entries (u, v, w, a), [b_u, b_v]
     having the component a b_w; return the function that builds its entries."""
     _FAMILIES[layout.__name__] = layout
-    return functools.wraps(layout)(lambda n: _entry(*layout(n)))
+
+    def family(n: int) -> CatalogEntry:
+        if type(n) is not int:
+            raise InputError("%s needs an int n" % layout.__name__)
+        return _entry(*layout(n))
+
+    return functools.wraps(layout)(family)
 
 
 def _entry(layout: _Layout, entries: Iterable[tuple]) -> CatalogEntry:

@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Thin adapters only: each subcommand resolves its inputs, calls one module
-operation set, and renders the result as text or one JSON document.  Exit
-codes: 0 success, 1 a computed check or certification failed (the report
-is still emitted), 2 malformed input or usage.  Output is deterministic;
---threads is accepted for interface stability but does not change anything.
+``main`` runs one pipeline for every subcommand: it loads the source, gates
+it (except under ``check``, which reports validity instead), resolves the
+subspace when the subcommand takes one, calls the subcommand and writes its
+report, under the source's key, as text or one JSON document.  Each
+subcommand only computes: it returns its exit code, a payload builder and
+lazy text lines.  Exit codes: 0 success, 1 a computed check or
+certification failed (the report is still emitted), 2 malformed input or
+usage.  Output is deterministic; --threads is accepted for interface
+stability but does not change anything.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ def _load_entry(source: str) -> CatalogEntry:
         "source %r is neither an existing file nor a catalog id like "
         "'heisenberg_h:2'" % source
     )
-
-
-def _load_valid_entry(source: str) -> CatalogEntry:
-    """``_load_entry``, then the algebra's ``require_valid`` gate."""
-    entry = _load_entry(source)
-    entry.algebra.require_valid()
-    return entry
 
 
 def _resolve_subspace(entry: CatalogEntry, args) -> Subspace:
@@ -99,20 +96,25 @@ _REL_SYMBOL = {
 
 def _render(doc, indent: str = "\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` for trees of str, int, bool,
-    None, list, tuple and str-keyed dict, else TypeError; no call per str or int."""
+    None, list, tuple and str-keyed dict, with a ``Fraction`` written as its
+    quoted ``str``, else TypeError; no call per str, int or Fraction."""
     inner = indent + "  "
     if isinstance(doc, dict):
         ends, parts = "{}", [_quote(k) + ": " + (
             _quote(v) if type(v) is str else repr(v) if type(v) is int
+            else '"%s"' % v if type(v) is Fraction
             else _render(v, inner)) for k, v in sorted(doc.items())]
     elif isinstance(doc, (list, tuple)):
         ends, parts = "[]", [
             _quote(v) if type(v) is str else repr(v) if type(v) is int
+            else '"%s"' % v if type(v) is Fraction
             else _render(v, inner) for v in doc]
     elif doc is None or isinstance(doc, bool):
         return {None: "null", True: "true", False: "false"}[doc]
     elif isinstance(doc, (str, int)):
         return _quote(doc) if isinstance(doc, str) else int.__repr__(doc)
+    elif isinstance(doc, Fraction):
+        return _quote(str(doc))
     else:
         raise TypeError("%s is not rendered as JSON" % type(doc).__name__)
     body = ("," + inner).join(parts)
@@ -140,15 +142,6 @@ def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
             sys.set_int_max_str_digits(limit)
 
 
-def _report(args, entry: CatalogEntry, payload: Callable[[], dict], lines) -> None:
-    """``_emit`` of a report on ``entry``: its key as ``"source"`` in the
-    payload and as the first line, before the lazy ``lines``."""
-    def keyed() -> dict:
-        return {"source": entry.key, **payload()}
-
-    _emit(args, keyed, itertools.chain(["source: %s" % entry.key], lines))
-
-
 def _subspace_name(s: Subspace) -> str:
     labels = s.coordinate_labels()
     if labels is not None:
@@ -156,11 +149,9 @@ def _subspace_name(s: Subspace) -> str:
     return "%d-dimensional subspace" % s.dim
 
 
-def _vector_strings(v) -> list[str]:
-    return [str(c) for c in v]
-
-
 # -- subcommands -----------------------------------------------------------
+# Each cmd_* but cmd_catalog takes (args, entry) or, under --subspace, (args,
+# entry, s) and returns (exit code, payload builder, lazy lines) to ``main``.
 
 
 def cmd_catalog(args) -> int:
@@ -181,8 +172,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    entry = _load_entry(args.source)
+def cmd_check(args, entry: CatalogEntry) -> tuple:
     algebra = entry.algebra
     jacobi, strat = algebra.validity()
     hausdorff = hausdorff_dimension(algebra)
@@ -192,7 +182,7 @@ def cmd_check(args) -> int:
             "dimension": algebra.dimension,
             "degree": algebra.declared_degree,
             "hausdorff_dimension": hausdorff,
-            "weights": list(algebra.weights),
+            "weights": algebra.weights,
             "jacobi": {"ok": jacobi.ok, "detail": jacobi.detail},
             "stratification": {"ok": strat.ok, "detail": strat.detail},
         }
@@ -203,25 +193,21 @@ def cmd_check(args) -> int:
         yield "jacobi: %s (%s)" % ("ok" if jacobi.ok else "FAIL", jacobi.detail)
         yield "stratification: %s (%s)" % ("ok" if strat.ok else "FAIL", strat.detail)
 
-    _report(args, entry, payload, lines())
-    return 0 if jacobi.ok and strat.ok else 1
+    return 0 if jacobi.ok and strat.ok else 1, payload, lines()
 
 
-def cmd_certify(args) -> int:
-    entry = _load_valid_entry(args.source)
-    s = _resolve_subspace(entry, args)
+def cmd_certify(args, entry: CatalogEntry, s: Subspace) -> tuple:
     iso = is_isotropic(s)
     reg = is_regular(s)
 
     def payload():
-        witness = iso.witness
         return {
             "subspace": _subspace_name(s),
             "isotropic": iso.isotropic,
             "regular": reg.regular,
             "rank": reg.rank,
             "required_rank": reg.required_rank,
-            "witness": None if witness is None else list(map(_vector_strings, witness)),
+            "witness": iso.witness,
         }
 
     def lines():
@@ -236,13 +222,10 @@ def cmd_certify(args) -> int:
         )
         yield "certified: %s" % ("yes" if iso.isotropic and reg.regular else "no")
 
-    _report(args, entry, payload, lines())
-    return 0 if iso.isotropic and reg.regular else 1
+    return 0 if iso.isotropic and reg.regular else 1, payload, lines()
 
 
-def cmd_predict(args) -> int:
-    entry = _load_valid_entry(args.source)
-    s = _resolve_subspace(entry, args)
+def cmd_predict(args, entry: CatalogEntry, s: Subspace) -> tuple:
     lattice = {"auto": None, "yes": True, "no": False}[args.lattice]
     k1 = None
     if args.max_isotropic is not None:
@@ -264,7 +247,7 @@ def cmd_predict(args) -> int:
             "subspace": _subspace_name(s),
             "filling": [row_dict(r) for r in table.filling],
             "divergence": [row_dict(r) for r in table.divergence],
-            "notes": list(table.notes),
+            "notes": table.notes,
         }
 
     def row_lines(rows, name, base):
@@ -288,14 +271,11 @@ def cmd_predict(args) -> int:
         yield "notes:"
         yield from ("  - %s" % note for note in table.notes)
 
-    _report(args, entry, payload, lines())
     conflict = any(r.conflict for r in table.filling + table.divergence)
-    return 1 if conflict else 0
+    return 1 if conflict else 0, payload, lines()
 
 
-def cmd_curvature(args) -> int:
-    entry = _load_valid_entry(args.source)
-    s = _resolve_subspace(entry, args)
+def cmd_curvature(args, entry: CatalogEntry, s: Subspace) -> tuple:
     report = trichotomy_report(s, maximal_asserted=args.assert_maximal)
     items = {
         "flat_inside": "flat inside subspace",
@@ -303,19 +283,12 @@ def cmd_curvature(args) -> int:
         "positive_toward_vertical": "positive toward vertical",
     }
 
-    def item_dict(item):
-        return {
-            "holds": item.holds,
-            "detail": item.detail,
-            "witnesses": [[a, b, str(v)] for a, b, v in item.witnesses],
-        }
-
     def payload():
         return {
             "subspace": _subspace_name(s),
-            "ordered_basis": list(report.ordered_basis),
-            "planes": [[a, b, str(v)] for a, b, v in report.planes],
-            **{key: item_dict(getattr(report, key)) for key in items},
+            "ordered_basis": report.ordered_basis,
+            "planes": report.planes,
+            **{key: getattr(report, key)._asdict() for key in items},
         }
 
     def lines():
@@ -326,21 +299,19 @@ def cmd_curvature(args) -> int:
             verdict = {None: "not evaluated", True: "holds", False: "FAILS"}[item.holds]
             yield "%s: %s (%s)" % (name, verdict, item.detail)
 
-    _report(args, entry, payload, lines())
-    return 1 if any(getattr(report, key).holds is False for key in items) else 0
+    code = 1 if any(getattr(report, key).holds is False for key in items) else 0
+    return code, payload, lines()
 
 
-def cmd_pittet(args) -> int:
-    entry = _load_valid_entry(args.source)
+def cmd_pittet(args, entry: CatalogEntry) -> tuple:
     report = pittet_kernel(entry.algebra)
 
     def payload():
         return {
-            "pairs": [[a, b] for a, b in report.pairs],
+            "pairs": report.pairs,
             "kernel_dimension": report.kernel_dimension,
             "kernel_basis": [
-                _vector_strings(linalg.densify(w, len(report.pairs), s))
-                for w, s in report.kernel_basis
+                linalg.densify(w, len(report.pairs), s) for w, s in report.kernel_basis
             ],
         }
 
@@ -353,18 +324,16 @@ def cmd_pittet(args) -> int:
             )
             yield "  closed: %s" % combo
 
-    _report(args, entry, payload, lines())
-    return 0
+    return 0, payload, lines()
 
 
-def cmd_lattice(args) -> int:
-    entry = _load_valid_entry(args.source)
+def cmd_lattice(args, entry: CatalogEntry) -> tuple:
     spec = build_scalable_lattice(entry.algebra)
     checks = {"group": check_group_closure(spec), "scaling": check_scaling_closure(spec)}
 
     def payload():
         return {
-            "generators": [_vector_strings(g) for g in spec.generators],
+            "generators": spec.generators,
             "detail": {name: check.detail for name, check in checks.items()},
             **{"%s_closed" % name: check.ok for name, check in checks.items()},
         }
@@ -376,12 +345,10 @@ def cmd_lattice(args) -> int:
         for name, check in checks.items():
             yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
 
-    _report(args, entry, payload, lines())
-    return 0 if all(checks.values()) else 1
+    return 0 if all(checks.values()) else 1, payload, lines()
 
 
-def cmd_forms_d(args) -> int:
-    entry = _load_valid_entry(args.source)
+def cmd_forms_d(args, entry: CatalogEntry) -> tuple:
     form = form_from_dict(entry.algebra, _catalog.read_json(args.form))
     if form.is_zero():
         raise InputError("the input form is zero")
@@ -394,9 +361,7 @@ def cmd_forms_d(args) -> int:
             "differential": form_to_dict(d),
             "closed": d.is_zero(),
             "scaling_weight": weight.uniform,
-            "scaling_weight_by_monomial": [
-                [list(mono), w] for mono, w in weight.by_monomial
-            ],
+            "scaling_weight_by_monomial": weight.by_monomial,
         }
 
     def lines():
@@ -407,8 +372,7 @@ def cmd_forms_d(args) -> int:
             weight.uniform if weight.uniform is not None else "mixed"
         )
 
-    _report(args, entry, payload, lines())
-    return 0
+    return 0, payload, lines()
 
 
 # -- parser ----------------------------------------------------------------
@@ -433,29 +397,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", parents=[common], help="list built-in algebras")
-    p.set_defaults(func=cmd_catalog)
+    sub.add_parser("catalog", parents=[common], help="list built-in algebras")
 
-    def with_source(name: str, help_text: str, subspace: bool = False):
+    def with_source(name: str, func, help_text: str, subspace: bool = False):
         q = sub.add_parser(name, parents=[common], help=help_text)
+        q.set_defaults(func=func)
         q.add_argument("source", help="catalog id (family:n) or JSON file path")
         if subspace:
-            q.add_argument(
-                "--subspace", help="comma-separated basis labels, e.g. h1,h2"
-            )
+            q.add_argument("--subspace", help="comma-separated basis labels, e.g. h1,h2")
             q.add_argument(
                 "--subspace-file",
                 help='JSON file {"rows": [["1","0",...], ...]} of rational rows',
             )
         return q
 
-    p = with_source("check", "validate grading, Jacobi, stratification")
-    p.set_defaults(func=cmd_check)
+    with_source("check", cmd_check, "validate grading, Jacobi, stratification")
+    with_source("certify", cmd_certify, "isotropy and regularity of a subspace", True)
 
-    p = with_source("certify", "isotropy and regularity of a subspace", subspace=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = with_source("predict", "growth-exponent coverage table", subspace=True)
+    p = with_source("predict", cmd_predict, "growth-exponent coverage table", True)
     p.add_argument(
         "--lattice",
         choices=("auto", "yes", "no"),
@@ -469,35 +428,37 @@ def _build_parser() -> argparse.ArgumentParser:
         help="assert this is the largest dimension of an isotropic horizontal "
         "subspace (enables the strict gap bound)",
     )
-    p.set_defaults(func=cmd_predict)
 
-    p = with_source("curvature", "sectional curvature sign report", subspace=True)
+    p = with_source("curvature", cmd_curvature, "sectional curvature sign report", True)
     p.add_argument(
         "--assert-maximal",
         action="store_true",
         help="assert the subspace is a maximal isotropic one (enables the "
         "negative-curvature item)",
     )
-    p.set_defaults(func=cmd_curvature)
 
-    p = with_source("pittet", "closed 2-forms from (second, first) layer pairs")
-    p.set_defaults(func=cmd_pittet)
-
-    p = with_source("lattice", "build and check a scaled-in lattice (2-step)")
-    p.set_defaults(func=cmd_lattice)
-
-    p = with_source("forms-d", "differential and scaling weight of a form")
+    with_source("pittet", cmd_pittet, "closed 2-forms from (second, first) layer pairs")
+    with_source("lattice", cmd_lattice, "build and check a scaled-in lattice (2-step)")
+    p = with_source("forms-d", cmd_forms_d, "differential and scaling weight of a form")
     p.add_argument("form", help="JSON file with degree and terms")
-    p.set_defaults(func=cmd_forms_d)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv`` and run the subcommand's pipeline (module docstring)."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "catalog":
+            return cmd_catalog(args)
+        entry = _load_entry(args.source)
+        if args.command != "check":
+            entry.algebra.require_valid()
+        s = (_resolve_subspace(entry, args),) if "subspace" in args else ()
+        code, payload, lines = args.func(args, entry, *s)
+        _emit(args, lambda: {"source": entry.key, **payload()},
+              itertools.chain(["source: %s" % entry.key], lines))
+        return code
     except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

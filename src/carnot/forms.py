@@ -291,7 +291,7 @@ def cube_form(
     indices = list(map(algebra.position, order))
     if sorted(indices) != list(range(algebra.dimension)):
         raise InputError("order must be a permutation of the basis")
-    if not 0 <= omit <= len(algebra.layers[0]):
+    if type(omit) is not int or not 0 <= omit <= len(algebra.layers[0]):
         raise InputError("omit must be between 0 and dim V1")
     first = set(algebra.layers[0])
     for i in indices[:omit]:

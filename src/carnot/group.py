@@ -83,8 +83,9 @@ class LatticeSpec:
     those pairs gives G^-1 as sparse integer rows over the lcm q of its
     denominators, ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the
     coordinates sum_k w_k _columns[k] / (q r), integers exactly when q r
-    divides every sum.  Specs are equal when their algebras and generators
-    are.
+    divides every sum.  ``generators`` holds the dense rows of those pairs,
+    whatever container and coefficient form were passed, and specs are equal
+    when their algebras and generators are.
     """
 
     __slots__ = ("algebra", "generators", "_denominator", "_columns", "_scaled")
@@ -98,25 +99,26 @@ class LatticeSpec:
             raise InputError(
                 "a lattice needs exactly %d generators, got %d" % (n, len(generators))
             )
-        self.algebra, self.generators = algebra, generators
         read = algebra.numerators
-        self._invert(tuple(read(g, "a lattice generator") for g in generators))
+        self._set(algebra, tuple(read(g, "a lattice generator") for g in generators))
 
     @classmethod
     def _from_scaled(cls, algebra: GradedLieAlgebra, scaled) -> "LatticeSpec":
         """The spec of the generators given as their ``numerators`` pairs."""
-        n, spec = algebra.dimension, cls.__new__(cls)
-        spec.algebra = algebra
-        spec.generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
-        spec._invert(scaled)
+        spec = cls.__new__(cls)
+        spec._set(algebra, scaled)
         return spec
 
-    def _invert(self, scaled: tuple[tuple[dict[int, int], int], ...]) -> None:
+    def _set(self, algebra, scaled: tuple[tuple[dict[int, int], int], ...]) -> None:
+        """The core of both constructors: the generators as the dense rows of
+        their ``numerators`` pairs ``scaled``, and the inverse of those pairs."""
         found = linalg.integer_inverse(scaled)
         if found is None:
             raise InputError("lattice generators must span the algebra")
+        n = algebra.dimension
+        self.algebra, self._scaled = algebra, scaled
+        self.generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
         self._columns, self._denominator = found
-        self._scaled = scaled
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace
-from .linalg import Matrix
+from .linalg import InputError, Matrix
 
 
 class IsotropyResult(namedtuple("IsotropyResult", "isotropic witness", defaults=(None,))):
@@ -106,6 +106,8 @@ def is_regular(s: Subspace) -> RegularityResult:
 
 def gromov_dimension_bound(algebra: GradedLieAlgebra, k: int) -> BoundReport:
     """Necessary dimension count for a k-dim isotropic regular subspace."""
+    if type(k) is not int or k < 0:
+        raise InputError("k must be a dimension, an int of at least 0")
     n = algebra.dimension
     n1 = len(algebra.layers[0])
     lhs = n1 - k

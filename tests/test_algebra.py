@@ -33,7 +33,7 @@ from carnot import (
     two_step_closed_forms,
     unipotent,
 )
-from carnot import HypothesisBundle, cli, linalg, pittet_kernel, trichotomy_report
+from carnot import HypothesisBundle, linalg, pittet_kernel, trichotomy_report
 from carnot import algebra as algebra_module
 from carnot.algebra import MAX_DIMENSION, require_two_step
 from helpers import (
@@ -396,6 +396,24 @@ def test_containers_around_vectors_are_input_errors(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("ab", BRACKETS_MESSAGE),
+        (("a", "b", "c"), BRACKETS_MESSAGE),
+        (5, BRACKETS_MESSAGE),
+        ((5, "b"), "unknown basis label 5"),
+    ],
+    ids=["string", "three-tuple", "int", "unknown-label"],
+)
+def test_a_bracket_key_is_a_tuple_of_two_labels(key, message):
+    # a string key is not read as the pair of its characters; the labels of
+    # a pair are then read one by one
+    with pytest.raises(InputError) as info:
+        GradedLieAlgebra("abc", *ABC, {key: {"c": 1}})
+    assert str(info.value) == message
+
+
 def test_the_dimension_budget_admits_512_labels_and_no_more():
     labels = ["x%d" % i for i in range(MAX_DIMENSION)]
     assert MAX_DIMENSION == 512
@@ -749,7 +767,8 @@ def test_validity_is_the_two_checks_computed_once(monkeypatch):
     monkeypatch.setattr(
         algebra_module, "stratification_check", counting(stratification_check)
     )
-    entry = cli._load_valid_entry("heisenberg_h:1")
+    entry = build("heisenberg_h:1")
+    entry.algebra.require_valid()
     pittet_kernel(entry.algebra)
     build_scalable_lattice(entry.algebra)
     assert calls == {"jacobi_check": 1, "stratification_check": 1}

@@ -214,6 +214,19 @@ def refuse_labels_past_the_budget(monkeypatch):
     monkeypatch.setattr(catalog, "range", spy, raising=False)
 
 
+@pytest.mark.parametrize(
+    "family, n",
+    [(catalog.heisenberg_h, "1"), (catalog.heisenberg_h, True), (catalog.abelian, 2.0)],
+    ids=["str", "bool", "float"],
+)
+def test_a_family_builder_reads_n_as_an_int(family, n):
+    # a bool is not read as 0 or 1
+    with pytest.raises(InputError) as info:
+        family(n)
+    assert str(info.value) == "%s needs an int n" % family.__name__
+    assert family(1).key == "%s:1" % family.__name__
+
+
 OVER_BUDGET_IDS = [
     ("heisenberg_c:1000000", "dimension 2000001 is over the budget of 512"),
     ("heisenberg_h:1000000", "dimension 4000003 is over the budget of 512"),

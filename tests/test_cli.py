@@ -608,6 +608,52 @@ def test_curvature_and_pittet_reject_an_algebra_that_is_not_stratified(
     assert err == "error: not a stratified Lie algebra: %s\n" % detail
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{algebra}", "--subspace", "zz"],
+        ["certify", "{algebra}", "--subspace", "a", "--subspace-file", "{missing}"],
+        ["forms-d", "{algebra}", "{missing}"],
+    ],
+    ids=["bad-label", "both-subspace-options", "missing-form-file"],
+)
+def test_the_gate_runs_before_the_subspace_and_the_form_are_read(
+    capsys, tmp_path, argv
+):
+    _, basis, layers, table, detail = NOT_STRATIFIED_CASES["ab-equals-a"]
+    paths = {
+        "algebra": write_algebra(tmp_path, "ab", basis, layers, table),
+        "missing": tmp_path / "missing.json",
+    }
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert_one_error(code, out, err)
+    assert err == "error: not a stratified Lie algebra: %s\n" % detail
+
+
+def test_check_reports_what_the_gate_would_refuse(capsys, tmp_path):
+    _, basis, layers, table, detail = NOT_STRATIFIED_CASES["ab-equals-a"]
+    path = str(write_algebra(tmp_path, "ab", basis, layers, table))
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (1, "")
+    assert "stratification: FAIL (%s)" % detail in out
+
+
+def test_both_subspace_options_are_refused_before_either_is_read(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    argv = ["heisenberg_h:2", "--subspace", "zz", "--subspace-file", missing]
+    code, out, err = run(capsys, "certify", *argv)
+    assert_one_error(code, out, err)
+    assert err == "error: give --subspace or --subspace-file, not both\n"
+
+
+def test_predict_resolves_the_subspace_before_it_reads_max_isotropic(capsys):
+    code, out, err = run(
+        capsys, "predict", "heisenberg_h:2", "--subspace", "zz", "--max-isotropic", "0"
+    )
+    assert_one_error(code, out, err)
+    assert err == "error: unknown basis label 'zz'\n"
+
+
 def test_forms_d_reports_differential(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(
@@ -662,14 +708,14 @@ def count_calls(monkeypatch, owner, name):
     ids=["lattice", "pittet", "certify-witness"],
 )
 def test_only_the_printed_form_is_built(capsys, monkeypatch, argv):
-    # JSON entries are rendered by _vector_strings, text vectors by describe
-    strings = count_calls(monkeypatch, carnot.cli, "_vector_strings")
+    # the JSON document is written by _render, text vectors by describe
+    rendered = count_calls(monkeypatch, carnot.cli, "_render")
     described = count_calls(monkeypatch, GradedLieAlgebra, "describe")
     run(capsys, *argv)
-    assert strings == []
+    assert rendered == []
     text_described = len(described)
     run(capsys, *argv, "--json")
-    assert strings != []
+    assert rendered != []
     assert len(described) == text_described
     if argv[0] != "pittet":
         assert text_described > 0
@@ -941,12 +987,19 @@ def test_render_is_json_dumps_with_indent_and_sorted_keys(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.0]}, [{"b": {3: 4}}]],
-    ids=["float", "fraction", "set", "int-key", "nested-float", "nested-int-key"],
+    [1.5, {1, 2}, {1: "a"}, {"a": [0.0]}, [{"b": {3: 4}}]],
+    ids=["float", "set", "int-key", "nested-float", "nested-int-key"],
 )
 def test_render_rejects_what_it_does_not_write(doc):
     with pytest.raises(TypeError):
         cli._render(doc)
+
+
+def test_render_writes_a_fraction_as_its_string():
+    assert cli._render(Fraction(1, 2)) == json.dumps("1/2")
+    doc = {"a": [Fraction(-3), (Fraction(1, 2), {"b": Fraction(10**30, 7)})]}
+    as_strings = {"a": ["-3", ["1/2", {"b": str(Fraction(10**30, 7))}]]}
+    assert cli._render(doc) == json.dumps(as_strings, indent=2, sort_keys=True)
 
 
 def test_json_output_is_indented_json_with_sorted_keys(capsys):

@@ -375,6 +375,7 @@ def test_cube_form_signs_the_kept_order_by_its_inversions():
     assert cube_form(algebra, 0, ["k1", "K", "j1"]).terms == {(0, 1, 2): F(1)}
 
 
+OMIT_V1 = "omit must be between 0 and dim V1"
 CUBE_ARGUMENT_ERRORS = [
     (
         lambda a, s: cube_form(a, 0, ["j1", "k1"]),
@@ -405,6 +406,9 @@ CUBE_ARGUMENT_ERRORS = [
     (lambda a, s: check_cube_closed(s, True), "omit must be between 0 and dim s"),
     (lambda a, s: check_cube_closed(s, "1"), "omit must be between 0 and dim s"),
     (lambda a, s: check_cube_closed(s, 1.0), "omit must be between 0 and dim s"),
+    (lambda a, s: cube_form(a, True, ["j1", "k1", "K"]), OMIT_V1),
+    (lambda a, s: cube_form(a, "1", ["j1", "k1", "K"]), OMIT_V1),
+    (lambda a, s: cube_form(a, 1.0, ["j1", "k1", "K"]), OMIT_V1),
 ]
 
 

@@ -339,6 +339,18 @@ def test_bound_violated_one_dimension_higher(n):
     assert not gromov_dimension_bound(algebra, n + 1).satisfied
 
 
+@pytest.mark.parametrize(
+    "k", ["1", True, -1, 1.0], ids=["str", "bool", "negative", "float"]
+)
+def test_the_dimension_bound_reads_k_as_a_dimension(k):
+    # a bool is not read as 0 or 1, nor a float as a dimension
+    algebra = build("heisenberg_h:1").algebra
+    with pytest.raises(InputError) as info:
+        gromov_dimension_bound(algebra, k)
+    assert str(info.value) == "k must be a dimension, an int of at least 0"
+    assert gromov_dimension_bound(algebra, 0).satisfied
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_bound_violated_for_unipotent_pairs(n):
     algebra = build("unipotent:%d" % n).algebra

@@ -89,8 +89,9 @@ RECORDS = {
         LatticeSpec,
         {"algebra": ALGEBRA, "generators": ((1, 0, 0), (0, 1, 0), (0, 0, F(1, 2)))},
         ("generators", ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-        "LatticeSpec(algebra=%s, generators=((1, 0, 0), (0, 1, 0), (0, 0, "
-        "Fraction(1, 2))))" % ALGEBRA_REPR,
+        "LatticeSpec(algebra=%s, generators=((Fraction(1, 1), Fraction(0, 1), "
+        "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 2))))" % ALGEBRA_REPR,
     ),
     "IsotropyResult": (
         IsotropyResult,
@@ -153,6 +154,25 @@ def test_equal_records_hash_as_the_tuple_of_their_fields(name):
 def test_one_different_field_makes_records_unequal(cls, kwargs, change, text):
     field, value = change
     assert cls(**kwargs) != cls(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]],
+        ((1, 0, 0), (0, 1, 0), (0, 0, "1/2")),
+        [(F(1), "0", 0), [0, "1", 0], (0, 0, "2/4")],
+    ],
+    ids=["lists", "string-entry", "mixed"],
+)
+def test_lattice_generators_are_the_rows_read_not_the_rows_passed(generators):
+    # the spec stores the dense Fraction rows its reader made, so the
+    # container and the coefficient form passed do not reach eq or hash
+    sample = LatticeSpec(**RECORDS["LatticeSpec"][1])
+    spec = LatticeSpec(ALGEBRA, generators)
+    assert spec == sample and hash(spec) == hash(sample)
+    assert spec.generators == ((1, 0, 0), (0, 1, 0), (0, 0, F(1, 2)))
+    assert all(type(c) is Fraction for row in spec.generators for c in row)
 
 
 @pytest.mark.parametrize(
