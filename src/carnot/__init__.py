@@ -12,7 +12,6 @@ from .algebra import (
     Dilation,
     GradedLieAlgebra,
     InputError,
-    NotNilpotentError,
     Subspace,
     hausdorff_dimension,
     jacobi_check,
@@ -99,7 +98,6 @@ __all__ = [
     "InvariantForm",
     "IsotropyResult",
     "LatticeSpec",
-    "NotNilpotentError",
     "PittetReport",
     "RegularityResult",
     "ScalingWeight",

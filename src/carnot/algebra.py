@@ -2,17 +2,17 @@
 
 A graded algebra is described by a basis, an ordered partition of that basis
 into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
-constants are read in integers (an int constant stays an int) and held
-once, over one common denominator D, the lcm of their denominators:
-``adjacency[u][v] = {w: A}`` for [b_u, b_v] = sum of (A / D) b_w, with both
-orientations stored and pairs that bracket to zero absent, and ``into[w]``
-lists (u, v, A) for each u < v whose bracket has the component (A / D) b_w.
-Sums of many products (Jacobi, curvature, the differential) run in integers
-and divide once at the end, and so does ``integer_bracket``, the one
-bilinear sum over the supports of two vectors; the bracket, the structure
-pairs and single constants divide by D where they return.  Coefficients
-outside are Fractions throughout, so every decision this module makes
-(ranks, spans, equalities) is exact.  Constants that are not ints are
+constants are read in integers (an int constant stays an int, and a bool is
+read as the int 0 or 1, as nowhere else) and held once, over one common
+denominator D, the lcm of their denominators: ``adjacency[u][v] = {w: A}``
+for [b_u, b_v] = sum of (A / D) b_w, with both orientations stored and pairs
+that bracket to zero absent, and ``into[w]`` lists (u, v, A) for each u < v
+whose bracket has the component (A / D) b_w.  Sums of many products (Jacobi,
+curvature, the differential) run in integers and divide once at the end, and
+so does ``integer_bracket``, the one bilinear sum over the supports of two
+vectors; the bracket and the structure pairs divide by D where they return.
+Coefficients outside are Fractions throughout, so every decision this module
+makes (ranks, spans, equalities) is exact.  Constants that are not ints are
 read by ``linalg.coefficient``, the one parser.  One integer-table core
 builds every algebra from basis positions: catalog families hand it their
 entries, and files and library callers go through the label constructor,
@@ -35,17 +35,17 @@ from .linalg import InputError, Matrix, Vector, ZERO, coefficient
 MAX_DIMENSION = 512
 
 
-class NotNilpotentError(InputError):
-    """The lower central series stabilised above zero."""
-
-
-class CheckResult(namedtuple("CheckResult", "ok detail", defaults=("",))):
-    """Outcome of a structural check; ``detail`` explains a failure."""
-
+class _Verdict(tuple):
     __slots__ = ()
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self[0]
+
+
+class CheckResult(_Verdict, namedtuple("CheckResult", "ok detail", defaults=("",))):
+    """Outcome of a structural check; ``detail`` explains a failure."""
+
+    __slots__ = ()
 
 
 def _is_label_list(value) -> bool:
@@ -131,8 +131,8 @@ class GradedLieAlgebra:
                     "bracket pair (%s, %s) listed twice" % (left, right)
                 )
             listed[u, v] = {
-                self.index(label): coeff if type(coeff) is int else coefficient(coeff)
-                for label, coeff in result.items()
+                self.index(label): c if isinstance(c, int) else coefficient(c)
+                for label, c in result.items()
             }
 
         d = math.lcm(*(c.denominator for e in listed.values() for c in e.values()))
@@ -251,7 +251,7 @@ class GradedLieAlgebra:
         return linalg.numerators(v)
 
     def basis_vector(self, label_or_index) -> Vector:
-        return linalg.unit_vector(self.dimension, self.position(label_or_index))
+        return linalg.densify({self.position(label_or_index): 1}, self.dimension)
 
     def vector(self, coefficients: Mapping[str, object]) -> Vector:
         if not isinstance(coefficients, Mapping):
@@ -279,10 +279,6 @@ class GradedLieAlgebra:
         """Sparse [b_u, b_v] for basis positions."""
         d = self.denominator
         return {w: Fraction(a, d) for w, a in self.adjacency[u].get(v, {}).items()}
-
-    def structure_constant(self, u: int, v: int, w: int) -> Fraction:
-        """Coefficient of b_w in [b_u, b_v]."""
-        return Fraction(self.adjacency[u].get(v, {}).get(w, 0), self.denominator)
 
     def integer_bracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> dict:
         """D [x, y] for sparse integer vectors ``{position: int}``: the sum of
@@ -448,8 +444,8 @@ def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
 def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
     """Chain g = g_1 > g_2 > ... ending with the zero subspace.
 
-    g_{j+1} = [g, g_j].  Raises NotNilpotentError if the chain stabilises
-    before reaching zero.
+    g_{j+1} = [g, g_j].  Raises InputError if the chain stabilises before
+    reaching zero.
     """
     basis = [algebra.basis_vector(i) for i in range(algebra.dimension)]
     current = Subspace(algebra, basis)
@@ -458,7 +454,7 @@ def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
         images = [algebra.bracket(b, x) for x in current.rows for b in basis]
         nxt = Subspace(algebra, images)
         if nxt.dim == current.dim:
-            raise NotNilpotentError(
+            raise InputError(
                 "lower central series stabilises at dimension %d" % current.dim
             )
         chain.append(nxt)

@@ -14,6 +14,7 @@ import collections
 import functools
 import itertools
 import json
+import os
 import re
 from collections.abc import Callable, Iterable
 from fractions import Fraction
@@ -175,6 +176,8 @@ def abelian(n: int):
 
 def build(key: str) -> CatalogEntry:
     """Build an entry from an id such as ``heisenberg_h:2``."""
+    if not isinstance(key, str):
+        raise InputError("a catalog id must be a string, got %r" % (key,))
     family, sep, param = key.partition(":")
     if not sep or family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
@@ -256,21 +259,25 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
 
 
 def save_algebra(entry_or_algebra, path) -> None:
-    algebra = (
-        entry_or_algebra.algebra
-        if isinstance(entry_or_algebra, CatalogEntry)
-        else entry_or_algebra
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra), fh, indent=2)
+    entry = entry_or_algebra
+    doc = algebra_to_dict(entry.algebra if isinstance(entry, CatalogEntry) else entry)
+    with _open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _open(path, mode: str = "r"):
+    """``open`` of a str, bytes or os.PathLike path, never of a descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError("a file path must be a str, bytes or os.PathLike")
+    return open(path, mode, encoding="utf-8")
 
 
 def read_json(path):
     """The JSON document in the file at ``path``.  Bytes that are not UTF-8,
     text that is not JSON, an integer past the interpreter's digit limit
     and nesting too deep for the parser raise InputError."""
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         try:
             return json.load(fh)
         # json.JSONDecodeError and UnicodeDecodeError are ValueErrors

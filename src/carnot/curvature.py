@@ -93,7 +93,7 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
         i, j = j, i
     # i horizontal, j in the second layer
     return QUARTER * sum(
-        (algebra.structure_constant(k, i, j) ** 2 for k in first), start=ZERO
+        (algebra.bracket_basis(k, i).get(j, ZERO) ** 2 for k in first), start=ZERO
     )
 
 

@@ -205,6 +205,8 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 def wedge(*factors: InvariantForm) -> InvariantForm:
     if not factors:
         raise InputError("wedge of nothing")
+    if not all(isinstance(f, InvariantForm) for f in factors):
+        raise InputError("wedge factors must be InvariantForms")
     out = factors[0]
     for f in factors[1:]:
         out = out.wedge(f)

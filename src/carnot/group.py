@@ -39,7 +39,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, algebra: GradedLieAlgebra) -> "GroupElement":
-        return cls(algebra, linalg.zero_vector(algebra.dimension))
+        return cls(algebra, linalg.densify({}, algebra.dimension))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.algebra is not self.algebra:

@@ -15,33 +15,28 @@ import math
 from collections import namedtuple
 
 from . import linalg
-from .algebra import GradedLieAlgebra, Subspace
+from .algebra import GradedLieAlgebra, Subspace, _Verdict
 from .linalg import InputError, Matrix
 
 
-class IsotropyResult(namedtuple("IsotropyResult", "isotropic witness", defaults=(None,))):
+class IsotropyResult(
+    _Verdict, namedtuple("IsotropyResult", "isotropic witness", defaults=(None,))
+):
     """The verdict and, when it fails, the first offending pair of rows."""
 
     __slots__ = ()
 
-    def __bool__(self) -> bool:
-        return self.isotropic
 
-
-class RegularityResult(namedtuple("RegularityResult", "regular rank required_rank")):
+class RegularityResult(
+    _Verdict, namedtuple("RegularityResult", "regular rank required_rank")
+):
     __slots__ = ()
 
-    def __bool__(self) -> bool:
-        return self.regular
 
-
-class BoundReport(namedtuple("BoundReport", "satisfied k lhs rhs")):
+class BoundReport(_Verdict, namedtuple("BoundReport", "satisfied k lhs rhs")):
     """Dimension bound ``n1 - k >= k * (n - n1)`` for a k-dim subspace."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.satisfied
 
 
 def is_isotropic(s: Subspace) -> IsotropyResult:

@@ -14,9 +14,9 @@ pairs (w, s) for the value w / s; Fractions are built only for entries returned.
 
 This module also holds the one reading of an exact number from outside:
 ``parse_coefficient`` takes an integer or ``p/q`` string, ``coefficient``
-an int, a Fraction or such a string, and anything else (floats, Python's
-wider string grammar, digit strings past the interpreter's limit) raises
-InputError.  Every other module imports them from here.
+an int, a Fraction or such a string, and anything else (floats, bools,
+Python's wider string grammar, digit strings past the interpreter's limit)
+raises InputError.  Every other module imports them from here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -63,8 +62,8 @@ def parse_coefficient(text) -> Fraction:
 def coefficient(value) -> Fraction:
     """Exact value of an int, a Fraction or a coefficient string.
 
-    Floats are rejected rather than converted, since their binary expansion
-    is not the number the caller wrote.  A Fraction is returned as it is.
+    Floats and bools are rejected, not converted: a float's binary
+    expansion is not the number written.  A Fraction is returned as it is.
     """
     if type(value) is Fraction:
         return value
@@ -72,26 +71,22 @@ def coefficient(value) -> Fraction:
         return parse_coefficient(value)
     if isinstance(value, float):
         raise InputError("floating point coefficient rejected: %r" % (value,))
+    if isinstance(value, bool):
+        raise InputError("boolean coefficient rejected")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad coefficient %r" % (value,)) from exc
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def numerators(values: Mapping | Sequence) -> tuple[dict, int]:
     """``({key: w}, r)``: the entries of a ``{key: value}`` dict, or of a
     sequence keyed by position, as integers w over the lcm r of their
     denominators, value = w / r, with the zeros absent.  Every entry is
-    read: if one is not an int or a Fraction, all go through
-    ``coefficient``, so ``"p/q"`` strings are read and ``None`` raises."""
+    read: a bool raises, and if one is not an int or a Fraction, all go
+    through ``coefficient``, so ``"p/q"`` strings are read and ``None`` raises."""
+    if bool in map(type, values.values() if isinstance(values, dict) else values):
+        raise InputError("boolean coefficient rejected")
     items = values.items() if isinstance(values, dict) else enumerate(values)
     try:
         nonzero = [(k, e) for k, e in items if e.numerator]

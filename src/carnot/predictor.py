@@ -61,6 +61,8 @@ class GrowthBound(namedtuple("GrowthBound", "target m exponent relation source n
             raise InputError("target must be F or Div")
         if relation not in RELATIONS:
             raise InputError("unknown relation %r" % relation)
+        if type(m) is not int or type(exponent) not in (int, Fraction):
+            raise InputError("m must be an int and the exponent an int or a Fraction")
         if exponent <= 0:
             raise InputError("growth exponents are positive")
         # filling slower than linear is impossible for a geodesic space

@@ -1,7 +1,9 @@
 """Built-in algebra families and the JSON interchange format."""
 
+import contextlib
 import importlib.util
 import json
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -83,7 +85,7 @@ def test_quaternion_bracket_spot_checks():
         assert got == algebra.vector({target: 1}), (a, b)
     # different indices commute
     got = algebra.bracket(algebra.basis_vector("i1"), algebra.basis_vector("h2"))
-    assert got == linalg.zero_vector(algebra.dimension)
+    assert got == linalg.densify({}, algebra.dimension)
 
 
 def test_designated_subspaces():
@@ -183,6 +185,58 @@ def test_from_dict_rejects_unknown_label_and_duplicates():
     data["brackets"].append({"left": "j1"})
     with pytest.raises(InputError):
         algebra_from_dict(data)
+
+
+@pytest.mark.parametrize("reader", [load_algebra, catalog.read_json])
+def test_a_read_descriptor_is_not_a_path(reader):
+    # load_algebra(fd) used to read the pipe and close the caller's fd
+    doc = (json.dumps(algebra_to_dict(build("heisenberg_c:1").algebra)) + "\n").encode()
+    r, w = os.pipe()
+    try:
+        os.write(w, doc)
+        os.close(w)
+        with pytest.raises(InputError) as info:
+            reader(r)
+        assert str(info.value) == "a file path must be a str, bytes or os.PathLike"
+        assert os.read(r, len(doc) + 1) == doc
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(r)
+
+
+def test_a_write_descriptor_is_not_a_path():
+    # save_algebra(algebra, fd) used to write to the fd and close it
+    r, w = os.pipe()
+    try:
+        with pytest.raises(InputError) as info:
+            save_algebra(build("heisenberg_c:1"), w)
+        assert str(info.value) == "a file path must be a str, bytes or os.PathLike"
+        os.fstat(w)
+        os.close(w)
+        assert os.read(r, 1) == b""
+    finally:
+        for fd in (r, w):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+
+@pytest.mark.parametrize("path", [None, 1.5, ["a.json"]], ids=["none", "float", "list"])
+def test_a_path_is_a_str_bytes_or_pathlike(tmp_path, path):
+    algebra = build("heisenberg_c:1").algebra
+    for call in (lambda: load_algebra(path), lambda: save_algebra(algebra, path)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == "a file path must be a str, bytes or os.PathLike"
+    target = tmp_path / "algebra.json"
+    save_algebra(algebra, os.fsencode(target))
+    assert load_algebra(os.fsencode(target)) == algebra
+
+
+@pytest.mark.parametrize("key", [5, None, b"heisenberg_c:1"], ids=["int", "none", "bytes"])
+def test_a_catalog_id_is_a_string(key):
+    with pytest.raises(InputError) as info:
+        build(key)
+    assert str(info.value) == "a catalog id must be a string, got %r" % (key,)
 
 
 def test_load_rejects_malformed_file(tmp_path):

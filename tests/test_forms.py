@@ -170,6 +170,19 @@ def test_form_arithmetic_refuses_mismatched_operands():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "factors", [(5,), ("j1", 5), (5, "j1"), ("j1", None, "k1")],
+    ids=["lone-int", "int-last", "int-first", "none-between"],
+)
+def test_every_wedge_factor_is_a_form(factors):
+    # wedge(5) used to return 5, and a later non-form raised AttributeError
+    algebra = build("heisenberg_c:1").algebra
+    factors = [dual(algebra, f) if isinstance(f, str) else f for f in factors]
+    with pytest.raises(InputError) as info:
+        wedge(*factors)
+    assert str(info.value) == "wedge factors must be InvariantForms"
+
+
 # -- differential against the defining sum ---------------------------------------
 
 

@@ -237,7 +237,7 @@ def test_the_group_law_constructors_raise_the_gate_error(case):
     name, basis, layers, table, detail = case
     algebra = GradedLieAlgebra(name, basis, layers, table)
     n = algebra.dimension
-    units = [linalg.unit_vector(n, i) for i in range(n)]
+    units = [linalg.densify({i: 1}, n) for i in range(n)]
     constructors = (
         lambda: LatticeSpec(algebra, units),
         lambda: element(algebra, units[1]),

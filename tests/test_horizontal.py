@@ -87,7 +87,7 @@ def test_non_isotropic_pair_reports_witness():
     result = is_isotropic(s)
     assert not result
     x, y = result.witness
-    assert algebra.bracket(x, y) != linalg.zero_vector(3)
+    assert algebra.bracket(x, y) != linalg.densify({}, 3)
 
 
 # -- regularity ----------------------------------------------------------------

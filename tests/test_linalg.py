@@ -85,14 +85,14 @@ def test_nullspace_dimension():
 
 def test_nullspace_no_constraints_gives_identity():
     assert linalg.nullspace([], ncols=3) == (
-        linalg.unit_vector(3, 0),
-        linalg.unit_vector(3, 1),
-        linalg.unit_vector(3, 2),
+        linalg.densify({0: 1}, 3),
+        linalg.densify({1: 1}, 3),
+        linalg.densify({2: 1}, 3),
     )
 
 
 def test_nullspace_of_zero_rows_is_everything():
-    identity = tuple(linalg.unit_vector(3, i) for i in range(3))
+    identity = tuple(linalg.densify({i: 1}, 3) for i in range(3))
     assert linalg.nullspace([(0, 0, 0)]) == identity
     assert linalg.nullspace([(0, 0, 0), (0, 0, 0)], ncols=3) == identity
 
@@ -467,11 +467,11 @@ def test_solve_solutions_substitute(rows, coeffs):
 @given(small_matrix)
 def test_inverse_inverts(rows):
     n = len(rows[0])
-    square = rows[:n] + [linalg.unit_vector(n, i) for i in range(len(rows), n)]
+    square = rows[:n] + [linalg.densify({i: 1}, n) for i in range(len(rows), n)]
     inv = inverse(square)
     if len(linalg.reduced_rows(square)) < n:
         assert inv is None
         return
     for i in range(n):
         column = product(square, [row[i] for row in inv])
-        assert column == linalg.unit_vector(n, i)
+        assert column == linalg.densify({i: 1}, n)

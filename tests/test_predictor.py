@@ -92,6 +92,20 @@ def test_lattice_flag_defaults_by_degree():
     assert not bundle_for("heisenberg_h:1", lattice_scalable=False).lattice_scalable
 
 
+@pytest.mark.parametrize(
+    "m, exponent",
+    [(2, 2.5), (True, F(2)), (2.0, F(2)), ("2", F(2)), (2, "3"), (2, True)],
+    ids=["float-exponent", "bool-m", "float-m", "string-m", "string-exponent",
+         "bool-exponent"],
+)
+def test_growth_bound_reads_m_and_the_exponent_exactly(m, exponent):
+    # the float and bool rows used to be accepted, "3" raised TypeError
+    with pytest.raises(InputError) as info:
+        GrowthBound("Div", m, exponent, "at_least", "div-lower")
+    assert str(info.value) == "m must be an int and the exponent an int or a Fraction"
+    assert GrowthBound("Div", 2, 3, "at_least", "div-lower").exponent == 3
+
+
 def test_growth_bound_validation():
     with pytest.raises(InputError):
         GrowthBound("G", 2, F(2), "equivalent", "low-euclidean")

@@ -13,7 +13,10 @@ invocations are read, not copied:
   and an option value that is not an integer;
 - the free 2-step algebras N(n, 2) for n = 4, 12 and 31 under every
   subcommand but ``catalog`` and ``forms-d``, text and ``--json``, leaving
-  out ``pittet --json`` at n = 31 (about 1.6 GB of output).
+  out ``pittet --json`` at n = 31 (about 1.6 GB of output), and the same
+  list on N(4, 2) with distinct non-unit rational constants, so that the
+  common denominator D is not 1;
+- ``check`` on the catalog ids at and just over the dimension budget.
 
 Each child runs ``python -I -S`` on one tree's ``src`` with the inputs'
 directory as its working directory, so both trees print the same paths, and
@@ -53,6 +56,12 @@ import workloads as wl  # noqa: E402
 CPU_SECONDS = 120
 ADDRESS_SPACE_BYTES = 3 << 30
 FREE_RANKS = (4, 12, 31)
+RATIONAL = "rational2step-4.json"
+# the largest id of each family within MAX_DIMENSION = 512, and the next one
+BUDGET_IDS = (
+    "heisenberg_h:127", "heisenberg_h:128", "heisenberg_c:255", "heisenberg_c:256",
+    "heisenberg_o:63", "heisenberg_o:64", "abelian:512", "abelian:513",
+)
 # the child reads the tree's src from argv[1], then runs the CLI on the rest
 RUNNER = (
     "import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -60,8 +69,8 @@ RUNNER = (
 )
 
 
-def _free_invocations(n: int) -> list[tuple[str, ...]]:
-    path = "%s/free2step-%d.json" % (wl.INPUTS, n)
+def _free_invocations(name: str, pittet_json: bool = True) -> list[tuple[str, ...]]:
+    path = "%s/%s" % (wl.INPUTS, name)
     on_x1 = ("--subspace", "x1")
     text = [
         ("check", path),
@@ -72,7 +81,7 @@ def _free_invocations(n: int) -> list[tuple[str, ...]]:
         ("pittet", path),
         ("lattice", path),
     ]
-    return text + [(*a, "--json") for a in text if not (n == 31 and a[0] == "pittet")]
+    return text + [(*a, "--json") for a in text if pittet_json or a[0] != "pittet"]
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -92,7 +101,13 @@ def invocations() -> list[tuple[str, ...]]:
         *wl.DEFECT_PROBES,
         *selftest.read_corpus(),
         *usage,
-        *(a for n in FREE_RANKS for a in _free_invocations(n)),
+        *(
+            a
+            for n in FREE_RANKS
+            for a in _free_invocations("free2step-%d.json" % n, pittet_json=n != 31)
+        ),
+        *_free_invocations(RATIONAL),
+        *(("check", key) for key in BUDGET_IDS),
     ]
     return list(dict.fromkeys(tuple(a) for a in listed))
 
@@ -104,6 +119,14 @@ def write_inputs(root: Path) -> None:
         path.write_text(
             json.dumps(wl._free_two_step(n), indent=1) + "\n", encoding="utf-8"
         )
+    # [x_a, x_b] = c_p y_ab for the p-th pair, c_p = +-(p + 2) / (2 p + 3)
+    rational = wl._free_two_step(4)
+    rational["name"] = "rational2step:4"
+    for p, item in enumerate(rational["brackets"]):
+        item["result"][0]["coeff"] = "%d/%d" % ((-1) ** p * (p + 2), 2 * p + 3)
+    (root / wl.INPUTS / RATIONAL).write_text(
+        json.dumps(rational, indent=1) + "\n", encoding="utf-8"
+    )
 
 
 def export(rev: str, into: Path) -> Path:
