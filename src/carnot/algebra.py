@@ -2,21 +2,20 @@
 
 A graded algebra is described by a basis, an ordered partition of that basis
 into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
-constants are read in integers (an int constant stays an int, and a bool is
-read as the int 0 or 1, as nowhere else) and held once, over one common
-denominator D, the lcm of their denominators: ``adjacency[u][v] = {w: A}``
-for [b_u, b_v] = sum of (A / D) b_w, with both orientations stored and pairs
-that bracket to zero absent, and ``into[w]`` lists (u, v, A) for each u < v
-whose bracket has the component (A / D) b_w.  Sums of many products (Jacobi,
-curvature, the differential) run in integers and divide once at the end, and
-so does ``integer_bracket``, the one bilinear sum over the supports of two
-vectors; the bracket and the structure pairs divide by D where they return.
-Coefficients outside are Fractions throughout, so every decision this module
-makes (ranks, spans, equalities) is exact.  Constants that are not ints are
-read by ``linalg.coefficient``, the one parser.  One integer-table core
-builds every algebra from basis positions: catalog families hand it their
-entries, and files and library callers go through the label constructor,
-which checks names, labels and MAX_DIMENSION and reads them into it.
+constants are read by ``linalg.coefficient``, the one parser, and held once,
+as integers over one common denominator D, the lcm of their denominators:
+``adjacency[u][v] = {w: A}`` for [b_u, b_v] = sum of (A / D) b_w, with both
+orientations stored and pairs that bracket to zero absent, and ``into[w]``
+lists (u, v, A) for each u < v whose bracket has the component (A / D) b_w.
+Sums of many products (Jacobi, curvature, the differential) run in integers
+and divide once at the end, and so does ``integer_bracket``, the one
+bilinear sum over the supports of two vectors; the bracket divides by D
+where it returns.  Coefficients outside are Fractions throughout, so every
+decision this module makes (ranks, spans, equalities) is exact.  One
+integer-table core builds every algebra from basis positions: catalog
+families hand it their entries, and files and library callers go through
+the label constructor, which checks names, labels and MAX_DIMENSION and
+reads them into it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from collections.abc import Iterable, Mapping, Sequence, Sized
 from fractions import Fraction
 
 from . import linalg
-from .linalg import InputError, Matrix, Vector, ZERO, coefficient
+from .linalg import InputError, Vector, ZERO, coefficient
 
 # the most basis labels of a catalog id or file.  On N(31, 2), dim 496, 2-vCPU
 # x86-64, CLI wall time: lattice 0.4 s, pittet 1.2 s, others < 0.6 s, of which
@@ -121,7 +120,7 @@ class GradedLieAlgebra:
             raise InputError(
                 "brackets must map label pairs to mappings of labels to coefficients"
             )
-        listed: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        listed: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (left, right), result in brackets.items():
             u, v = self.index(left), self.index(right)
             if u == v:
@@ -131,8 +130,7 @@ class GradedLieAlgebra:
                     "bracket pair (%s, %s) listed twice" % (left, right)
                 )
             listed[u, v] = {
-                self.index(label): c if isinstance(c, int) else coefficient(c)
-                for label, c in result.items()
+                self.index(label): coefficient(c) for label, c in result.items()
             }
 
         d = math.lcm(*(c.denominator for e in listed.values() for c in e.values()))
@@ -219,17 +217,6 @@ class GradedLieAlgebra:
         # an unhashable label, such as a list, is no label either
         except (KeyError, TypeError):
             raise InputError("unknown basis label %r" % (label,)) from None
-
-    def structure_pairs(self) -> tuple[tuple[int, int, dict[int, Fraction]], ...]:
-        """Nonzero brackets of basis pairs as (u, v, {w: coeff}) with u < v,
-        in lexicographic order of (u, v)."""
-        d = self.denominator
-        return tuple(
-            (u, v, {w: Fraction(a, d) for w, a in entry.items()})
-            for u, row in enumerate(self.adjacency)
-            for v, entry in sorted(row.items())
-            if u < v
-        )
 
     # -- vectors ---------------------------------------------------------
 
@@ -337,8 +324,7 @@ class Subspace:
     ``integer_rows[k] = (w, s)`` is the k-th row of the reduced row echelon
     form as w / s: w the sparse primitive row ``{position: int}`` and s its
     pivot entry, as ``linalg.reduced_rows`` hands it over.  The form is
-    canonical, so subspaces are equal exactly when their integer rows
-    agree; ``rows`` divides them out into dense Fraction rows on each read.
+    canonical, so subspaces are equal exactly when their integer rows agree.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
@@ -359,11 +345,6 @@ class Subspace:
         positions = sorted({algebra.index(l) for l in labels})
         s.integer_rows = tuple(({i: 1}, 1) for i in positions)
         return s
-
-    @property
-    def rows(self) -> Matrix:
-        n = self.algebra.dimension
-        return tuple(linalg.densify(w, n, s) for w, s in self.integer_rows)
 
     @property
     def dim(self) -> int:
@@ -447,11 +428,15 @@ def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
     g_{j+1} = [g, g_j].  Raises InputError if the chain stabilises before
     reaching zero.
     """
-    basis = [algebra.basis_vector(i) for i in range(algebra.dimension)]
-    current = Subspace(algebra, basis)
+    n = algebra.dimension
+    current = Subspace.from_labels(algebra, algebra.basis)
     chain = [current]
     while current.dim > 0:
-        images = [algebra.bracket(b, x) for x in current.rows for b in basis]
+        images = (
+            linalg.densify(algebra.integer_bracket({b: 1}, w), n)
+            for w, _ in current.integer_rows
+            for b in range(n)
+        )
         nxt = Subspace(algebra, images)
         if nxt.dim == current.dim:
             raise InputError(

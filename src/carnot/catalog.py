@@ -215,15 +215,17 @@ def default_summaries() -> list[dict]:
 
 
 def algebra_to_dict(algebra: GradedLieAlgebra) -> dict:
+    d = algebra.denominator
     brackets = []
-    for u, v, entry in algebra.structure_pairs():
-        result = [
-            {"basis": algebra.basis[w], "coeff": str(c)}
-            for w, c in sorted(entry.items())
-        ]
-        brackets.append(
-            {"left": algebra.basis[u], "right": algebra.basis[v], "result": result}
-        )
+    for u, row in enumerate(algebra.adjacency):
+        for v in sorted(v for v in row if u < v):
+            result = [
+                {"basis": algebra.basis[w], "coeff": str(Fraction(a, d))}
+                for w, a in sorted(row[v].items())
+            ]
+            brackets.append(
+                {"left": algebra.basis[u], "right": algebra.basis[v], "result": result}
+            )
     return {
         "name": algebra.name,
         "basis": list(algebra.basis),

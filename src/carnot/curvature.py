@@ -26,8 +26,6 @@ from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
 from .linalg import ZERO
 
 _EMPTY: dict = {}
-QUARTER = Fraction(1, 4)
-THREE_QUARTERS = Fraction(3, 4)
 
 
 def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
@@ -74,27 +72,25 @@ def two_step_closed_forms(algebra: GradedLieAlgebra, u, v) -> Fraction:
 
     Both horizontal: -3/4 times the squared bracket length.  One vector per
     layer: +1/4 times the squared column of structure constants.  Both in
-    the second layer: zero.
+    the second layer: zero.  Squares of adjacency entries sum to 4 D^2 K.
     """
     require_two_step(algebra, "the closed forms")
     i, j = algebra.position(u), algebra.position(v)
     if i == j:
         raise InputError("need two distinct directions")
     first = set(algebra.layers[0])
-    in1_i, in1_j = i in first, j in first
-    if in1_i and in1_j:
-        bracket = algebra.bracket_basis(i, j)
-        return -THREE_QUARTERS * sum(
-            (c * c for w, c in bracket.items() if w not in first), start=ZERO
-        )
-    if not in1_i and not in1_j:
+    if i not in first and j not in first:
         return ZERO
-    if not in1_i:
+    if i not in first:
         i, j = j, i
-    # i horizontal, j in the second layer
-    return QUARTER * sum(
-        (algebra.bracket_basis(k, i).get(j, ZERO) ** 2 for k in first), start=ZERO
-    )
+    # i horizontal
+    ad = algebra.adjacency
+    if j in first:
+        entry = ad[i].get(j, _EMPTY)
+        total = -3 * sum(a * a for w, a in entry.items() if w not in first)
+    else:
+        total = sum(ad[k].get(i, _EMPTY).get(j, 0) ** 2 for k in first)
+    return _curvature_of(algebra, total)
 
 
 # holds is None when not evaluated; witnesses are (label, label, curvature)

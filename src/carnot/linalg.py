@@ -43,11 +43,10 @@ _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def parse_coefficient(text) -> Fraction:
     """Exact value of an integer or ``p/q`` string, as the JSON formats write
-    coefficients; anything else raises InputError."""
+    coefficients; anything else, a JSON number too, raises InputError."""
     if not isinstance(text, str) or not _COEFF_RE.fullmatch(text):
-        raise InputError(
-            "coefficient must be an integer or p/q string, got %r" % (text,)
-        )
+        what = "an integer or p/q string" if isinstance(text, str) else "a string"
+        raise InputError("coefficient must be %s, got %r" % (what, text))
     try:
         return Fraction(text)
     except ZeroDivisionError:

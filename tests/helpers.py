@@ -14,8 +14,10 @@ basis by the same dense Fraction sums, inverting its blocks with
 the extended gcd, one column at a time.  ``dense_kernel`` divides out a
 pittet report's sparse integer kernel pairs entry by entry.  The catalog
 oracle writes each family's layers, designated labels and bracket table out
-by label, for the label constructor to read.  The conflict oracle tries
-candidate exponents one at a time against every growth bound.
+by label, for the label constructor to read; ``label_table`` writes any
+algebra's table out by label, each adjacency entry over the denominator.
+The conflict oracle tries candidate exponents one at a time against every
+growth bound.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ import itertools
 from fractions import Fraction
 
 from carnot.algebra import GradedLieAlgebra
+
+
+def label_table(algebra):
+    """The label-keyed table {(left, right): {label: Fraction}} of each
+    nonzero bracket once, left before right in the basis, read from the
+    integer adjacency over the denominator, in position order."""
+    basis, d = algebra.basis, algebra.denominator
+    return {
+        (basis[u], basis[v]): {basis[w]: Fraction(a, d) for w, a in entry.items()}
+        for u, row in enumerate(algebra.adjacency)
+        for v, entry in sorted(row.items())
+        if u < v
+    }
 
 
 def naive_bracket(table, basis, x, y) -> tuple:

@@ -40,7 +40,7 @@ from carnot import (
     two_step_closed_forms,
 )
 from carnot.cli import main as cli_main
-from helpers import random_form
+from helpers import label_table, random_form
 
 F = Fraction
 
@@ -121,13 +121,8 @@ def test_criterion_4_pittet_kernel():
         second = [algebra.basis[i] for i in algebra.layers[1]]
         rng.shuffle(first)
         rng.shuffle(second)
-        table = {}
-        for u, v, entry in algebra.structure_pairs():
-            table[(algebra.basis[u], algebra.basis[v])] = {
-                algebra.basis[w]: c for w, c in entry.items()
-            }
         shuffled = GradedLieAlgebra(
-            "shuffled", first + second, [first, second], table
+            "shuffled", first + second, [first, second], label_table(algebra)
         )
         assert pittet_kernel(shuffled).kernel_dimension == 0
     verdict(4, "the 56-pair closed-combination system has trivial kernel, "

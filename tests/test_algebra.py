@@ -37,7 +37,10 @@ from carnot import algebra as algebra_module
 from carnot.algebra import MAX_DIMENSION, require_two_step
 from helpers import (
     GATE_CASES,
+    catalog_label_brackets,
+    catalog_labels,
     coprime_table,
+    graded_transport,
     matrix_commutator,
     matrix_to_coords,
     naive_bracket,
@@ -191,20 +194,17 @@ def test_float_constants_are_rejected_even_when_integral(value):
         GradedLieAlgebra("bad", *ABC, {("a", "b"): {"c": value}})
 
 
-def test_bool_constants_are_read_as_zero_and_one():
-    algebra = GradedLieAlgebra(
-        "bool",
-        ["a", "b", "c", "d"],
-        [["a", "b", "c"], ["d"]],
-        {("a", "b"): {"d": True}, ("a", "c"): {"d": False}},
+def bool_table(value):
+    """The label constructor on [a, b] = value c."""
+    return GradedLieAlgebra(
+        "bool", ["a", "b", "c"], [["a", "b"], ["c"]], {("a", "b"): {"c": value}}
     )
-    assert algebra.adjacency[0] == {1: {3: 1}}
-    assert type(algebra.adjacency[0][1][3]) is int
-    assert algebra.into[3] == ((0, 1, 1),)
 
 
-# each reader of an exact number outside the bracket table, on heisenberg_c:1
+# each reader of an exact number, on heisenberg_c:1 or the label constructor
 BOOL_CALLS = {
+    "label-true": lambda a, f: bool_table(True),
+    "label-false": lambda a, f: bool_table(False),
     "vector": lambda a, f: a.vector({"j1": True}),
     "dilation": lambda a, f: Dilation(a, True),
     "form-scalar": lambda a, f: True * f,
@@ -820,6 +820,31 @@ def test_lower_central_series_dimensions():
     assert [s.dim for s in series] == [6, 3, 1, 0]
 
 
+@pytest.mark.parametrize("key", ["unipotent:5", "heisenberg_h:2", "transported"])
+def test_lower_central_series_matches_naive_brackets_and_rref(key):
+    # g_{j+1} = naive_rref of every [b, x] for b a unit row and x a row of
+    # g_j, by ``naive_bracket`` on the label-keyed table
+    if key == "transported":
+        layers = catalog_labels("unipotent:4")[0]
+        base = catalog_label_brackets("unipotent:4")
+        table, _ = graded_transport(base, layers, random.Random(11))
+        basis = [label for layer in layers for label in layer]
+        algebra = GradedLieAlgebra(key, basis, layers, table)
+        assert algebra.denominator > 1
+    else:
+        table, algebra = catalog_label_brackets(key), build(key).algebra
+        basis = list(algebra.basis)
+    n = len(basis)
+    unit = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    chain = [naive_rref(unit)]
+    while chain[-1]:
+        images = [naive_bracket(table, basis, b, x) for x in chain[-1] for b in unit]
+        chain.append(naive_rref(images))
+    assert [s.integer_rows for s in lower_central_series(algebra)] == [
+        tuple(map(linalg.numerators, rows)) for rows in chain
+    ]
+
+
 def test_nilpotency_degree_matches_declared():
     for key in ["heisenberg_c:2", "heisenberg_o:1", "unipotent:5", "abelian:4"]:
         algebra = build(key).algebra
@@ -954,7 +979,7 @@ def test_from_labels_is_the_reduced_span_of_its_unit_vectors(seed):
         quick = Subspace.from_labels(algebra, labels)
         eliminated = Subspace(algebra, [algebra.basis_vector(l) for l in labels])
         assert quick == eliminated
-        assert quick.rows == eliminated.rows
+        assert quick.integer_rows == eliminated.integer_rows
         assert hash(quick) == hash(eliminated)
         distinct = sorted(set(labels), key=algebra.index)
         assert quick.coordinate_labels() == tuple(distinct)
@@ -983,10 +1008,18 @@ def sample_subspaces(seed):
             yield Subspace(algebra, rows)
 
 
+def dense_rows(s):
+    """The integer rows of ``s`` divided out into dense Fraction rows."""
+    n = s.algebra.dimension
+    return tuple(linalg.densify(w, n, pivot) for w, pivot in s.integer_rows)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_integer_rows_are_the_numerators_of_the_reduced_rows(seed):
     for s in sample_subspaces(seed):
-        assert s.integer_rows == tuple(map(linalg.numerators, s.rows))
+        rows = dense_rows(s)
+        assert naive_rref(rows) == rows
+        assert s.integer_rows == tuple(map(linalg.numerators, rows))
         for w, pivot in s.integer_rows:
             assert pivot == w[min(w)] > 0 and math.gcd(*w.values()) == 1
 
@@ -1009,8 +1042,7 @@ def test_integer_rows_from_the_elimination_match_naive_rref(seed):
     rows += [[F(-2, 3) * a + b for a, b in zip(rows[0], rows[-1])], [F(0)] * n]
     rng.shuffle(rows)
     s = Subspace(algebra, rows)
-    assert s.rows == naive_rref(rows)
-    assert s.integer_rows == tuple(map(linalg.numerators, s.rows))
+    assert s.integer_rows == tuple(map(linalg.numerators, naive_rref(rows)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1018,8 +1050,8 @@ def test_horizontal_and_coordinate_tests_match_a_dense_scan(seed):
     seen = Counter()
     for s in sample_subspaces(seed):
         algebra = s.algebra
-        horizontal = naive_is_horizontal(s.rows, algebra.layers[0])
-        labels = naive_coordinate_labels(s.rows, algebra.basis)
+        horizontal = naive_is_horizontal(dense_rows(s), algebra.layers[0])
+        labels = naive_coordinate_labels(dense_rows(s), algebra.basis)
         assert s.is_horizontal() == horizontal
         assert s.coordinate_labels() == labels
         seen[horizontal, labels is None] += 1
@@ -1036,12 +1068,12 @@ def test_horizontal_and_coordinate_tests_read_no_dense_row(monkeypatch):
     ):
         expected = s.is_horizontal(), s.coordinate_labels()
         with monkeypatch.context() as patch:
-            patch.setattr(Subspace, "rows", property(dense_row_read))
+            patch.setattr(linalg, "densify", dense_row_read)
             assert (s.is_horizontal(), s.coordinate_labels()) == expected
 
 
-def dense_row_read(s):
-    raise AssertionError("a dense row of the subspace was read")
+def dense_row_read(*args):
+    raise AssertionError("a dense row of the subspace was built")
 
 
 def test_equal_spans_compare_and_hash_equal():
@@ -1069,7 +1101,6 @@ def test_equal_spans_compare_and_hash_equal():
         for s in group:
             assert s == group[0] and hash(s) == hash(group[0])
             assert s.integer_rows == group[0].integer_rows
-            assert s.rows == group[0].rows
     assert len({s for group in spans for s in group}) == len(spans)
     first, second, zero = (group[0] for group in spans)
     assert first != second != zero != first

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -136,6 +137,30 @@ def test_round_trip_preserves_algebra(tmp_path, key):
     path = tmp_path / "algebra.json"
     save_algebra(algebra, path)
     assert load_algebra(path) == algebra
+
+
+def test_save_algebra_writes_the_exact_bytes_of_a_rational_table(tmp_path):
+    # N(4, 2) with [x_a, x_b] = +-(p + 2) / (2p + 3) y_ab for the p-th pair,
+    # so D = 45045; listed last pair first, the file still lists pairs in
+    # position order
+    xs = ["x1", "x2", "x3", "x4"]
+    pairs = list(itertools.combinations(xs, 2))
+    ys = ["y%s%s" % (a[1], b[1]) for a, b in pairs]
+    coeffs = ["%d/%d" % ((-1) ** p * (p + 2), 2 * p + 3) for p in range(len(pairs))]
+    table = {pair: {y: Fraction(c)} for pair, y, c in zip(pairs, ys, coeffs)}
+    table = dict(reversed(table.items()))
+    algebra = GradedLieAlgebra("rational2step:4", xs + ys, [xs, ys], table)
+    assert algebra.denominator == 45045
+    path = tmp_path / "rational.json"
+    save_algebra(algebra, path)
+    brackets = [
+        {"left": a, "right": b, "result": [{"basis": y, "coeff": c}]}
+        for (a, b), y, c in zip(pairs, ys, coeffs)
+    ]
+    doc = {"name": "rational2step:4", "basis": xs + ys, "layers": [xs, ys]}
+    expected = json.dumps({**doc, "brackets": brackets}, indent=2) + "\n"
+    assert '"coeff": "-7/13"' in expected
+    assert path.read_bytes() == expected.encode()
 
 
 def test_dict_round_trip_with_fractions():

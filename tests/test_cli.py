@@ -167,6 +167,24 @@ def test_subspace_file_rows_must_be_lists(capsys, tmp_path, rows):
     assert "JSON list" in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1, "coefficient must be a string, got 1"),
+        (0.5, "coefficient must be a string, got 0.5"),
+        ("1e3", "coefficient must be an integer or p/q string, got '1e3'"),
+    ],
+)
+def test_a_file_coefficient_is_a_grammar_string(capsys, tmp_path, value, message):
+    # a JSON number used to get the message of a string outside the grammar
+    path = write_rows(tmp_path, [[value, "0", "0"]])
+    code, out, err = run(capsys, "certify", "heisenberg_c:1", "--subspace-file", path)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    with pytest.raises(InputError) as info:
+        parse_coefficient(value)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("command", ["certify", "predict"])
 def test_duplicated_subspace_label_is_rejected(capsys, command):
     code, out, err = run(capsys, command, "heisenberg_c:2", "--subspace", "j1,j1")

@@ -32,6 +32,7 @@ from helpers import (
     dense_kernel,
     free_two_step,
     graded_transport,
+    label_table,
     naive_differential_value,
     naive_nullspace,
     random_form,
@@ -526,11 +527,7 @@ def test_pair_kernel_invariant_under_basis_permutation():
     second = [algebra.basis[i] for i in algebra.layers[1]]
     rng.shuffle(first)
     rng.shuffle(second)
-    table = {}
-    for u, v, entry in algebra.structure_pairs():
-        table[(algebra.basis[u], algebra.basis[v])] = {
-            algebra.basis[w]: c for w, c in entry.items()
-        }
+    table = label_table(algebra)
     shuffled = GradedLieAlgebra("shuffled", first + second, [first, second], table)
     assert pittet_kernel(shuffled).kernel_dimension == 0
 
@@ -606,33 +603,24 @@ def test_pair_kernel_with_closed_pairs_reads_every_row(key, monkeypatch):
 @pytest.mark.parametrize("key, seed", [("heisenberg_h:1", 0), ("heisenberg_c:2", 1)])
 def test_pair_kernel_after_a_graded_transport(key, seed):
     algebra = build(key).algebra
-    label = algebra.basis
-    table = {
-        (label[u], label[v]): {label[w]: c for w, c in result.items()}
-        for u, v, result in algebra.structure_pairs()
-    }
-    layers = [[label[i] for i in layer] for layer in algebra.layers]
+    table, layers = labelled(algebra)
     moved, _ = graded_transport(table, layers, random.Random("pittet/%d" % seed))
-    image = GradedLieAlgebra(key, label, layers, moved)
+    image = GradedLieAlgebra(key, algebra.basis, layers, moved)
     assert image.denominator > 1
     report = pittet_kernel(image)
     assert dense_kernel(report) == public_column_kernel(image, report.pairs)[0]
     assert report.kernel_dimension == pittet_kernel(algebra).kernel_dimension
 
 
-def label_table(algebra):
+def labelled(algebra):
     """The label-keyed bracket table and the label layers of ``algebra``."""
-    label = algebra.basis
-    table = {
-        (label[u], label[v]): {label[w]: c for w, c in result.items()}
-        for u, v, result in algebra.structure_pairs()
-    }
-    return table, [[label[i] for i in layer] for layer in algebra.layers]
+    layers = [[algebra.basis[i] for i in layer] for layer in algebra.layers]
+    return label_table(algebra), layers
 
 
 def interleaved(key):
     """``key`` declared again over a basis alternating V1 and V2 labels."""
-    table, layers = label_table(build(key).algebra)
+    table, layers = labelled(build(key).algebra)
     basis = [l for pair in itertools.zip_longest(*layers) for l in pair if l]
     assert basis != [l for layer in layers for l in layer]
     return GradedLieAlgebra(key, basis, layers, table)
@@ -640,7 +628,7 @@ def interleaved(key):
 
 def transported(key, seed):
     algebra = build(key).algebra
-    table, layers = label_table(algebra)
+    table, layers = labelled(algebra)
     moved, _ = graded_transport(table, layers, random.Random("pittet/%d" % seed))
     return GradedLieAlgebra(key, algebra.basis, layers, moved)
 

@@ -21,7 +21,13 @@ from carnot import (
     trichotomy_report,
 )
 from carnot import horizontal, linalg
-from helpers import naive_bracket, naive_rref, random_layered_table, random_table
+from helpers import (
+    label_table,
+    naive_bracket,
+    naive_rref,
+    random_layered_table,
+    random_table,
+)
 
 F = Fraction
 
@@ -123,12 +129,10 @@ def first_layer_and_targets(algebra):
     return sorted(first), [t for t in range(algebra.dimension) if t not in first]
 
 
-def label_table(algebra):
-    basis = algebra.basis
-    return {
-        (basis[u], basis[v]): {basis[w]: c for w, c in entry.items()}
-        for u, v, entry in algebra.structure_pairs()
-    }
+def dense_rows(s):
+    """The integer rows of ``s`` divided out into dense Fraction rows."""
+    n = s.algebra.dimension
+    return tuple(linalg.densify(w, n, pivot) for w, pivot in s.integer_rows)
 
 
 def component_oracle(algebra, s):
@@ -143,7 +147,7 @@ def component_oracle(algebra, s):
             for u in v1
         )
         for t in targets
-        for row in s.rows
+        for row in dense_rows(s)
     )
 
 
@@ -154,7 +158,7 @@ def per_pair_rows(algebra, s):
     v1, targets = first_layer_and_targets(algebra)
     basis, table = algebra.basis, label_table(algebra)
     rows = [{} for _ in range(len(targets) * s.dim)]
-    for q, x in enumerate(s.rows):
+    for q, x in enumerate(dense_rows(s)):
         for col, u in enumerate(v1):
             image = naive_bracket(table, basis, algebra.basis_vector(u), x)
             for i, t in enumerate(targets):
@@ -219,10 +223,11 @@ def test_certificates_match_components_on_random_tables(kind):
         assert result.rank == len(naive_rref(oracle))
         assert result.required_rank == len(oracle)
 
+        rows = dense_rows(s)
         offending = [
             (x, y)
-            for a, x in enumerate(s.rows)
-            for y in s.rows[a + 1:]
+            for a, x in enumerate(rows)
+            for y in rows[a + 1:]
             if any(naive_bracket(table, basis, x, y)[t] for t in targets)
         ]
         isotropy = is_isotropic(s)
@@ -302,23 +307,20 @@ def test_verdicts_do_not_depend_on_spanning_rows():
 
 def test_certificates_read_the_integer_rows_once(monkeypatch):
     # the subspace keeps its reduced rows in integers when it is built;
-    # isotropy and regularity read those, and neither reads nor rebuilds a
-    # dense row: ``rows`` raises, and no vector is read into integers again
+    # isotropy and regularity read those, and neither builds a dense row
+    # but the witness pair, nor reads a vector into integers again
     algebra = build("heisenberg_h:2").algebra
     s = Subspace(algebra, random_horizontal_rows(random.Random(3), algebra, 2))
     expected = is_isotropic(s), is_regular(s)
-    reads = []
-    original = linalg.numerators
+    assert expected[0].witness is not None
+    reads, built = [], []
+    numerators, densify = linalg.numerators, linalg.densify
     monkeypatch.setattr(
-        linalg, "numerators", lambda values: reads.append(values) or original(values)
+        linalg, "numerators", lambda values: reads.append(values) or numerators(values)
     )
-
-    def dense_row_read(_):
-        raise AssertionError("a dense row of the subspace was read")
-
-    monkeypatch.setattr(Subspace, "rows", property(dense_row_read))
+    monkeypatch.setattr(linalg, "densify", lambda *a: built.append(a) or densify(*a))
     assert (is_isotropic(s), is_regular(s)) == expected
-    assert reads == []
+    assert reads == [] and len(built) == 2
 
 
 # -- dimension bound -----------------------------------------------------------

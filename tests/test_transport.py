@@ -2,6 +2,7 @@
 random rational layer-adapted basis must get the same verdicts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,12 @@ from carnot import (
     pittet_kernel,
     stratification_check,
 )
-from helpers import graded_transport, naive_group_closure, naive_scaling_closure
+from helpers import (
+    graded_transport,
+    label_table,
+    naive_group_closure,
+    naive_scaling_closure,
+)
 
 TRANSPORT_KEYS = [
     "heisenberg_h:1",
@@ -38,13 +44,9 @@ def transport(entry, seed):
     map of an old-basis ``{label: coeff}`` vector to new coordinates."""
     algebra = entry.algebra
     label = algebra.basis
-    table = {
-        (label[u], label[v]): {label[w]: c for w, c in result.items()}
-        for u, v, result in algebra.structure_pairs()
-    }
     layers = [[label[i] for i in layer] for layer in algebra.layers]
     rng = random.Random("%s/%d" % (entry.key, seed))
-    moved, to_new = graded_transport(table, layers, rng)
+    moved, to_new = graded_transport(label_table(algebra), layers, rng)
     return GradedLieAlgebra(entry.key, label, layers, moved), to_new
 
 
@@ -66,8 +68,8 @@ def test_verdicts_survive_a_graded_transport(key, seed):
     assert stratification_check(image).ok and stratification_check(algebra).ok
     assert pittet_kernel(image).kernel_dimension == kernel
     rows = []
-    for row in subspace.rows:
-        coords = to_new({label[i]: c for i, c in enumerate(row) if c})
+    for w, s in subspace.integer_rows:
+        coords = to_new({label[i]: Fraction(a, s) for i, a in w.items()})
         rows.append([coords.get(b, 0) for b in label])
     mapped = Subspace(image, rows)
     assert mapped.dim == subspace.dim
