@@ -5,17 +5,15 @@ into layers V_1, ..., V_d, and brackets on basis pairs.  The structure
 constants are read by ``linalg.coefficient``, the one parser, and held once,
 as integers over one common denominator D, the lcm of their denominators:
 ``adjacency[u][v] = {w: A}`` for [b_u, b_v] = sum of (A / D) b_w, with both
-orientations stored and pairs that bracket to zero absent, and ``into[w]``
-lists (u, v, A) for each u < v whose bracket has the component (A / D) b_w.
-Sums of many products (Jacobi, curvature, the differential) run in integers
-and divide once at the end, and so does ``integer_bracket``, the one
-bilinear sum over the supports of two vectors; the bracket divides by D
-where it returns.  Coefficients outside are Fractions throughout, so every
-decision this module makes (ranks, spans, equalities) is exact.  One
-integer-table core builds every algebra from basis positions: catalog
-families hand it their entries, and files and library callers go through
-the label constructor, which checks names, labels and MAX_DIMENSION and
-reads them into it.
+orientations stored and pairs that bracket to zero absent.  Sums of many
+products (Jacobi, curvature, the differential) run in integers and divide
+once at the end, and so does ``integer_bracket``, the one bilinear sum over
+the supports of two vectors; the bracket divides by D where it returns.
+Coefficients outside are Fractions throughout, so every decision this module
+makes (ranks, spans, equalities) is exact.  One integer-table core builds
+every algebra from basis positions: catalog families hand it their entries,
+and files and library callers go through the label constructor, which checks
+names, labels and MAX_DIMENSION and reads them into it.
 """
 
 from __future__ import annotations
@@ -90,8 +88,8 @@ class GradedLieAlgebra:
     are left to ``validity``, run once on first use, so that defective
     tables can be built and then diagnosed; ``require_valid`` is the gate
     every verdict goes through.
-    ``denominator``, ``adjacency`` and ``into`` are the integer structure
-    constants of the module docstring, shared: callers read, never write.
+    ``denominator`` and ``adjacency`` are the integer structure constants
+    of the module docstring, shared: callers read, never write.
     """
 
     def __init__(
@@ -178,15 +176,12 @@ class GradedLieAlgebra:
 
     def _table(self, d: int, entries) -> None:
         adjacency: list[dict[int, dict[int, int]]] = [{} for _ in self.basis]
-        into: list[list[tuple[int, int, int]]] = [[] for _ in self.basis]
         for u, v, w, a in entries:
             if a:
                 adjacency[u].setdefault(v, {})[w] = a
                 adjacency[v].setdefault(u, {})[w] = -a
-                into[w].append((u, v, a) if u < v else (v, u, -a))
         self.denominator = d
         self.adjacency = tuple(adjacency)
-        self.into = tuple(map(tuple, into))
         self._validity: tuple[CheckResult, CheckResult] | None = None
 
     def validity(self) -> tuple[CheckResult, CheckResult]:
@@ -340,10 +335,14 @@ class Subspace:
         """Span of basis vectors: their sorted unit rows are already reduced."""
         if not _is_label_list(labels):
             raise InputError("subspace labels must be a list of label strings")
-        s = cls.__new__(cls)
-        s.algebra = algebra
         positions = sorted({algebra.index(l) for l in labels})
-        s.integer_rows = tuple(({i: 1}, 1) for i in positions)
+        return cls._of_rows(algebra, tuple(({i: 1}, 1) for i in positions))
+
+    @classmethod
+    def _of_rows(cls, algebra: GradedLieAlgebra, integer_rows: tuple) -> "Subspace":
+        """The subspace whose ``integer_rows`` are given, already reduced."""
+        s = cls.__new__(cls)
+        s.algebra, s.integer_rows = algebra, integer_rows
         return s
 
     @property
@@ -391,18 +390,19 @@ def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
 
     Trilinearity makes basis triples sufficient.  A term [[b_a, b_b], b_c]
     of a cyclic sum is nonzero only if some b_t in [b_a, b_b] brackets
-    nontrivially with b_c, so one sweep over ``into[t]`` (a < b) and
-    ``adjacency[t]`` adds up every nonzero term, into the sum of the sorted
-    triple with the sign of the permutation (a, b, c), odd exactly when
-    a < c < b, as the cyclic sum is alternating.  The first failing triple
-    in lexicographic order is reported by label.  The sums run over the
-    integer adjacency, D^2 times the exact ones, so they vanish exactly
-    when the exact sums do.
+    nontrivially with b_c, so one sweep over the entries t of
+    ``adjacency[a][b]`` for a < b and over ``adjacency[t]`` adds up every
+    nonzero term, into the sum of the sorted triple with the sign of the
+    permutation (a, b, c), odd exactly when a < c < b, as the cyclic sum is
+    alternating.  The first failing triple in lexicographic order is
+    reported by label.  The sums run over the integer adjacency, D^2 times
+    the exact ones, so they vanish exactly when the exact sums do.
     """
     ad = algebra.adjacency
     acc: dict[tuple[int, int, int, int], int] = {}
-    for t, pairs in enumerate(algebra.into):
-        for a, b, coeff in pairs:
+    pairs = ((a, b, e) for a, row in enumerate(ad) for b, e in row.items() if b > a)
+    for a, b, pair in pairs:
+        for t, coeff in pair.items():
             for c, entry in ad[t].items():
                 if c < a:
                     triple, k = (c, a, b), coeff
@@ -429,21 +429,19 @@ def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
     reaching zero.
     """
     n = algebra.dimension
-    current = Subspace.from_labels(algebra, algebra.basis)
-    chain = [current]
-    while current.dim > 0:
+    chain = [Subspace.from_labels(algebra, algebra.basis)]
+    while chain[-1].dim > 0:
         images = (
-            linalg.densify(algebra.integer_bracket({b: 1}, w), n)
-            for w, _ in current.integer_rows
+            algebra.integer_bracket({b: 1}, w)
+            for w, _ in chain[-1].integer_rows
             for b in range(n)
         )
-        nxt = Subspace(algebra, images)
-        if nxt.dim == current.dim:
+        nxt = Subspace._of_rows(algebra, linalg.reduced_rows(images, n))
+        if nxt.dim == chain[-1].dim:
             raise InputError(
-                "lower central series stabilises at dimension %d" % current.dim
+                "lower central series stabilises at dimension %d" % nxt.dim
             )
         chain.append(nxt)
-        current = nxt
     return chain
 
 

@@ -141,20 +141,22 @@ class InvariantForm:
         )
 
     def evaluate(self, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Value on a tuple of vectors: sum of pairing determinants."""
+        """Value on a tuple of vectors: each coefficient times its pairing
+        determinant, in integers: ``_integer_det`` of the numerators of the
+        vectors, each read once, and one division by all the denominators."""
         if not isinstance(vectors, (list, tuple)):
             raise InputError("form of degree %d needs a list of vectors" % self.degree)
         if len(vectors) != self.degree:
             raise InputError(
                 "form of degree %d applied to %d vectors" % (self.degree, len(vectors))
             )
-        read = map(self.algebra.numerators, vectors)
-        dense = [linalg.densify(w, self.algebra.dimension, r) for w, r in read]
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            rows = [[v[i] for v in dense] for i in mono]
-            total += coeff * _det(rows)
-        return total
+        read = [self.algebra.numerators(v) for v in vectors]
+        terms, e = linalg.numerators(self.terms)
+        total = sum(
+            c * _integer_det([[w.get(i, 0) for w, _ in read] for i in mono])
+            for mono, c in terms.items()
+        )
+        return Fraction(total, e * math.prod(r for _, r in read))
 
     def wedge(self, other: "InvariantForm") -> "InvariantForm":
         if other.algebra is not self.algebra:
@@ -166,9 +168,8 @@ class InvariantForm:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 merged, sign = _merge_sign(ma, mb)
-                if sign == 0:
-                    continue
-                out[merged] = out.get(merged, ZERO) + sign * ca * cb
+                if sign:
+                    out[merged] = out.get(merged, ZERO) + sign * ca * cb
         return InvariantForm(self.algebra, degree, out)
 
     def __repr__(self) -> str:
@@ -182,24 +183,22 @@ class InvariantForm:
         return "InvariantForm(%s)" % " + ".join(bits)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by elimination; input is consumed."""
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of square integer rows, consumed, by Bareiss's fraction-free
+    elimination: entries stay minors, divided exactly; a swap negates a row."""
+    n, previous = len(rows), 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], [-a for a in rows[k]]
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // previous
+        previous = pivot
+    return rows[-1][-1]
 
 
 def wedge(*factors: InvariantForm) -> InvariantForm:
@@ -245,23 +244,23 @@ def _integer_differential(
     algebra: GradedLieAlgebra, terms: Mapping[Monomial, int]
 ) -> dict[Monomial, int]:
     """D (p+1)! times the differential of the integer form ``terms``, by
-    monomial, with zeros where sums cancel.  Only the pairs bracketing into
-    each w of a monomial are visited, read from the algebra's ``into``."""
-    into = algebra.into
-    out: dict[Monomial, int] = {}
+    monomial, with zeros where sums cancel: one walk over the u < v entries
+    of the adjacency visits, for each target w, the monomials holding w."""
+    by_member: dict[int, list[tuple[Monomial, int]]] = {}
     for mono, coeff in terms.items():
-        members = set(mono)
         for pos_w, w in enumerate(mono):
             rest = mono[:pos_w] + mono[pos_w + 1 :]
-            signed = -coeff if pos_w % 2 else coeff
-            for u, v, c in into[w]:
-                if (u in members and u != w) or (v in members and v != w):
-                    continue
-                # neither u nor v is in ``rest``, so the merge never
-                # repeats; stored pairs have u < v, so its parity equals
-                # the pair-position sign (-1)^(i+j+1) of the sum
-                merged, sign = _merge_sign(rest, (u, v))
-                out[merged] = out.get(merged, 0) + sign * signed * c
+            by_member.setdefault(w, []).append((rest, -coeff if pos_w % 2 else coeff))
+    out: dict[Monomial, int] = {}
+    for u, row in enumerate(algebra.adjacency):
+        for v in (v for v in row if v > u):
+            for w, c in row[v].items():
+                for rest, signed in by_member.get(w, ()):
+                    # 0 when u or v is in ``rest``; else, as u < v, the merge
+                    # parity is the pair-position sign (-1)^(i+j+1) of the sum
+                    merged, sign = _merge_sign(rest, (u, v))
+                    if sign:
+                        out[merged] = out.get(merged, 0) + sign * signed * c
     return out
 
 
@@ -283,7 +282,8 @@ def scaling_weight(form: InvariantForm) -> ScalingWeight:
 def cube_form(
     algebra: GradedLieAlgebra, omit: int, order: Sequence
 ) -> InvariantForm:
-    """Wedge of dual covectors of ``order`` with the first ``omit`` dropped.
+    """``wedge`` of the dual covectors of ``order`` with the first ``omit``
+    dropped, so ``_merge_sign`` signs it by the inversions of the kept order.
 
     ``order`` must be a permutation of the whole basis and the dropped
     prefix must be horizontal.  Used with an ordering that puts an
@@ -295,24 +295,14 @@ def cube_form(
         raise InputError("order must be a permutation of the basis")
     if type(omit) is not int or not 0 <= omit <= len(algebra.layers[0]):
         raise InputError("omit must be between 0 and dim V1")
-    first = set(algebra.layers[0])
     for i in indices[:omit]:
-        if i not in first:
+        if algebra.weights[i] != 1:
             raise InputError(
                 "omitted prefix contains the non-horizontal %s" % algebra.basis[i]
             )
-    kept = indices[omit:]
-    mono = tuple(sorted(kept))
-    sign = _permutation_sign(kept)
-    return InvariantForm(algebra, len(kept), {mono: Fraction(sign)})
-
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(seq)), 2):
-        if seq[a] > seq[b]:
-            sign = -sign
-    return sign
+    duals = [InvariantForm.dual(algebra, i) for i in indices[omit:]]
+    # the constructor refuses degree 0 with the message of every form
+    return wedge(*duals) if duals else InvariantForm(algebra, 0)
 
 
 def check_cube_closed(s: Subspace, omit: int) -> bool:
@@ -330,7 +320,7 @@ def check_cube_closed(s: Subspace, omit: int) -> bool:
     chosen = [i for w, _ in s.require_horizontal() for i in w]
     if type(omit) is not int or not 0 <= omit <= s.dim:
         raise InputError("omit must be between 0 and dim s")
-    rest = [i for i in range(s.algebra.dimension) if i not in set(chosen)]
+    rest = sorted(set(range(s.algebra.dimension)) - set(chosen))
     gamma = cube_form(s.algebra, omit, chosen + rest)
     return differential(gamma).is_zero()
 

@@ -3,11 +3,12 @@
 Nothing here imports the implementation routines it is meant to check:
 the bracket and curvature oracles sum straight over the label-keyed input
 table, the elimination oracle is a dense Gauss-Jordan loop on lists of
-Fractions that does not use ``carnot.linalg``, the differential oracle
-works from the defining alternating sum and calls only bracket and form
-evaluation, the unipotent oracle multiplies actual matrices, and the
-lattice oracles solve a fresh column system for every query, sweep all
-n^2 generator products and dilate each generator coordinate by coordinate.
+Fractions that does not use ``carnot.linalg``, the evaluation oracle is
+Leibniz's sum over permutations, the differential oracle works from the
+defining alternating sum and calls only the bracket and that sum, the
+unipotent oracle multiplies actual matrices, and the lattice oracles
+solve a fresh column system for every query, sweep all n^2 generator
+products and dilate each generator coordinate by coordinate.
 The graded transport rewrites a label-keyed table in a random layer-adapted
 basis by the same dense Fraction sums, inverting its blocks with
 ``naive_inverse``.  The Hermite oracle folds dense integer rows together by
@@ -418,15 +419,34 @@ def graded_transport(table, layers, rng):
     return transported, to_new
 
 
+def naive_evaluate(form, vectors) -> Fraction:
+    """The form on ``vectors`` by Leibniz's sum, degree at most 4: for each
+    monomial m, its coefficient times the sum over permutations s of
+    sign(s) times the product over k of vectors[k][m[s(k)]], the sign
+    counted from the inversions of s."""
+    p = len(vectors)
+    assert p == form.degree <= 4
+    total = Fraction(0)
+    for mono, coeff in form.terms.items():
+        for perm in itertools.permutations(range(p)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            product = Fraction(coeff) * (-1) ** inversions
+            for k in range(p):
+                product *= Fraction(vectors[k][mono[perm[k]]])
+            total += product
+    return total
+
+
 def naive_differential_value(form, vectors) -> Fraction:
-    """(p+1)! d(form)(X0..Xp) = sum_{i<j} (-1)^(i+j+1) form([Xi,Xj], rest)."""
+    """(p+1)! d(form)(X0..Xp) = sum_{i<j} (-1)^(i+j+1) form([Xi,Xj], rest),
+    each value of the form by ``naive_evaluate``."""
     algebra = form.algebra
     p = form.degree
     assert len(vectors) == p + 1
     total = Fraction(0)
     for i, j in itertools.combinations(range(p + 1), 2):
         rest = [vectors[r] for r in range(p + 1) if r not in (i, j)]
-        value = form.evaluate([algebra.bracket(vectors[i], vectors[j])] + rest)
+        value = naive_evaluate(form, [algebra.bracket(vectors[i], vectors[j])] + rest)
         total += (-1) ** (i + j + 1) * value
     denom = 1
     for f in range(2, p + 2):

@@ -142,12 +142,10 @@ def test_constants_as_int_fraction_or_string_give_one_table(seed):
     for algebra in built[1:]:
         assert algebra.denominator == built[0].denominator
         assert algebra.adjacency == built[0].adjacency
-        assert algebra.into == built[0].into
     if seed == 0:
         assert built[0].denominator == 1001
     for algebra in built:
         assert all(type(a) is int for a in integer_entries(algebra))
-        assert all(type(a) is int for pairs in algebra.into for _, _, a in pairs)
 
 
 def test_an_integral_fraction_constant_gives_an_int_entry():
@@ -155,7 +153,6 @@ def test_an_integral_fraction_constant_gives_an_int_entry():
     assert algebra.denominator == 1
     assert algebra.adjacency[0] == {1: {2: 2}}
     assert type(algebra.adjacency[0][1][2]) is int
-    assert algebra.into[2] == ((0, 1, 2),)
 
 
 def test_a_bracket_of_a_label_with_itself_is_an_input_error():
@@ -168,7 +165,6 @@ def test_a_bracket_of_a_label_with_itself_is_an_input_error():
 def test_a_pair_that_cancels_is_absent_but_still_listed(zero):
     algebra = GradedLieAlgebra("zero", *ABC, {("a", "b"): {"c": zero}})
     assert algebra.adjacency == ({}, {}, {})
-    assert algebra.into == ((), (), ())
     twice = {("a", "b"): {"c": zero}, ("b", "a"): {"c": 1}}
     with pytest.raises(InputError, match="listed twice"):
         GradedLieAlgebra("zero", *ABC, twice)
@@ -541,17 +537,12 @@ def test_adjacency_holds_the_constants_over_one_denominator(seed):
         assert d == 1001
     n = algebra.dimension
     unit = [tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
-    into = [[] for _ in range(n)]
     for u in range(n):
         for v in range(n):
             want = naive_bracket(table, basis, unit[u], unit[v])
             scaled = {w: d * c for w, c in enumerate(want) if c}
             assert algebra.adjacency[u].get(v, {}) == scaled
             assert all(type(a) is int for a in algebra.adjacency[u].get(v, {}).values())
-            if u < v:
-                for w, a in scaled.items():
-                    into[w].append((u, v, a))
-    assert [sorted(pairs) for pairs in algebra.into] == into
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -843,6 +834,13 @@ def test_lower_central_series_matches_naive_brackets_and_rref(key):
     assert [s.integer_rows for s in lower_central_series(algebra)] == [
         tuple(map(linalg.numerators, rows)) for rows in chain
     ]
+
+
+def test_lower_central_series_builds_no_dense_row(monkeypatch):
+    algebra = unipotent(5).algebra
+    expected = [s.integer_rows for s in lower_central_series(algebra)]
+    monkeypatch.setattr(linalg, "densify", dense_row_read)
+    assert [s.integer_rows for s in lower_central_series(algebra)] == expected
 
 
 def test_nilpotency_degree_matches_declared():

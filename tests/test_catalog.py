@@ -394,7 +394,6 @@ def test_positional_tables_equal_the_label_constructor(key):
     assert algebra.adjacency == oracle.adjacency
     # insertion order too: every sweep over a row reads it in this order
     assert in_order(algebra.adjacency) == in_order(oracle.adjacency)
-    assert algebra.into == oracle.into
     if designated is None:
         assert entry.designated_subspace is None
     else:

@@ -34,6 +34,7 @@ from helpers import (
     graded_transport,
     label_table,
     naive_differential_value,
+    naive_evaluate,
     naive_nullspace,
     random_form,
     random_layered_table,
@@ -65,6 +66,29 @@ def test_wedge_on_dual_basis_is_determinant():
     assert omega.evaluate([i1, h1]) == -1
     mixed = [a + b for a, b in zip(h1, i1)]
     assert omega.evaluate([mixed, mixed]) == 0
+
+
+@pytest.mark.parametrize("which", ["heisenberg_h:2", "coprime"])
+def test_evaluate_matches_the_leibniz_sum(which):
+    # random rational forms on random rational vectors, zeros included, on
+    # a catalog algebra and on the D = 1001 table
+    if which == "coprime":
+        algebra = GradedLieAlgebra(which, *coprime_table())
+    else:
+        algebra = build(which).algebra
+    rng = random.Random(which)
+    n = algebra.dimension
+    for degree in range(1, 5):
+        for _ in range(25):
+            form = random_form(rng, algebra, degree, 4, denominators=(1, 3, 4, 7))
+            vectors = [
+                [F(rng.randint(-5, 5) * (rng.random() < 0.6), rng.randint(1, 6))
+                 for _ in range(n)]
+                for _ in range(degree)
+            ]
+            value = form.evaluate(vectors)
+            assert type(value) is Fraction
+            assert value == naive_evaluate(form, vectors)
 
 
 def test_wedge_square_is_zero():
@@ -424,6 +448,16 @@ CUBE_ARGUMENT_ERRORS = [
     (lambda a, s: cube_form(a, "1", ["j1", "k1", "K"]), OMIT_V1),
     (lambda a, s: cube_form(a, 1.0, ["j1", "k1", "K"]), OMIT_V1),
 ]
+
+
+def test_a_cube_form_that_keeps_no_covector_has_no_degree():
+    algebra = build("abelian:2").algebra
+    s = Subspace.from_labels(algebra, ["x1", "x2"])
+    calls = (lambda: cube_form(algebra, 2, ["x1", "x2"]), lambda: check_cube_closed(s, 2))
+    for call in calls:
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == "form degree must be an integer from 1 to 2"
 
 
 @pytest.mark.parametrize("call, message", CUBE_ARGUMENT_ERRORS)
