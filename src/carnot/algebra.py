@@ -63,9 +63,9 @@ def require_budget(dimension: int) -> None:
 def require_two_step(
     algebra: GradedLieAlgebra, what: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The layers (V1, V2) of ``algebra``, V2 empty for a one-layer
-    algebra; InputError from ``require_valid``, or on more than two layers."""
-    algebra.require_valid()
+    """The layers (V1, V2) of ``algebra``, V2 empty for a one-layer algebra;
+    InputError for a non-algebra, from ``require_valid``, or on more layers."""
+    linalg.require_kind(algebra, GradedLieAlgebra, what).require_valid()
     if algebra.declared_degree > 2:
         raise InputError(
             "%s needs a 2-step algebra, got %d layers"
@@ -245,7 +245,10 @@ class GradedLieAlgebra:
 
     def describe(self, v: Sequence[Fraction]) -> str:
         """``v`` as a signed sum of its nonzero terms in position order."""
-        w, r = self.numerators(v)
+        return self.describe_pair(*self.numerators(v))
+
+    def describe_pair(self, w: Mapping[int, int], r: int) -> str:
+        """``describe`` of w / r, w a ``numerators`` row and r > 0."""
         parts = []
         for i, a in w.items():
             label = self.basis[i]

@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import catalog as _catalog, linalg
+from . import catalog as _catalog
 from .algebra import Subspace, hausdorff_dimension
 from .catalog import CatalogEntry
 from .curvature import trichotomy_report
@@ -119,6 +119,14 @@ def _render(doc, indent: str = "\n") -> str:
         raise TypeError("%s is not rendered as JSON" % type(doc).__name__)
     body = ("," + inner).join(parts)
     return ends[0] + inner + body + indent + ends[1] if parts else ends
+
+
+def _json_row(w: dict[int, int], n: int, s: int) -> list[str]:
+    """The sparse integer row w / s over n columns as ``_render`` strings."""
+    row = ["0"] * n
+    for j, e in w.items():
+        row[j] = str(Fraction(e, s))
+    return row
 
 
 def _emit(args, payload: Callable[[], dict], lines: Iterable[str]) -> None:
@@ -311,7 +319,7 @@ def cmd_pittet(args, entry: CatalogEntry) -> tuple:
             "pairs": report.pairs,
             "kernel_dimension": report.kernel_dimension,
             "kernel_basis": [
-                linalg.densify(w, len(report.pairs), s) for w, s in report.kernel_basis
+                _json_row(w, len(report.pairs), s) for w, s in report.kernel_basis
             ],
         }
 
@@ -333,15 +341,14 @@ def cmd_lattice(args, entry: CatalogEntry) -> tuple:
 
     def payload():
         return {
-            "generators": spec.generators,
+            "generators": [_json_row(w, len(spec._scaled), s) for w, s in spec._scaled],
             "detail": {name: check.detail for name, check in checks.items()},
             **{"%s_closed" % name: check.ok for name, check in checks.items()},
         }
 
     def lines():
         yield "generators:"
-        for g in spec.generators:
-            yield "  %s" % entry.algebra.describe(g)
+        yield from ("  %s" % entry.algebra.describe_pair(w, s) for w, s in spec._scaled)
         for name, check in checks.items():
             yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
 

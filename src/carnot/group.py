@@ -68,7 +68,7 @@ class GroupElement:
 
 def group_scaling(t, g: GroupElement) -> GroupElement:
     """Dilation as a group automorphism in exponential coordinates."""
-    d = Dilation(g.algebra, t)
+    d = Dilation(linalg.require_kind(g, GroupElement, "group scaling").algebra, t)
     return GroupElement(g.algebra, d(g.coords))
 
 
@@ -83,12 +83,11 @@ class LatticeSpec:
     those pairs gives G^-1 as sparse integer rows over the lcm q of its
     denominators, ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the
     coordinates sum_k w_k _columns[k] / (q r), integers exactly when q r
-    divides every sum.  ``generators`` holds the dense rows of those pairs,
-    whatever container and coefficient form were passed, and specs are equal
-    when their algebras and generators are.
+    divides every sum.  Only these are kept; the pairs are canonical, so
+    specs with equal algebras and pairs are equal whatever form was passed.
     """
 
-    __slots__ = ("algebra", "generators", "_denominator", "_columns", "_scaled")
+    __slots__ = ("algebra", "_denominator", "_columns", "_scaled")
 
     def __init__(self, algebra: GradedLieAlgebra, generators: Matrix) -> None:
         require_two_step(algebra, "a lattice")
@@ -110,20 +109,23 @@ class LatticeSpec:
         return spec
 
     def _set(self, algebra, scaled: tuple[tuple[dict[int, int], int], ...]) -> None:
-        """The core of both constructors: the generators as the dense rows of
-        their ``numerators`` pairs ``scaled``, and the inverse of those pairs."""
+        """The core of both constructors: the generators' ``numerators``
+        pairs ``scaled``, and the inverse of those pairs."""
         found = linalg.integer_inverse(scaled)
         if found is None:
             raise InputError("lattice generators must span the algebra")
-        n = algebra.dimension
         self.algebra, self._scaled = algebra, scaled
-        self.generators = tuple(linalg.densify(w, n, s) for w, s in scaled)
         self._columns, self._denominator = found
+
+    @property
+    def generators(self) -> Matrix:
+        """The dense rows of the pairs, built each time they are read."""
+        return tuple(linalg.densify(w, len(self._scaled), s) for w, s in self._scaled)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.algebra, self.generators) == (other.algebra, other.generators)
+        return (self.algebra, self._scaled) == (other.algebra, other._scaled)
 
     def __hash__(self):
         return hash((self.algebra, self.generators))
@@ -186,23 +188,23 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
     the first failure is the first failing pair of the full sweep.  By
     bilinearity, [x, y]/2 for x = sum a_i g_i and y = sum b_j g_j is the
     integer combination sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2,
-    so the verdict holds for the whole span.  With g = w / s, [g_i, g_j]/2
-    has the numerators ``integer_bracket(w_i, w_j)`` over 2 s_i s_j D.
+    so the verdict holds for the whole span.  With g = w / s, [g_i, g_j]/2 is
+    ``integer_bracket(w_i, w_j)`` / (2 s_i s_j D), 0 unless w_j meets ``reach``.
     """
-    algebra = spec.algebra
+    algebra = linalg.require_kind(spec, LatticeSpec, "the group closure").algebra
     scaled = spec._scaled
     for i, (x, s) in enumerate(scaled):
-        if not any(algebra.adjacency[u] for u in x):
-            continue
+        reach = {v for u in x for v in algebra.adjacency[u]}
         for j in range(i + 1, len(scaled)):
             y, t = scaled[j]
+            if reach.isdisjoint(y):
+                continue
             half = algebra.integer_bracket(x, y)
             r = 2 * s * t * algebra.denominator
             if not half or spec._coordinates(half, r) is not None:
                 continue
-            product = GroupElement(algebra, spec.generators[i]) * GroupElement(
-                algebra, spec.generators[j]
-            )
+            g = spec.generators
+            product = GroupElement(algebra, g[i]) * GroupElement(algebra, g[j])
             return CheckResult(
                 False,
                 "product of generators %d and %d leaves the integer span: %s"
@@ -217,7 +219,7 @@ def check_scaling_closure(spec: LatticeSpec) -> CheckResult:
     The image of g = w / s has the numerators w_u shifted left by the
     weight of b_u, over the same s.
     """
-    algebra = spec.algebra
+    algebra = linalg.require_kind(spec, LatticeSpec, "the scaling closure").algebra
     weights = algebra.weights
     for i, (w, s) in enumerate(spec._scaled):
         if spec._coordinates({u: a << weights[u] for u, a in w.items()}, s) is None:

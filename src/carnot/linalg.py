@@ -37,6 +37,13 @@ class InputError(ValueError):
     """Malformed input: a bad coefficient, unknown labels, a bad shape."""
 
 
+def require_kind(value, kind: type, what: str):
+    """``value``, read before any of its attributes; InputError unless a ``kind``."""
+    if not isinstance(value, kind):
+        raise InputError("%s needs a %s" % (what, kind.__name__))
+    return value
+
+
 # ASCII digits only, and no trailing newline as ``$`` would allow
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

@@ -486,28 +486,27 @@ def test_pittet_output_is_a_rendering_of_the_dense_oracle(capsys, tmp_path):
 
 def test_pittet_densifies_kernel_rows_only_for_json(capsys, tmp_path, monkeypatch):
     # N(12, 2): 792 pairs and a kernel of 572; the text lines read each
-    # row's support, and --json densifies each row exactly once
+    # row's support, and --json writes each row exactly once, through the
+    # one JSON row printer and never through a dense Fraction row
     _, path = free_two_step_file(tmp_path, 12)
-    reports, dense = [], []
-    kernel, densify = cli.pittet_kernel, linalg.densify
+    reports = []
+    kernel = cli.pittet_kernel
 
     def kept(algebra):
         reports.append(kernel(algebra))
         return reports[-1]
 
-    def counted(w, *rest):
-        dense.append(w)
-        return densify(w, *rest)
-
     monkeypatch.setattr(cli, "pittet_kernel", kept)
-    monkeypatch.setattr(linalg, "densify", counted)
+    printed = count_calls(monkeypatch, cli, "_json_row")
+    dense = count_calls(monkeypatch, linalg, "densify")
     code, out, _ = run(capsys, "pittet", path)
-    assert code == 0 and dense == []
+    assert code == 0 and printed == []
     assert "generating pairs: 792\nkernel dimension: 572\n" in out
     assert out.count("  closed: ") == 572
     code, doc, _ = run_json(capsys, "pittet", path)
     assert code == 0 and len(doc["kernel_basis"]) == 572
-    assert [id(w) for w in dense] == [id(w) for w, _ in reports[-1].kernel_basis]
+    assert [id(w) for w, *_ in printed] == [id(w) for w, _ in reports[-1].kernel_basis]
+    assert dense == []
 
 
 def test_lattice_report(capsys):
@@ -516,6 +515,9 @@ def test_lattice_report(capsys):
     assert "group closure: ok" in out
     assert "scaling closure: ok" in out
     assert "1/2*K" in out
+    code, doc, _ = run_json(capsys, "lattice", "heisenberg_c:1")
+    assert code == 0
+    assert doc["generators"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]]
 
 
 def write_algebra(tmp_path, name, basis, layers, table):
@@ -726,15 +728,19 @@ def count_calls(monkeypatch, owner, name):
     ids=["lattice", "pittet", "certify-witness"],
 )
 def test_only_the_printed_form_is_built(capsys, monkeypatch, argv):
-    # the JSON document is written by _render, text vectors by describe
+    # the JSON document is written by _render and its rows by _json_row,
+    # text vectors by describe_pair, which describe calls
     rendered = count_calls(monkeypatch, carnot.cli, "_render")
-    described = count_calls(monkeypatch, GradedLieAlgebra, "describe")
+    rows = count_calls(monkeypatch, carnot.cli, "_json_row")
+    described = count_calls(monkeypatch, GradedLieAlgebra, "describe_pair")
     run(capsys, *argv)
-    assert rendered == []
+    assert rendered == [] and rows == []
     text_described = len(described)
     run(capsys, *argv, "--json")
     assert rendered != []
     assert len(described) == text_described
+    if argv[0] != "certify":
+        assert rows != []
     if argv[0] != "pittet":
         assert text_described > 0
 

@@ -1,5 +1,6 @@
 """Exponential-coordinate group law and scalable integer lattices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from carnot import (
     check_scaling_closure,
     default_entries,
     group_scaling,
+    pittet_kernel,
+    two_step_closed_forms,
 )
 from carnot import algebra as algebra_module, linalg
 from carnot.algebra import jacobi_check
@@ -95,6 +98,35 @@ def test_lattice_generators_that_do_not_span_are_an_input_error():
     with pytest.raises(InputError) as info:
         LatticeSpec(algebra, ((1, 0, 0), (2, 0, 0), (0, 0, 1)))
     assert str(info.value) == "lattice generators must span the algebra"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_scalable_lattice(5), "a scalable lattice needs a GradedLieAlgebra"),
+        (lambda: LatticeSpec(5, []), "a lattice needs a GradedLieAlgebra"),
+        (lambda: GroupElement(5, [0]), "group coordinates needs a GradedLieAlgebra"),
+        (lambda: pittet_kernel(5), "the pittet kernel needs a GradedLieAlgebra"),
+        (lambda: two_step_closed_forms(5, 0, 1), "the closed forms needs a GradedLieAlgebra"),
+        (lambda: check_group_closure(None), "the group closure needs a LatticeSpec"),
+        (lambda: check_scaling_closure(None), "the scaling closure needs a LatticeSpec"),
+        (lambda: group_scaling(5, 2), "group scaling needs a GroupElement"),
+    ],
+    ids=[
+        "build_scalable_lattice",
+        "LatticeSpec",
+        "GroupElement",
+        "pittet_kernel",
+        "two_step_closed_forms",
+        "check_group_closure",
+        "check_scaling_closure",
+        "group_scaling",
+    ],
+)
+def test_an_object_of_another_kind_is_an_input_error(call, message):
+    with pytest.raises(InputError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_multiply_rejects_mixed_groups():
@@ -431,13 +463,16 @@ def item6_spec():
     return build_scalable_lattice(algebra)
 
 
+def algebra_of(key):
+    if key == "coprime":
+        return GradedLieAlgebra("coprime", *coprime_table())
+    return build(key).algebra
+
+
 def random_spec(key, seed):
     # dense invertible rational generators: the integer inverse meets
     # denominators and signs that unit and halved vectors never show
-    if key == "coprime":
-        algebra = GradedLieAlgebra("coprime", *coprime_table())
-    else:
-        algebra = build(key).algebra
+    algebra = algebra_of(key)
     n = algebra.dimension
     rng = random.Random(seed)
     generators = None
@@ -449,6 +484,33 @@ def random_spec(key, seed):
     return LatticeSpec(algebra, generators)
 
 
+def sparse_spec(key, seed):
+    # one nonzero per generator on a random permutation, sometimes one more:
+    # most generator supports never bracket, so the closure skips most
+    # pairs, and each seed below fails first at a later pair than (0, 1)
+    algebra = algebra_of(key)
+    n = algebra.dimension
+    rng = random.Random(seed)
+    generators = None
+    while generators is None or naive_inverse(generators) is None:
+        rows = [[F(0)] * n for _ in range(n)]
+        for row, p in zip(rows, rng.sample(range(n), n)):
+            row[p] = F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            if rng.random() < 0.3:
+                row[rng.randrange(n)] += F(rng.randint(-1, 1), rng.randint(1, 3))
+        generators = tuple(map(tuple, rows))
+    return LatticeSpec(algebra, generators)
+
+
+SPARSE_SEEDS = [
+    ("heisenberg_c:2", 5),
+    ("heisenberg_c:3", 0),
+    ("heisenberg_h:1", 0),
+    ("heisenberg_o:1", 2),
+    ("coprime", 0),
+]
+
+
 # -- agreement with the full product sweep -------------------------------------------
 
 _O2_DIMENSION = build("heisenberg_o:2").algebra.dimension
@@ -457,10 +519,16 @@ ORACLE_KEYS = [
     for e in default_entries()
     if e.algebra.declared_degree <= 2 and e.algebra.dimension <= _O2_DIMENSION
 ]
-ORACLE_SPECS = [
-    lambda key=key: build_scalable_lattice(build(key).algebra) for key in ORACLE_KEYS
-] + [wide_center_spec, skewed_spec, sheared_spec, item6_spec, coprime_spec]
-ORACLE_IDS = ORACLE_KEYS + ["wide_center", "skewed", "sheared", "item6", "coprime"]
+ORACLE_SPECS = (
+    [lambda key=key: build_scalable_lattice(build(key).algebra) for key in ORACLE_KEYS]
+    + [wide_center_spec, skewed_spec, sheared_spec, item6_spec, coprime_spec]
+    + [lambda key=key, seed=seed: sparse_spec(key, seed) for key, seed in SPARSE_SEEDS]
+)
+ORACLE_IDS = (
+    ORACLE_KEYS
+    + ["wide_center", "skewed", "sheared", "item6", "coprime"]
+    + ["sparse_%s-%d" % case for case in SPARSE_SEEDS]
+)
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS, ids=ORACLE_IDS)
@@ -468,6 +536,42 @@ def test_group_closure_matches_full_sweep(make_spec):
     spec = make_spec()
     group = check_group_closure(spec)
     assert (group.ok, group.detail) == naive_group_closure(spec)
+
+
+def test_the_sparse_specs_fail_first_past_pair_0_1():
+    # the sparse inputs above exercise skipped pairs before a failing one
+    details = [check_group_closure(sparse_spec(*case)).detail for case in SPARSE_SEEDS]
+    assert [d.split(" leaves")[0] for d in details] == [
+        "product of generators 1 and 4",
+        "product of generators 2 and 5",
+        "product of generators 1 and 4",
+        "product of generators 2 and 3",
+        "product of generators 2 and 3",
+    ]
+
+
+def test_the_closure_brackets_only_the_pairs_whose_supports_bracket(monkeypatch):
+    # heisenberg_c:10: integer_bracket runs once per pair i < j in which
+    # some position of g_j brackets with some position of g_i, in order
+    spec = build_scalable_lattice(build("heisenberg_c:10").algebra)
+    ad = spec.algebra.adjacency
+    supports = [set(w) for w, _ in spec._scaled]
+    expected = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(supports)), 2)
+        if any(v in ad[u] for u in supports[i] for v in supports[j])
+    ]
+    index = {id(w): i for i, (w, _) in enumerate(spec._scaled)}
+    calls = []
+    bracket = GradedLieAlgebra.integer_bracket
+
+    def counted(algebra, x, y):
+        calls.append((index[id(x)], index[id(y)]))
+        return bracket(algebra, x, y)
+
+    monkeypatch.setattr(GradedLieAlgebra, "integer_bracket", counted)
+    assert check_group_closure(spec).ok
+    assert calls == expected and len(expected) == 10
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS, ids=ORACLE_IDS)

@@ -137,7 +137,7 @@ def export(rev: str, into: Path) -> Path:
         capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into)
+        archive.extractall(into, filter="data")
     return into / "src"
 
 
