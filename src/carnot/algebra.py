@@ -24,7 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence, Sized
 from fractions import Fraction
 
 from . import linalg
-from .linalg import InputError, Vector, ZERO, coefficient
+from .linalg import InputError, Vector, ZERO, coefficient, require_kind
 
 # the most basis labels of a catalog id or file.  On N(31, 2), dim 496, 2-vCPU
 # x86-64, CLI wall time: lattice 0.4 s, pittet 1.2 s, others < 0.6 s, of which
@@ -65,7 +65,7 @@ def require_two_step(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The layers (V1, V2) of ``algebra``, V2 empty for a one-layer algebra;
     InputError for a non-algebra, from ``require_valid``, or on more layers."""
-    linalg.require_kind(algebra, GradedLieAlgebra, what).require_valid()
+    require_kind(algebra, GradedLieAlgebra, what).require_valid()
     if algebra.declared_degree > 2:
         raise InputError(
             "%s needs a 2-step algebra, got %d layers"
@@ -248,7 +248,7 @@ class GradedLieAlgebra:
         return self.describe_pair(*self.numerators(v))
 
     def describe_pair(self, w: Mapping[int, int], r: int) -> str:
-        """``describe`` of w / r, w a ``numerators`` row and r > 0."""
+        """``describe`` of w / r: w nonzero ints by position, r > 0."""
         parts = []
         for i, a in w.items():
             label = self.basis[i]
@@ -328,7 +328,7 @@ class Subspace:
     def __init__(self, algebra: GradedLieAlgebra, rows: Iterable[Sequence]) -> None:
         if not isinstance(rows, Iterable):
             raise InputError("a subspace needs an iterable of rows")
-        self.algebra = algebra
+        self.algebra = require_kind(algebra, GradedLieAlgebra, "a subspace")
         # a row w / r spans the line of its numerators w
         rows = (algebra.numerators(row, "a subspace row")[0] for row in rows)
         self.integer_rows = linalg.reduced_rows(rows, algebra.dimension)
@@ -401,7 +401,7 @@ def jacobi_check(algebra: GradedLieAlgebra) -> CheckResult:
     reported by label.  The sums run over the integer adjacency, D^2 times
     the exact ones, so they vanish exactly when the exact sums do.
     """
-    ad = algebra.adjacency
+    ad = require_kind(algebra, GradedLieAlgebra, "a Jacobi check").adjacency
     acc: dict[tuple[int, int, int, int], int] = {}
     pairs = ((a, b, e) for a, row in enumerate(ad) for b, e in row.items() if b > a)
     for a, b, pair in pairs:
@@ -431,7 +431,7 @@ def lower_central_series(algebra: GradedLieAlgebra) -> list[Subspace]:
     g_{j+1} = [g, g_j].  Raises InputError if the chain stabilises before
     reaching zero.
     """
-    n = algebra.dimension
+    n = require_kind(algebra, GradedLieAlgebra, "the lower central series").dimension
     chain = [Subspace.from_labels(algebra, algebra.basis)]
     while chain[-1].dim > 0:
         images = (
@@ -464,7 +464,7 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
     stops at dim V_{j+1} pivots, since the grading puts every image in
     V_{j+1}; a failure has used every row, so it reports the full rank.
     """
-    ad = algebra.adjacency
+    ad = require_kind(algebra, GradedLieAlgebra, "a stratification check").adjacency
     weights = algebra.weights
     for u, v in sorted((u, v) for u, row in enumerate(ad) for v in row if u < v):
         target = weights[u] + weights[v]
@@ -501,8 +501,8 @@ def stratification_check(algebra: GradedLieAlgebra) -> CheckResult:
 
 
 def hausdorff_dimension(algebra: GradedLieAlgebra) -> int:
-    """Sum of layer index times layer dimension."""
-    return sum(depth * len(idx) for depth, idx in enumerate(algebra.layers, start=1))
+    """Sum of layer index times layer dimension, which is the sum of the weights."""
+    return sum(require_kind(algebra, GradedLieAlgebra, "Hausdorff dimension").weights)
 
 
 class Dilation:
@@ -512,7 +512,7 @@ class Dilation:
         t = coefficient(t)
         if t == 0:
             raise InputError("dilation parameter must be nonzero")
-        self.algebra = algebra
+        self.algebra = require_kind(algebra, GradedLieAlgebra, "a dilation")
         self.t = t
         self.factors: Vector = tuple(t ** w for w in algebra.weights)
 

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, Subspace, require_budget
-from .linalg import InputError, parse_coefficient
+from .linalg import InputError, parse_coefficient, require_kind
 
 # an entry: its id, the algebra, the designated Subspace or None, the notes
 CatalogEntry = collections.namedtuple(
@@ -215,7 +215,7 @@ def default_summaries() -> list[dict]:
 
 
 def algebra_to_dict(algebra: GradedLieAlgebra) -> dict:
-    d = algebra.denominator
+    d = require_kind(algebra, GradedLieAlgebra, "algebra JSON").denominator
     brackets = []
     for u, row in enumerate(algebra.adjacency):
         for v in sorted(v for v in row if u < v):
@@ -292,9 +292,8 @@ def load_algebra(path) -> GradedLieAlgebra:
 
 
 def entry_summary(entry: CatalogEntry) -> dict:
-    designated = None
-    if entry.designated_subspace is not None:
-        designated = entry.designated_subspace.coordinate_labels() or ()
+    subspace = require_kind(entry, CatalogEntry, "an entry summary").designated_subspace
+    designated = None if subspace is None else subspace.coordinate_labels() or ()
     return _summary(entry.key, entry.algebra.layers, designated, entry.notes)
 
 

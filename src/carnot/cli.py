@@ -337,18 +337,19 @@ def cmd_pittet(args, entry: CatalogEntry) -> tuple:
 
 def cmd_lattice(args, entry: CatalogEntry) -> tuple:
     spec = build_scalable_lattice(entry.algebra)
+    rows = spec.integer_rows
     checks = {"group": check_group_closure(spec), "scaling": check_scaling_closure(spec)}
 
     def payload():
         return {
-            "generators": [_json_row(w, len(spec._scaled), s) for w, s in spec._scaled],
+            "generators": [_json_row(w, len(rows), s) for w, s in rows],
             "detail": {name: check.detail for name, check in checks.items()},
             **{"%s_closed" % name: check.ok for name, check in checks.items()},
         }
 
     def lines():
         yield "generators:"
-        yield from ("  %s" % entry.algebra.describe_pair(w, s) for w, s in spec._scaled)
+        yield from ("  %s" % entry.algebra.describe_pair(w, s) for w, s in rows)
         for name, check in checks.items():
             yield "%s closure: %s (%s)" % (name, "ok" if check else "FAIL", check.detail)
 

@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, InputError, Subspace, require_two_step
-from .linalg import ZERO
+from .linalg import ZERO, require_kind
 
 _EMPTY: dict = {}
 
@@ -32,7 +32,7 @@ def sectional_curvature(algebra: GradedLieAlgebra, u, v) -> Fraction:
     """Curvature of the plane of two distinct basis vectors, each a label
     or a position that ``algebra.position`` checks: the plane's integer
     from the one sweep of ``_plane_sums``, divided once by 4 D^2."""
-    i, j = algebra.position(u), algebra.position(v)
+    i, j = map(require_kind(algebra, GradedLieAlgebra, "curvature").position, (u, v))
     if i == j:
         raise InputError("need two distinct directions")
     return _curvature_of(algebra, _plane_sums(algebra).get((min(i, j), max(i, j)), 0))
@@ -116,7 +116,7 @@ def trichotomy_report(s: Subspace, maximal_asserted: bool = False) -> CurvatureR
     """
     if type(maximal_asserted) is not bool:
         raise InputError("maximal_asserted must be True or False")
-    algebra = s.algebra
+    algebra = require_kind(s, Subspace, "the curvature trichotomy").algebra
     require_two_step(algebra, "the curvature trichotomy")
     if s.coordinate_labels() is None:
         raise InputError("trichotomy needs a span of basis vectors")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace, require_two_step
-from .linalg import InputError, ZERO, coefficient, parse_coefficient
+from .linalg import InputError, ZERO, coefficient, parse_coefficient, require_kind
 
 Monomial = tuple[int, ...]
 
@@ -64,7 +64,7 @@ class InvariantForm:
         degree: int,
         terms: Mapping[Monomial, object] | None = None,
     ) -> None:
-        n = algebra.dimension
+        n = require_kind(algebra, GradedLieAlgebra, "a form").dimension
         # type(...) is int turns away bools, floats and strings alike
         if type(degree) is not int or not 1 <= degree <= n:
             raise InputError("form degree must be an integer from 1 to %d" % n)
@@ -113,7 +113,7 @@ class InvariantForm:
         return hash(tuple(self.terms.items()))
 
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
-        if other.algebra is not self.algebra:
+        if require_kind(other, InvariantForm, "a form sum").algebra is not self.algebra:
             raise InputError("forms live on different algebras")
         if other.is_zero():
             return self
@@ -132,7 +132,7 @@ class InvariantForm:
         )
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
+        return self + (-require_kind(other, InvariantForm, "a form difference"))
 
     def __rmul__(self, scalar) -> "InvariantForm":
         c = coefficient(scalar)
@@ -159,7 +159,7 @@ class InvariantForm:
         return Fraction(total, e * math.prod(r for _, r in read))
 
     def wedge(self, other: "InvariantForm") -> "InvariantForm":
-        if other.algebra is not self.algebra:
+        if require_kind(other, InvariantForm, "a wedge").algebra is not self.algebra:
             raise InputError("forms live on different algebras")
         degree = self.degree + other.degree
         if degree > self.algebra.dimension or self.is_zero() or other.is_zero():
@@ -228,7 +228,7 @@ def differential(form: InvariantForm) -> InvariantForm:
     monomial whose integer sum cancels is absent.  Output monomials merge a
     valid one with a pair outside it, so they need sorting, not checks.
     """
-    algebra = form.algebra
+    algebra = require_kind(form, InvariantForm, "a differential").algebra
     p = form.degree
     if p >= algebra.dimension:
         return InvariantForm(algebra, min(p + 1, algebra.dimension), {})
@@ -271,7 +271,7 @@ ScalingWeight = namedtuple("ScalingWeight", "uniform by_monomial")
 
 def scaling_weight(form: InvariantForm) -> ScalingWeight:
     """Dilation by t multiplies each monomial by t to this weight."""
-    if form.is_zero():
+    if require_kind(form, InvariantForm, "a scaling weight").is_zero():
         raise InputError("the zero form has no scaling weight")
     weights = form.algebra.weights
     per = tuple((mono, sum(weights[i] for i in mono)) for mono in form.terms)
@@ -290,7 +290,8 @@ def cube_form(
     isotropic subspace first, the result is the closed form whose scaling
     weight is the Hausdorff dimension minus ``omit``.
     """
-    indices = list(map(algebra.position, order))
+    position = require_kind(algebra, GradedLieAlgebra, "a cube form").position
+    indices = list(map(position, order))
     if sorted(indices) != list(range(algebra.dimension)):
         raise InputError("order must be a permutation of the basis")
     if type(omit) is not int or not 0 <= omit <= len(algebra.layers[0]):
@@ -315,14 +316,13 @@ def check_cube_closed(s: Subspace, omit: int) -> bool:
     calling with an uncertified ``s`` simply reports what the differential
     says.
     """
-    if s.coordinate_labels() is None:
+    if require_kind(s, Subspace, "the cube closure").coordinate_labels() is None:
         raise InputError("cube ordering needs a span of basis vectors")
     chosen = [i for w, _ in s.require_horizontal() for i in w]
     if type(omit) is not int or not 0 <= omit <= s.dim:
         raise InputError("omit must be between 0 and dim s")
     rest = sorted(set(range(s.algebra.dimension)) - set(chosen))
-    gamma = cube_form(s.algebra, omit, chosen + rest)
-    return differential(gamma).is_zero()
+    return differential(cube_form(s.algebra, omit, chosen + rest)).is_zero()
 
 
 class PittetReport(namedtuple("PittetReport", "pairs kernel_dimension kernel_basis")):
@@ -382,7 +382,7 @@ def _bracketing_triples(v1: list[int], ad) -> Iterator[tuple[int, int, int]]:
 
 def form_to_dict(form: InvariantForm) -> dict:
     return {
-        "degree": form.degree,
+        "degree": require_kind(form, InvariantForm, "form JSON").degree,
         "terms": [
             {"indices": list(mono), "coeff": str(c)} for mono, c in form.terms.items()
         ],

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 from . import linalg
 from .algebra import CheckResult, Dilation, GradedLieAlgebra, require_two_step
-from .linalg import HALF, InputError, Matrix, Vector
+from .linalg import HALF, InputError, Matrix, Vector, require_kind
 
 
 class GroupElement:
@@ -68,7 +68,7 @@ class GroupElement:
 
 def group_scaling(t, g: GroupElement) -> GroupElement:
     """Dilation as a group automorphism in exponential coordinates."""
-    d = Dilation(linalg.require_kind(g, GroupElement, "group scaling").algebra, t)
+    d = Dilation(require_kind(g, GroupElement, "group scaling").algebra, t)
     return GroupElement(g.algebra, d(g.coords))
 
 
@@ -77,17 +77,16 @@ class LatticeSpec:
 
     There are exactly ``dimension`` generators of ``dimension`` entries and
     they must span the algebra, so the matrix G with the generators as rows
-    is invertible and v has the coordinates v G^-1.  Each generator is read
-    once by the algebra's ``numerators`` into integers over its own
-    denominator, ``_scaled[i] = (w, s)``, and ``linalg.integer_inverse`` of
-    those pairs gives G^-1 as sparse integer rows over the lcm q of its
-    denominators, ``_columns[k][i] = q G^-1[k][i]``: v = w / r has the
-    coordinates sum_k w_k _columns[k] / (q r), integers exactly when q r
-    divides every sum.  Only these are kept; the pairs are canonical, so
-    specs with equal algebras and pairs are equal whatever form was passed.
+    is invertible and v has the coordinates v G^-1.  Each generator w / s is
+    read once by the algebra's ``numerators`` into ``integer_rows[i] = (w, s)``,
+    and ``linalg.integer_inverse`` of those rows gives G^-1 as sparse integer
+    rows over the lcm q of its denominators, ``_columns[k][i] = q G^-1[k][i]``:
+    v = w / r has the coordinates sum_k w_k _columns[k] / (q r), integers
+    exactly when q r divides every sum.  Only these are kept, no dense view;
+    the rows are canonical, so equal algebras and rows give equal specs.
     """
 
-    __slots__ = ("algebra", "_denominator", "_columns", "_scaled")
+    __slots__ = ("algebra", "_denominator", "_columns", "integer_rows")
 
     def __init__(self, algebra: GradedLieAlgebra, generators: Matrix) -> None:
         require_two_step(algebra, "a lattice")
@@ -102,36 +101,33 @@ class LatticeSpec:
         self._set(algebra, tuple(read(g, "a lattice generator") for g in generators))
 
     @classmethod
-    def _from_scaled(cls, algebra: GradedLieAlgebra, scaled) -> "LatticeSpec":
-        """The spec of the generators given as their ``numerators`` pairs."""
+    def _of_rows(cls, algebra: GradedLieAlgebra, integer_rows) -> "LatticeSpec":
+        """The spec of the generators given as their ``integer_rows``."""
         spec = cls.__new__(cls)
-        spec._set(algebra, scaled)
+        spec._set(algebra, integer_rows)
         return spec
 
-    def _set(self, algebra, scaled: tuple[tuple[dict[int, int], int], ...]) -> None:
-        """The core of both constructors: the generators' ``numerators``
-        pairs ``scaled``, and the inverse of those pairs."""
-        found = linalg.integer_inverse(scaled)
+    def _set(self, algebra, rows: tuple[tuple[dict[int, int], int], ...]) -> None:
+        """Both constructors' core: keep ``rows`` and their inverse."""
+        found = linalg.integer_inverse(rows)
         if found is None:
             raise InputError("lattice generators must span the algebra")
-        self.algebra, self._scaled = algebra, scaled
+        self.algebra, self.integer_rows = algebra, rows
         self._columns, self._denominator = found
-
-    @property
-    def generators(self) -> Matrix:
-        """The dense rows of the pairs, built each time they are read."""
-        return tuple(linalg.densify(w, len(self._scaled), s) for w, s in self._scaled)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.algebra, self._scaled) == (other.algebra, other._scaled)
+        return (self.algebra, self.integer_rows) == (other.algebra, other.integer_rows)
 
     def __hash__(self):
-        return hash((self.algebra, self.generators))
+        rows = self.integer_rows
+        return hash((self.algebra, *((frozenset(w.items()), s) for w, s in rows)))
 
     def __repr__(self) -> str:
-        return "LatticeSpec(algebra=%r, generators=%r)" % (self.algebra, self.generators)
+        n = self.algebra.dimension
+        rows = tuple(linalg.densify(w, n, s) for w, s in self.integer_rows)
+        return "LatticeSpec(algebra=%r, generators=%r)" % (self.algebra, rows)
 
     def membership(self, v: Sequence) -> Vector | None:
         """Integer coordinates of ``v`` in the generators, or None."""
@@ -160,7 +156,7 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     read from the integer adjacency over 2 D and fed in lexicographic pair
     order to one ``linalg.hermite_extend`` basis, until that basis is the
     identity on V2, which no integer row can refine.  A Hermite row h goes
-    to ``_from_scaled`` as (h / g, 2 D / g), g = gcd(2 D, h)."""
+    to ``_of_rows`` as (h / g, 2 D / g), g = gcd(2 D, h)."""
     v1, v2 = require_two_step(algebra, "a scalable lattice")
     ad = algebra.adjacency
     identity = {i: {i: 1} for i in v2}
@@ -175,36 +171,35 @@ def build_scalable_lattice(algebra: GradedLieAlgebra) -> LatticeSpec:
     for p, h in sorted(basis.items()):
         g = math.gcd(r, *h.values())
         second.append(({j: e // g for j, e in sorted(h.items())}, r // g))
-    return LatticeSpec._from_scaled(algebra, (*(({u: 1}, 1) for u in v1), *second))
+    return LatticeSpec._of_rows(algebra, (*(({u: 1}, 1) for u in v1), *second))
 
 
 def check_group_closure(spec: LatticeSpec) -> CheckResult:
     """Every product of elements of the integer span stays in the span.
 
     Generators g_i lie in the span, so g_i g_j = g_i + g_j + [g_i, g_j]/2
-    does exactly when [g_i, g_j]/2 does.  The bracket is antisymmetric, so
-    the pair (j, i) gives the same answer as (i, j) and (i, i) always
-    passes; only the pairs i < j are checked, in lexicographic order, and
-    the first failure is the first failing pair of the full sweep.  By
+    does exactly when [g_i, g_j]/2 does.  The bracket is antisymmetric and
+    (i, i) always passes, so only the pairs i < j are checked, in
+    lexicographic order: the first failure is the full sweep's first.  By
     bilinearity, [x, y]/2 for x = sum a_i g_i and y = sum b_j g_j is the
     integer combination sum over i < j of (a_i b_j - a_j b_i)[g_i, g_j]/2,
-    so the verdict holds for the whole span.  With g = w / s, [g_i, g_j]/2 is
-    ``integer_bracket(w_i, w_j)`` / (2 s_i s_j D), 0 unless w_j meets ``reach``.
+    so the verdict holds for the whole span.  With g = w / s in the rows,
+    [g_i, g_j]/2 is ``integer_bracket(w_i, w_j)`` / (2 s_i s_j D), 0 unless w_j
+    meets ``reach``; a failing pair alone is densified, into its product.
     """
-    algebra = linalg.require_kind(spec, LatticeSpec, "the group closure").algebra
-    scaled = spec._scaled
-    for i, (x, s) in enumerate(scaled):
+    algebra = require_kind(spec, LatticeSpec, "the group closure").algebra
+    rows = spec.integer_rows
+    for i, (x, s) in enumerate(rows):
         reach = {v for u in x for v in algebra.adjacency[u]}
-        for j in range(i + 1, len(scaled)):
-            y, t = scaled[j]
+        for j, (y, t) in enumerate(rows[i + 1 :], i + 1):
             if reach.isdisjoint(y):
                 continue
             half = algebra.integer_bracket(x, y)
             r = 2 * s * t * algebra.denominator
             if not half or spec._coordinates(half, r) is not None:
                 continue
-            g = spec.generators
-            product = GroupElement(algebra, g[i]) * GroupElement(algebra, g[j])
+            left = GroupElement(algebra, linalg.densify(x, len(rows), s))
+            product = left * GroupElement(algebra, linalg.densify(y, len(rows), t))
             return CheckResult(
                 False,
                 "product of generators %d and %d leaves the integer span: %s"
@@ -216,17 +211,17 @@ def check_group_closure(spec: LatticeSpec) -> CheckResult:
 def check_scaling_closure(spec: LatticeSpec) -> CheckResult:
     """The dilation by 2 maps every generator into the integer span.
 
-    The image of g = w / s has the numerators w_u shifted left by the
-    weight of b_u, over the same s.
+    The image of g = w / s in ``integer_rows`` has the numerators w_u shifted
+    left by the weight of b_u, over the same s, and is described from them.
     """
-    algebra = linalg.require_kind(spec, LatticeSpec, "the scaling closure").algebra
+    algebra = require_kind(spec, LatticeSpec, "the scaling closure").algebra
     weights = algebra.weights
-    for i, (w, s) in enumerate(spec._scaled):
-        if spec._coordinates({u: a << weights[u] for u, a in w.items()}, s) is None:
-            image = Dilation(algebra, 2)(spec.generators[i])
+    for i, (w, s) in enumerate(spec.integer_rows):
+        image = {u: a << weights[u] for u, a in w.items()}
+        if spec._coordinates(image, s) is None:
             return CheckResult(
                 False,
                 "dilation by 2 of generator %d leaves the integer span: %s"
-                % (i, algebra.describe(image)),
+                % (i, algebra.describe_pair(image, s)),
             )
     return CheckResult(True)

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from . import linalg
 from .algebra import GradedLieAlgebra, Subspace, _Verdict
-from .linalg import InputError, Matrix
+from .linalg import InputError, Matrix, require_kind
 
 
 class IsotropyResult(
@@ -47,8 +47,8 @@ def is_isotropic(s: Subspace) -> IsotropyResult:
     brackets are ``integer_bracket``s of the rows' ``integer_rows``,
     undivided; only the witness is divided out.
     """
-    algebra, rows = s.algebra, s.require_horizontal()
-    first, n = set(algebra.layers[0]), algebra.dimension
+    algebra = require_kind(s, Subspace, "an isotropy check").algebra
+    rows, first, n = s.require_horizontal(), set(algebra.layers[0]), algebra.dimension
     for (x, r), (y, q) in itertools.combinations(rows, 2):
         bracket = algebra.integer_bracket(x, y)
         if any(c and t not in first for t, c in bracket.items()):
@@ -86,16 +86,16 @@ def regularity_matrix(s: Subspace) -> Matrix:
     """Stacked system matrix: rows (target i, spanning vector q), columns
     over the first-layer basis in basis order; the entry is half the
     coefficient of the i-th basis vector outside V1 in [b_u, X_q]."""
-    rows, scale = _regularity_rows(s)
+    rows, scale = _regularity_rows(require_kind(s, Subspace, "a regularity matrix"))
     return tuple(linalg.densify(row, len(s.algebra.layers[0]), scale) for row in rows)
 
 
 def is_regular(s: Subspace) -> RegularityResult:
     """Full row rank of the stacked system decides regularity."""
-    required = (s.algebra.dimension - len(s.algebra.layers[0])) * s.dim
     pivots: dict[int, dict[int, int]] = {}
-    for row in _regularity_rows(s)[0]:
+    for row in _regularity_rows(require_kind(s, Subspace, "a regularity check"))[0]:
         linalg.extend_reduced(pivots, row)
+    required = (s.algebra.dimension - len(s.algebra.layers[0])) * s.dim
     return RegularityResult(len(pivots) == required, len(pivots), required)
 
 
@@ -103,7 +103,7 @@ def gromov_dimension_bound(algebra: GradedLieAlgebra, k: int) -> BoundReport:
     """Necessary dimension count for a k-dim isotropic regular subspace."""
     if type(k) is not int or k < 0:
         raise InputError("k must be a dimension, an int of at least 0")
-    n = algebra.dimension
+    n = require_kind(algebra, GradedLieAlgebra, "a dimension bound").dimension
     n1 = len(algebra.layers[0])
     lhs = n1 - k
     rhs = k * (n - n1)

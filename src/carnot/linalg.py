@@ -40,7 +40,8 @@ class InputError(ValueError):
 def require_kind(value, kind: type, what: str):
     """``value``, read before any of its attributes; InputError unless a ``kind``."""
     if not isinstance(value, kind):
-        raise InputError("%s needs a %s" % (what, kind.__name__))
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InputError("%s needs %s %s" % (what, article, kind.__name__))
     return value
 
 

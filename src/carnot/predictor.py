@@ -17,6 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import InputError, Subspace, hausdorff_dimension
+from .linalg import require_kind
 from .horizontal import (
     IsotropyResult,
     RegularityResult,
@@ -102,11 +103,11 @@ class HypothesisBundle:
         lattice_scalable: bool | None = None,
         k1_max_isotropic: int | None = None,
     ) -> None:
+        self.subspace = require_kind(subspace, Subspace, "a hypothesis bundle")
         algebra = self.algebra = subspace.algebra
         algebra.require_valid()
         if subspace.dim < 1:
             raise InputError("the certified subspace must be nonzero")
-        self.subspace = subspace
         self.isotropy: IsotropyResult = is_isotropic(subspace)
         if not self.isotropy:
             raise InputError(
@@ -157,7 +158,7 @@ def predict_filling(bundle: HypothesisBundle) -> list[GrowthBound]:
     n-j for j < k; the isotropy-only lower bound extends one dimension
     further, to n-k.
     """
-    algebra = bundle.algebra
+    algebra = require_kind(bundle, HypothesisBundle, "a filling prediction").algebra
     n = algebra.dimension
     d = algebra.declared_degree
     big_d = hausdorff_dimension(algebra)
@@ -215,7 +216,7 @@ def predict_divergence(bundle: HypothesisBundle) -> list[GrowthBound]:
     (j >= 1) are available, with the isotropy-only lower bound again
     extending one dimension lower (j = k).
     """
-    algebra = bundle.algebra
+    algebra = require_kind(bundle, HypothesisBundle, "a divergence prediction").algebra
     n = algebra.dimension
     big_d = hausdorff_dimension(algebra)
     k = bundle.k
@@ -279,7 +280,7 @@ def _detect_conflict(bounds: tuple[GrowthBound, ...]) -> bool:
 
 def coverage_table(bundle: HypothesisBundle) -> CoverageTable:
     """Per-dimension view of the predictions with unknown bands kept visible."""
-    algebra = bundle.algebra
+    algebra = require_kind(bundle, HypothesisBundle, "a coverage table").algebra
     n = algebra.dimension
     filling = predict_filling(bundle)
     divergence = predict_divergence(bundle)

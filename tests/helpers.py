@@ -8,7 +8,8 @@ Leibniz's sum over permutations, the differential oracle works from the
 defining alternating sum and calls only the bracket and that sum, the
 unipotent oracle multiplies actual matrices, and the lattice oracles
 solve a fresh column system for every query, sweep all n^2 generator
-products and dilate each generator coordinate by coordinate.
+products and dilate each generator coordinate by coordinate, on the dense
+rows that ``dense_generators`` divides out of a spec's integer rows.
 The graded transport rewrites a label-keyed table in a random layer-adapted
 basis by the same dense Fraction sums, inverting its blocks with
 ``naive_inverse``.  The Hermite oracle folds dense integer rows together by
@@ -471,16 +472,26 @@ def naive_membership(generators, v):
     return tuple(coeffs)
 
 
+def dense_generators(spec):
+    """The generators of a lattice spec as dense rows of Fractions: entry u
+    of the row of the pair (w, s) in ``integer_rows`` is w[u] / s."""
+    n = spec.algebra.dimension
+    return tuple(
+        tuple(Fraction(w.get(u, 0), s) for u in range(n)) for w, s in spec.integer_rows
+    )
+
+
 def naive_group_closure(spec) -> tuple[bool, str]:
     """(ok, detail) of the full sweep over every ordered generator product."""
     algebra = spec.algebra
     half = Fraction(1, 2)
-    for i, x in enumerate(spec.generators):
-        for j, y in enumerate(spec.generators):
+    generators = dense_generators(spec)
+    for i, x in enumerate(generators):
+        for j, y in enumerate(generators):
             product = tuple(
                 a + b + half * c for a, b, c in zip(x, y, algebra.bracket(x, y))
             )
-            if naive_membership(spec.generators, product) is None:
+            if naive_membership(generators, product) is None:
                 return False, (
                     "product of generators %d and %d leaves the integer span: %s"
                     % (i, j, algebra.describe(product))
@@ -494,9 +505,10 @@ def naive_scaling_closure(spec) -> tuple[bool, str]:
     ``naive_membership``."""
     algebra = spec.algebra
     weight = {i: d for d, layer in enumerate(algebra.layers, start=1) for i in layer}
-    for i, g in enumerate(spec.generators):
+    generators = dense_generators(spec)
+    for i, g in enumerate(generators):
         image = tuple(Fraction(2) ** weight[u] * c for u, c in enumerate(g))
-        if naive_membership(spec.generators, image) is None:
+        if naive_membership(generators, image) is None:
             return False, (
                 "dilation by 2 of generator %d leaves the integer span: %s"
                 % (i, algebra.describe(image))

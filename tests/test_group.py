@@ -22,12 +22,14 @@ from carnot import (
     pittet_kernel,
     two_step_closed_forms,
 )
-from carnot import algebra as algebra_module, linalg
+from carnot import algebra as algebra_module, group as group_module, linalg
 from carnot.algebra import jacobi_check
 
 from helpers import (
     GATE_CASES,
     coprime_table,
+    dense_generators,
+    free_two_step,
     naive_group_closure,
     naive_inverse,
     naive_membership,
@@ -169,7 +171,8 @@ def test_scaling_is_a_group_homomorphism(t, data):
 def test_complex_lattice_generators():
     algebra = build("heisenberg_c:1").algebra
     spec = build_scalable_lattice(algebra)
-    assert spec.generators == (
+    assert spec.integer_rows == (({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 2))
+    assert dense_generators(spec) == (
         algebra.basis_vector("j1"),
         algebra.basis_vector("k1"),
         tuple(F(1, 2) * c for c in algebra.basis_vector("K")),
@@ -297,7 +300,7 @@ def test_the_gate_runs_once_per_algebra_across_the_closures(monkeypatch):
         spec = make()
         check_group_closure(spec)
         check_scaling_closure(spec)
-        g = GroupElement(spec.algebra, spec.generators[-1])
+        g = GroupElement(spec.algebra, dense_generators(spec)[-1])
         assert g * g.inverse() == GroupElement.identity(spec.algebra)
     # the failing closure of the first two multiplies generators as well
     assert len(checked) == len({id(a) for a in checked}) == len(makers)
@@ -411,26 +414,28 @@ def test_generators_of_the_wrong_length_are_input_errors():
         LatticeSpec(algebra, (j1, "0/1", half_k))
 
 
+def spy_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_the_generators_are_read_once_and_not_re_eliminated(monkeypatch):
     # one numerators call per generator, and the inverse eliminates those
     # integer rows directly rather than a dense [G | I] through _eliminate
     algebra = build("heisenberg_o:2").algebra
-    generators = build_scalable_lattice(algebra).generators
-    calls = {"numerators": 0, "_eliminate": 0}
-
-    def spy(name):
-        original = getattr(linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, name, wrapper)
-
-    spy("numerators")
-    spy("_eliminate")
+    generators = dense_generators(build_scalable_lattice(algebra))
+    read = spy_calls(monkeypatch, linalg, "numerators")
+    eliminated = spy_calls(monkeypatch, linalg, "_eliminate")
     LatticeSpec(algebra, generators)
-    assert calls == {"numerators": algebra.dimension, "_eliminate": 0}
+    assert (len(read), len(eliminated)) == (algebra.dimension, 0)
 
 
 def coprime_spec():
@@ -555,13 +560,13 @@ def test_the_closure_brackets_only_the_pairs_whose_supports_bracket(monkeypatch)
     # some position of g_j brackets with some position of g_i, in order
     spec = build_scalable_lattice(build("heisenberg_c:10").algebra)
     ad = spec.algebra.adjacency
-    supports = [set(w) for w, _ in spec._scaled]
+    supports = [set(w) for w, _ in spec.integer_rows]
     expected = [
         (i, j)
         for i, j in itertools.combinations(range(len(supports)), 2)
         if any(v in ad[u] for u in supports[i] for v in supports[j])
     ]
-    index = {id(w): i for i, (w, _) in enumerate(spec._scaled)}
+    index = {id(w): i for i, (w, _) in enumerate(spec.integer_rows)}
     calls = []
     bracket = GradedLieAlgebra.integer_bracket
 
@@ -572,6 +577,30 @@ def test_the_closure_brackets_only_the_pairs_whose_supports_bracket(monkeypatch)
     monkeypatch.setattr(GradedLieAlgebra, "integer_bracket", counted)
     assert check_group_closure(spec).ok
     assert calls == expected and len(expected) == 10
+
+
+def test_hashing_the_built_lattice_densifies_no_generator(monkeypatch):
+    # N(31, 2), dimension 496: the hash reads the integer rows as they are
+    spec = build_scalable_lattice(GradedLieAlgebra("N(31, 2)", *free_two_step(31)))
+    again = build_scalable_lattice(spec.algebra)
+    densified = spy_calls(monkeypatch, linalg, "densify")
+    assert hash(spec) == hash(again)
+    assert densified == []
+
+
+def test_a_failing_scaling_closure_describes_the_shifted_numerators(monkeypatch):
+    # the image of generator 1 is described from the numerators just
+    # tested, with no Dilation and no dense row
+    spec = sparse_spec("heisenberg_c:3", 0)
+    dilations = spy_calls(monkeypatch, group_module, "Dilation")
+    densified = spy_calls(monkeypatch, linalg, "densify")
+    scaling = check_scaling_closure(spec)
+    assert (scaling.ok, scaling.detail) == (
+        False,
+        "dilation by 2 of generator 1 leaves the integer span: -2*k1 - 4/3*K",
+    )
+    assert (scaling.ok, scaling.detail) == naive_scaling_closure(spec)
+    assert dilations == densified == []
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS, ids=ORACLE_IDS)
@@ -595,9 +624,9 @@ def test_the_built_lattice_is_the_one_its_generators_give(make_algebra):
     # generators back gives the same pairs, inverse and denominator
     algebra = make_algebra()
     spec = build_scalable_lattice(algebra)
-    again = LatticeSpec(algebra, spec.generators)
+    again = LatticeSpec(algebra, dense_generators(spec))
     assert spec == again
-    assert spec._scaled == again._scaled
+    assert spec.integer_rows == again.integer_rows
     assert spec._columns == again._columns
     assert spec._denominator == again._denominator
 
@@ -611,7 +640,7 @@ def test_the_built_lattice_is_the_one_its_generators_give(make_algebra):
 def test_integer_columns_match_the_oracle_inverse(make_spec):
     spec = make_spec()
     n = spec.algebra.dimension
-    expected = naive_inverse(spec.generators)
+    expected = naive_inverse(dense_generators(spec))
     got = tuple(
         tuple(F(spec._columns[k].get(i, 0), spec._denominator) for i in range(n))
         for k in range(n)
@@ -651,18 +680,19 @@ def test_integer_columns_match_the_oracle_inverse(make_spec):
 def test_membership_matches_fresh_solve(make_spec):
     spec = make_spec()
     n = spec.algebra.dimension
+    generators = dense_generators(spec)
     rng = random.Random(n)
     outcomes = set()
     for _ in range(60):
         combo = [rng.randint(-3, 3) for _ in range(n)]
         v = tuple(
-            sum((a * g[r] for a, g in zip(combo, spec.generators)), F(0))
+            sum((a * g[r] for a, g in zip(combo, generators)), F(0))
             for r in range(n)
         )
         if rng.random() < 0.5:
             v = tuple(c + F(rng.randint(-2, 2), rng.randint(1, 4)) for c in v)
         got = spec.membership(v)
-        assert got == naive_membership(spec.generators, v)
+        assert got == naive_membership(generators, v)
         outcomes.add(got is None)
     assert outcomes == {True, False}
 

@@ -154,7 +154,10 @@ def test_elimination_matches_dense_oracle(seed, density):
             for i, row in enumerate(rows)
         ]
         assert linalg.rref(sparse, ncols) == reduced
-        assert len(linalg.reduced_rows(sparse, ncols)) == len(reduced)
+        # the integer pairs the verdicts eliminate into are the oracle's rows
+        pairs = tuple(map(linalg.numerators, naive_rref(rows)))
+        assert linalg.reduced_rows(rows) == pairs
+        assert linalg.reduced_rows(sparse, ncols) == pairs
         assert linalg.nullspace(sparse, ncols) == kernel
         square = [row[:ncols] for row in rows[:ncols]]
         if len(square) == ncols:
@@ -185,6 +188,7 @@ def test_elimination_with_coefficient_growth_matches_oracles(shape, seed):
     reduced = linalg.rref(rows)
     assert reduced == naive_rref(rows)
     assert len(linalg.reduced_rows(rows)) == len(reduced) == min(nrows - 1, ncols)
+    assert linalg.reduced_rows(rows) == tuple(map(linalg.numerators, naive_rref(rows)))
     kernel = linalg.nullspace(rows)
     expected = naive_nullspace(rows, ncols)
     assert kernel == expected
@@ -352,6 +356,10 @@ def test_rref_rejects_ragged_rows():
         linalg.rref([(1, 2), (3,)])
     with pytest.raises(ValueError, match="ragged matrix"):
         linalg.rref([(0, 0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.reduced_rows([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.reduced_rows([(0, 0, 0), (0, 0)])
 
 
 def test_sparse_rows_are_checked_against_ncols():
